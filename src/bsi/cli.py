@@ -202,15 +202,25 @@ def _check_keys(section: dict, allowed, where: str):
         raise ConfigError(f"unknown key(s) {unknown} in {where}")
 
 
+# JSON value types each field kind accepts: an int field takes no float,
+# a float field takes an int, and no numeric field takes a bool (which
+# Python counts as an int)
+_JSON_TYPES = {str: (str,), int: (int,), float: (int, float), bool: (bool,)}
+
+
 def _take(section, key, kind, where, default=None, required=False):
     if key not in section:
         if required:
             raise ConfigError(f"missing required key {key!r} in {where}")
         return default
     value = section[key]
+    if (not isinstance(value, _JSON_TYPES[kind])
+            or (isinstance(value, bool) and kind is not bool)):
+        raise ConfigError(f"bad value for {key!r} in {where}: {value!r} "
+                          f"(expected {kind.__name__})")
     try:
         return kind(value)
-    except (TypeError, ValueError) as exc:
+    except OverflowError as exc:
         raise ConfigError(f"bad value for {key!r} in {where}: {value!r}") from exc
 
 
@@ -248,12 +258,13 @@ def parse_config(raw: dict) -> RunConfig:
     cfg.seed = _take(raw, "seed", int, "config root", default=0)
     if cfg.seed < 0:
         raise ConfigError("seed must be a nonnegative integer")
-    cfg.emit_timing = bool(raw.get("emit_timing", False))
+    cfg.emit_timing = _take(raw, "emit_timing", bool, "config root", default=False)
 
     hyper_raw = raw.get("hyper", {})
     _check_keys(hyper_raw, HyperParams().as_dict().keys(), "hyper")
+    values = {k: _take(hyper_raw, k, float, "hyper") for k in hyper_raw}
     try:
-        cfg.hyper = HyperParams(**{k: float(v) for k, v in hyper_raw.items()})
+        cfg.hyper = HyperParams(**values)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad hyper section: {exc}") from exc
 

@@ -25,6 +25,18 @@ model only); the coordinate mean/variance are
     var_j = 1 / (||Ve^{1/2} H^j||^2 + vt_f_j)
 
 with H^j the j-th column and vt_f_j the f-precision expectancy.
+
+Cost per sweep, for H of size N x M (and D of size M x M):
+
+    partial: O(N M^2 + M^3).  The precision H' Ve H + Vx is formed with
+             one gemm and inverted through its Cholesky factor; the
+             quadratic-form diagonals diag(K Sigma K') are one gemm plus
+             an elementwise row sum each.  The indirect model adds the
+             same for D and Sigma_z.
+    full:    O(N M).  Each coordinate costs one dot and one axpy; the
+             covariance is diagonal and stays a vector, so the eps scale
+             update is (H*H) @ var.  A dense diag(var) is built once, for
+             the returned state only.
 """
 
 from __future__ import annotations
@@ -34,6 +46,7 @@ from dataclasses import dataclass
 from typing import Optional, Union
 
 import numpy as np
+from scipy.linalg.blas import daxpy
 
 from ._linalg import rel_change, spd_inverse
 from .jmap import initial_iterates
@@ -143,39 +156,53 @@ def vba_update_z(problem, vtilde_xi, vtilde_z, f_hat):
     return Sigma_z @ b, Sigma_z
 
 
+def _cov_diag(Sigma):
+    """diag(Sigma); a 1-D Sigma is a diagonal covariance given by its diagonal."""
+    Sigma = np.asarray(Sigma, dtype=float)
+    return Sigma if Sigma.ndim == 1 else np.diag(Sigma)
+
+
+def _quad_diag(K, Sigma):
+    """diag(K Sigma K') with BLAS: O(NM) for a 1-D (diagonal) Sigma, one gemm otherwise."""
+    Sigma = np.asarray(Sigma, dtype=float)
+    if Sigma.ndim == 1:
+        return (K * K) @ Sigma
+    return ((K @ Sigma) * K).sum(axis=1)
+
+
 def vba_update_ig(kind, hyper, f_hat, Sigma_f, z_hat=None, Sigma_z=None, *, problem):
     """Inverse-Gamma factor update: shape alpha + 1/2, residual-driven scale.
 
     kind "xi" and "z" require the indirect model, "f" the direct one;
-    "eps" applies to both.
+    "eps" applies to both.  ``Sigma_f`` and ``Sigma_z`` are full
+    covariance matrices, or 1-D arrays read as a diagonal covariance.
     """
     if kind not in _IG_KINDS:
         raise ValueError(f"kind must be one of {_IG_KINDS}, got {kind!r}")
     f_hat = np.asarray(f_hat, dtype=float)
     if kind == "eps":
         r = problem.g - problem.H @ f_hat
-        quad = np.einsum("ij,jk,ik->i", problem.H, Sigma_f, problem.H)
         alpha_hat = np.full(problem.n_obs, hyper.alpha_eps + 0.5)
-        beta_hat = hyper.beta_eps + 0.5 * (r * r + quad)
+        beta_hat = hyper.beta_eps + 0.5 * (r * r + _quad_diag(problem.H, Sigma_f))
     elif kind == "f":
         if not problem.is_direct:
             raise ModelMismatch("f-family update is for the direct model")
         alpha_hat = np.full(problem.n_coef, hyper.alpha_f + 0.5)
-        beta_hat = hyper.beta_f + 0.5 * (f_hat * f_hat + np.diag(Sigma_f))
+        beta_hat = hyper.beta_f + 0.5 * (f_hat * f_hat + _cov_diag(Sigma_f))
     elif kind == "xi":
         if problem.is_direct:
             raise ModelMismatch("xi-family update requires the indirect model")
         z_hat = np.asarray(z_hat, dtype=float)
         r = f_hat - problem.D @ z_hat
-        quad = np.einsum("ij,jk,ik->i", problem.D, Sigma_z, problem.D)
+        quad = _quad_diag(problem.D, Sigma_z)
         alpha_hat = np.full(problem.n_coef, hyper.alpha_xi + 0.5)
-        beta_hat = hyper.beta_xi + 0.5 * (r * r + np.diag(Sigma_f) + quad)
+        beta_hat = hyper.beta_xi + 0.5 * (r * r + _cov_diag(Sigma_f) + quad)
     else:  # z
         if problem.is_direct:
             raise ModelMismatch("z-family update requires the indirect model")
         z_hat = np.asarray(z_hat, dtype=float)
         alpha_hat = np.full(problem.n_coef, hyper.alpha_z + 0.5)
-        beta_hat = hyper.beta_z + 0.5 * (z_hat * z_hat + np.diag(Sigma_z))
+        beta_hat = hyper.beta_z + 0.5 * (z_hat * z_hat + _cov_diag(Sigma_z))
     return IgFamily(alpha_hat, beta_hat)
 
 
@@ -239,10 +266,6 @@ def solve_vba(problem: ForwardProblem, hyper: HyperParams, config: Optional[VbaC
     return _solve_partial_indirect(problem, hyper, config)
 
 
-def _criterion(problem, hyper, state):
-    return neg_log_posterior(state, problem, hyper)
-
-
 def _solve_partial_indirect(problem, hyper, config):
     f, z = initial_iterates(problem, config)
     ig_eps, ig_xi, ig_z = _seed_families(problem, hyper, f, z)
@@ -259,7 +282,7 @@ def _solve_partial_indirect(problem, hyper, config):
         )
 
     trace = RunTrace(update_order=("q_f", "q_z", "ig_xi", "ig_eps", "ig_z"))
-    trace.append(_criterion(problem, hyper, current_state()))
+    trace.append(neg_log_posterior(current_state(), problem, hyper))
     for _ in range(config.max_iter):
         tic = time.perf_counter()
         f_prev, z_prev = f, z
@@ -271,7 +294,7 @@ def _solve_partial_indirect(problem, hyper, config):
         ig_eps = vba_update_ig("eps", hyper, f, Sigma_f, problem=problem)
         ig_z = vba_update_ig("z", hyper, f, Sigma_f, z, Sigma_z, problem=problem)
         df = rel_change(f, f_prev)
-        trace.append(_criterion(problem, hyper, current_state()),
+        trace.append(neg_log_posterior(current_state(), problem, hyper),
                      df, rel_change(z, z_prev), time.perf_counter() - tic)
         if df < config.tol_rel_f:
             trace.converged = True
@@ -296,38 +319,42 @@ def _solve_direct(problem, hyper, config):
 
     order = ("q_f_sweep", "ig_f", "ig_eps") if full else ("q_f", "ig_f", "ig_eps")
     trace = RunTrace(update_order=order)
-    trace.append(_criterion(problem, hyper, current_state()))
+    trace.append(neg_log_posterior(current_state(), problem, hyper))
+    if full:
+        HT = np.ascontiguousarray(problem.H.T)
     for _ in range(config.max_iter):
         tic = time.perf_counter()
         f_prev = f
         vt_eps = ig_eps.inv_expectation()
         vt_f = ig_f.inv_expectation()
         if full:
-            f = f.copy()
-            var = np.empty(m)
-            H = problem.H
-            resid = problem.g - H @ f
-            col_sq = (H * H * vt_eps[:, None]).sum(axis=0)
-            for j in range(m):
-                col = H[:, j]
-                denom = col_sq[j] + vt_f[j]
-                numer = float(col @ (vt_eps * (resid + col * f[j])))
-                new_fj = numer / denom
-                resid -= col * (new_fj - f[j])
-                f[j] = new_fj
-                var[j] = 1.0 / denom
-            Sigma_f = np.diag(var)
+            # one dot and one axpy per coordinate, keeping resid = g - H f
+            HTw = HT * vt_eps
+            col_sq = (HTw * HT).sum(axis=1)
+            denom = col_sq + vt_f
+            resid = problem.g - problem.H @ f
+            f_list = f.tolist()
+            for j, (c_j, d_j) in enumerate(zip(col_sq.tolist(), denom.tolist())):
+                f_j = f_list[j]
+                new_fj = (float(HTw[j] @ resid) + c_j * f_j) / d_j
+                resid = daxpy(HT[j], resid, a=f_j - new_fj)
+                f_list[j] = new_fj
+            f = np.array(f_list)
+            var = 1.0 / denom
             ig_f = IgFamily(np.full(m, hyper.alpha_f + 0.5),
                             hyper.beta_f + 0.5 * (f * f + var))
+            ig_eps = vba_update_ig("eps", hyper, f, var, problem=problem)
         else:
             f, Sigma_f = vba_update_f(problem, vt_eps, vt_f)
             ig_f = vba_update_ig("f", hyper, f, Sigma_f, problem=problem)
-        ig_eps = vba_update_ig("eps", hyper, f, Sigma_f, problem=problem)
+            ig_eps = vba_update_ig("eps", hyper, f, Sigma_f, problem=problem)
         df = rel_change(f, f_prev)
-        trace.append(_criterion(problem, hyper, current_state()),
+        trace.append(neg_log_posterior(current_state(), problem, hyper),
                      df, None, time.perf_counter() - tic)
         if df < config.tol_rel_f:
             trace.converged = True
             trace.stop_reason = "tolerance"
             break
+    if full:
+        Sigma_f = np.diag(var)
     return current_state(), trace

@@ -138,6 +138,27 @@ class TestConfigParsing:
         with pytest.raises(ConfigError):
             parse_config({"model": "direct"})
 
+    @pytest.mark.parametrize("patch", [
+        {"emit_timing": "false"},
+        {"seed": 7.9},
+        {"seed": True},
+        {"solver": {"max_iter": 2.9}},
+        {"hyper": {"alpha_eps": "2"}},
+    ])
+    def test_wrong_json_type_rejected(self, patch):
+        raw = self.base()
+        raw.update(patch)
+        with pytest.raises(ConfigError):
+            parse_config(raw)
+
+    def test_json_types_accepted(self):
+        raw = self.base()
+        raw.update({"emit_timing": True, "seed": 7, "hyper": {"alpha_eps": 2},
+                    "solver": {"max_iter": 3, "tol_rel_f": 1}})
+        cfg = parse_config(raw)
+        assert cfg.emit_timing is True and cfg.seed == 7 and cfg.max_iter == 3
+        assert cfg.hyper.alpha_eps == 2.0 and cfg.tol_rel_f == 1.0
+
 
 def write_config(tmp_path, name, payload):
     path = tmp_path / name

@@ -150,6 +150,46 @@ class TestUpdateIg:
             assert np.all(fam.beta_hat >= hyper.beta_eps)
 
 
+    def test_quadratic_forms_match_dense_oracle(self):
+        # non-square H, so a transposed operand would show
+        rng = np.random.RandomState(41)
+        n, m = 7, 5
+        H = rng.randn(n, m)
+        D = rng.randn(m, m)
+        g, f, z = rng.randn(n), rng.randn(m), rng.randn(m)
+        S = rng.randn(m, m)
+        Sigma_f = S @ S.T + 0.1 * np.eye(m)
+        S = rng.randn(m, m)
+        Sigma_z = S @ S.T + 0.1 * np.eye(m)
+        hyper = HyperParams(*rng.uniform(0.5, 2.0, 8))
+        p = ForwardProblem(g=g, H=H, D=D)
+        r = g - H @ f
+        oracle = hyper.beta_eps + 0.5 * (r * r + np.diag(H @ Sigma_f @ H.T))
+        fam = vba_update_ig("eps", hyper, f, Sigma_f, problem=p)
+        np.testing.assert_allclose(fam.beta_hat, oracle, rtol=1e-12)
+        r = f - D @ z
+        oracle = hyper.beta_xi + 0.5 * (r * r + np.diag(Sigma_f)
+                                        + np.diag(D @ Sigma_z @ D.T))
+        fam = vba_update_ig("xi", hyper, f, Sigma_f, z, Sigma_z, problem=p)
+        np.testing.assert_allclose(fam.beta_hat, oracle, rtol=1e-12)
+
+    def test_vector_covariance_is_diagonal(self):
+        rng = np.random.RandomState(43)
+        n, m = 6, 4
+        H, D = rng.randn(n, m), rng.randn(m, m)
+        g, f, z = rng.randn(n), rng.randn(m), rng.randn(m)
+        var_f, var_z = rng.uniform(0.1, 2.0, m), rng.uniform(0.1, 2.0, m)
+        hyper = HyperParams(*rng.uniform(0.5, 2.0, 8))
+        cases = [(ForwardProblem(g=g, H=H), kind) for kind in ("eps", "f")]
+        cases += [(ForwardProblem(g=g, H=H, D=D), kind) for kind in ("eps", "xi", "z")]
+        for p, kind in cases:
+            dense = vba_update_ig(kind, hyper, f, np.diag(var_f), z, np.diag(var_z),
+                                  problem=p)
+            vector = vba_update_ig(kind, hyper, f, var_f, z, var_z, problem=p)
+            np.testing.assert_allclose(vector.beta_hat, dense.beta_hat, rtol=1e-12)
+            np.testing.assert_array_equal(vector.alpha_hat, dense.alpha_hat)
+
+
 class TestCoordinateUpdate:
     def test_scalar(self):
         p = ForwardProblem(g=[2.0], H=[[1.0]])
@@ -349,3 +389,73 @@ class TestSolveVba:
                 if np.linalg.norm(f - f_old) <= 1e-13 * max(np.linalg.norm(f), 1e-12):
                     break
             assert np.linalg.norm(f - target) <= 1e-6 * np.linalg.norm(target)
+
+
+def reference_vba(problem, hyper, separability, sweeps):
+    """Plain numpy VBA from a zero start, with einsum quadratic forms and
+    np.linalg.inv covariances: an oracle independent of bsi's linear algebra."""
+    H, g, D = problem.H, problem.g, problem.D
+    m = H.shape[1]
+    f, z = np.zeros(m), np.zeros(m)
+    b_eps = hyper.beta_eps + 0.5 * g * g
+    b_f, b_xi, b_z = np.full(m, hyper.beta_f), np.full(m, hyper.beta_xi), np.full(m, hyper.beta_z)
+    a_eps, a_f = hyper.alpha_eps + 0.5, hyper.alpha_f + 0.5
+    a_xi, a_z = hyper.alpha_xi + 0.5, hyper.alpha_z + 0.5
+    for _ in range(sweeps):
+        vt_eps = a_eps / b_eps
+        if D is not None:
+            vt_xi, vt_z = a_xi / b_xi, a_z / b_z
+            Sigma_f = np.linalg.inv(H.T @ np.diag(vt_eps) @ H + np.diag(vt_xi))
+            f = Sigma_f @ (H.T @ (vt_eps * g) + vt_xi * (D @ z))
+            Sigma_z = np.linalg.inv(D.T @ np.diag(vt_xi) @ D + np.diag(vt_z))
+            z = Sigma_z @ (D.T @ (vt_xi * f))
+            r = f - D @ z
+            b_xi = hyper.beta_xi + 0.5 * (r * r + np.diag(Sigma_f)
+                                          + np.einsum("ij,jk,ik->i", D, Sigma_z, D))
+            b_z = hyper.beta_z + 0.5 * (z * z + np.diag(Sigma_z))
+        elif separability == "partial":
+            vt_f = a_f / b_f
+            Sigma_f = np.linalg.inv(H.T @ np.diag(vt_eps) @ H + np.diag(vt_f))
+            f = Sigma_f @ (H.T @ (vt_eps * g))
+            b_f = hyper.beta_f + 0.5 * (f * f + np.diag(Sigma_f))
+        else:
+            vt_f = a_f / b_f
+            f = f.copy()
+            var = np.empty(m)
+            for j in range(m):
+                col = H[:, j]
+                rest = g - H @ f + col * f[j]
+                denom = col @ (vt_eps * col) + vt_f[j]
+                f[j] = col @ (vt_eps * rest) / denom
+                var[j] = 1.0 / denom
+            Sigma_f = np.diag(var)
+            b_f = hyper.beta_f + 0.5 * (f * f + var)
+        r = g - H @ f
+        b_eps = hyper.beta_eps + 0.5 * (r * r + np.einsum("ij,jk,ik->i", H, Sigma_f, H))
+    out = {"f_hat": f, "ig_eps": b_eps, "Sigma_f": np.diag(Sigma_f)}
+    if D is None:
+        out["ig_f"] = b_f
+    else:
+        out.update(ig_xi=b_xi, ig_z=b_z, Sigma_z=np.diag(Sigma_z))
+    return out
+
+
+@pytest.mark.parametrize("model,separability", [
+    ("direct", "partial"), ("indirect", "partial"), ("direct", "full")])
+def test_solve_vba_matches_reference_iteration(model, separability):
+    rng = np.random.RandomState(47)
+    n, m = 11, 8
+    H = rng.randn(n, m)
+    D = rng.randn(m, m) if model == "indirect" else None
+    problem = ForwardProblem(g=rng.randn(n), H=H, D=D)
+    hyper = HyperParams(*rng.uniform(0.5, 2.0, 8))
+    state, trace = solve_vba(problem, hyper, VbaConfig(
+        max_iter=5, tol_rel_f=1e-300, separability=separability))
+    assert trace.iterations == 5
+    expected = reference_vba(problem, hyper, separability, 5)
+    for name, want in expected.items():
+        value = getattr(state, name)
+        got = value.beta_hat if name.startswith("ig_") else value
+        if name.startswith("Sigma"):
+            got = np.diag(got)
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want), name

@@ -33,6 +33,7 @@ import math
 import os
 import re
 import sys
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -122,12 +123,52 @@ def write_matrix(matrix, path) -> None:
         raise ShapeError(f"can only write 1-D or 2-D arrays, got ndim {a.ndim}")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(f"# rows={a.shape[0]} cols={a.shape[1]}\n")
+        # one row at a time: a whole-matrix tolist() holds a Python float
+        # per entry, 36 MB more peak memory at 1024 x 1024
         for row in a:
-            fh.write(",".join(repr(float(v)) for v in row) + "\n")
+            fh.write(",".join(map(repr, row.tolist())) + "\n")
+
+
+# str.splitlines() breaks lines at these characters too; numpy's parser
+# does not, and strips them as whitespace around a field
+_EXTRA_LINE_BREAKS = ("\x0b", "\x0c", "\x1c", "\x1d", "\x1e")
+
+
+def _plain_lines(fh):
+    """The lines of fh; refuses non-ASCII lines and any that str.splitlines() splits."""
+    for line in fh:
+        if not line.isascii() or any(c in line for c in _EXTRA_LINE_BREAKS):
+            raise ValueError("line needs the token reader")
+        yield line
 
 
 def read_matrix(path) -> np.ndarray:
-    """Read a matrix written by :func:`write_matrix`; bit-exact round trip."""
+    """Read a matrix written by :func:`write_matrix`; bit-exact round trip.
+
+    The body is parsed in bulk by ``np.loadtxt``, whose fields are a
+    subset of what ``float()`` accepts and round identically.  Any file
+    it rejects or sizes differently from the header is read again token
+    by token, which gives the error with its line and column.
+    """
+    with open(path, "r", encoding="utf-8") as fh:
+        line = fh.readline()
+        header = _HEADER_RE.match(line)
+        if header and line.isascii() and len(line.splitlines()) == 1:
+            shape = int(header.group(1)), int(header.group(2))
+            try:
+                with warnings.catch_warnings():
+                    # loadtxt warns instead of raising on an empty body
+                    warnings.simplefilter("error")
+                    out = np.loadtxt(_plain_lines(fh), delimiter=",",
+                                     comments=None, ndmin=2)
+                if out.shape == shape:
+                    return out
+            except (ValueError, UserWarning):
+                pass
+    return _read_matrix_by_token(path)
+
+
+def _read_matrix_by_token(path) -> np.ndarray:
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.read().splitlines()
     if not lines:
@@ -208,12 +249,7 @@ def _check_keys(section: dict, allowed, where: str):
 _JSON_TYPES = {str: (str,), int: (int,), float: (int, float), bool: (bool,)}
 
 
-def _take(section, key, kind, where, default=None, required=False):
-    if key not in section:
-        if required:
-            raise ConfigError(f"missing required key {key!r} in {where}")
-        return default
-    value = section[key]
+def _typed(value, kind, key, where):
     if (not isinstance(value, _JSON_TYPES[kind])
             or (isinstance(value, bool) and kind is not bool)):
         raise ConfigError(f"bad value for {key!r} in {where}: {value!r} "
@@ -222,6 +258,34 @@ def _take(section, key, kind, where, default=None, required=False):
         return kind(value)
     except OverflowError as exc:
         raise ConfigError(f"bad value for {key!r} in {where}: {value!r}") from exc
+
+
+def _take(section, key, kind, where, default=None, required=False):
+    if key not in section:
+        if required:
+            raise ConfigError(f"missing required key {key!r} in {where}")
+        return default
+    return _typed(section[key], kind, key, where)
+
+
+def _take_floats(section, key, where, default=None):
+    """A JSON array of numbers, as a tuple of floats."""
+    if key not in section:
+        return default
+    values = section[key]
+    if not isinstance(values, list):
+        raise ConfigError(f"bad value for {key!r} in {where}: {values!r} "
+                          "(expected a list of numbers)")
+    return tuple(_typed(v, float, key, where) for v in values)
+
+
+def _take_section(section, key, where, default=None):
+    """A JSON object, as a dict (``default``, or empty, when absent)."""
+    value = section.get(key, {} if default is None else default)
+    if not isinstance(value, dict):
+        raise ConfigError(f"bad value for {key!r} in {where}: {value!r} "
+                          "(expected an object)")
+    return value
 
 
 def load_config(path) -> RunConfig:
@@ -260,7 +324,7 @@ def parse_config(raw: dict) -> RunConfig:
         raise ConfigError("seed must be a nonnegative integer")
     cfg.emit_timing = _take(raw, "emit_timing", bool, "config root", default=False)
 
-    hyper_raw = raw.get("hyper", {})
+    hyper_raw = _take_section(raw, "hyper", "config root")
     _check_keys(hyper_raw, HyperParams().as_dict().keys(), "hyper")
     values = {k: _take(hyper_raw, k, float, "hyper") for k in hyper_raw}
     try:
@@ -268,7 +332,7 @@ def parse_config(raw: dict) -> RunConfig:
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad hyper section: {exc}") from exc
 
-    solver_raw = raw.get("solver", {})
+    solver_raw = _take_section(raw, "solver", "config root")
     _check_keys(solver_raw, ("max_iter", "tol_rel_f", "tol_rel_L", "init"), "solver")
     cfg.max_iter = _take(solver_raw, "max_iter", int, "solver", default=100)
     cfg.tol_rel_f = _take(solver_raw, "tol_rel_f", float, "solver", default=1e-8)
@@ -279,16 +343,16 @@ def parse_config(raw: dict) -> RunConfig:
     if cfg.max_iter < 1 or cfg.tol_rel_f <= 0 or cfg.tol_rel_L <= 0:
         raise ConfigError("solver limits must be positive")
 
-    inputs_raw = raw.get("inputs", {})
+    inputs_raw = _take_section(raw, "inputs", "config root")
     _check_keys(inputs_raw, ("g", "H", "D", "f_true"), "inputs")
-    cfg.inputs = dict(inputs_raw)
+    cfg.inputs = {k: _take(inputs_raw, k, str, "inputs") for k in inputs_raw}
 
-    simulate_raw = raw.get("simulate", {})
+    simulate_raw = _take_section(raw, "simulate", "config root")
     _check_keys(simulate_raw, ("length", "sparsity", "amplitude", "operator",
                                "noise", "transform"), "simulate")
     cfg.simulate = dict(simulate_raw)
 
-    priors_raw = raw.get("priors", {})
+    priors_raw = _take_section(raw, "priors", "config root")
     _check_keys(priors_raw, ("levels", "grid_lo", "grid_hi", "grid_step",
                              "nu", "b", "mixture_draws"), "priors")
     cfg.priors = dict(priors_raw)
@@ -317,38 +381,38 @@ def _sub_seed(seed: int, stream: int) -> int:
 
 def _operator_from_section(section, n_rows, n_cols, seed, where):
     _check_keys(section, ("kind", "rows", "kernel"), where)
-    kind = _take(section, "kind", str, where, default="identity")
-    kernel = section.get("kernel")
     spec = OperatorSpec(
-        kind=kind, n_rows=n_rows, n_cols=n_cols,
-        kernel=tuple(float(k) for k in kernel) if kernel else None,
+        kind=_take(section, "kind", str, where, default="identity"),
+        n_rows=n_rows, n_cols=n_cols,
+        kernel=_take_floats(section, "kernel", where) or None,
         seed=seed,
     )
     return generate_operator(spec)
 
 
 def _noise_from_section(section):
-    _check_keys(section, ("kind", "sigma", "alpha", "beta"), "simulate.noise")
-    kind = section.get("kind", "none")
+    where = "simulate.noise"
+    _check_keys(section, ("kind", "sigma", "alpha", "beta"), where)
+    kind = _take(section, "kind", str, where, default="none")
     if kind == "none":
         return NoiseSpec.none()
     if kind == "stationary":
-        return NoiseSpec.stationary(float(section.get("sigma", 0.0)))
+        return NoiseSpec.stationary(_take(section, "sigma", float, where, default=0.0))
     if kind == "nonstationary":
-        return NoiseSpec.nonstationary(float(section.get("alpha", 3.0)),
-                                       float(section.get("beta", 2.0)))
+        return NoiseSpec.nonstationary(_take(section, "alpha", float, where, default=3.0),
+                                       _take(section, "beta", float, where, default=2.0))
     raise ConfigError(f"unknown noise kind {kind!r}")
 
 
 def run_simulate(cfg: RunConfig) -> None:
     sim = cfg.simulate
-    length = int(sim["length"])
-    sparsity = int(sim["sparsity"])
-    amplitude = tuple(float(a) for a in sim.get("amplitude", (1.0, 2.0)))
+    length = _take(sim, "length", int, "simulate", required=True)
+    sparsity = _take(sim, "sparsity", int, "simulate", required=True)
+    amplitude = _take_floats(sim, "amplitude", "simulate", default=(1.0, 2.0))
     if len(amplitude) != 2:
         raise ConfigError("simulate.amplitude must be [low, high]")
-    op_section = sim.get("operator", {"kind": "identity"})
-    n_rows = int(op_section.get("rows", length))
+    op_section = _take_section(sim, "operator", "simulate", {"kind": "identity"})
+    n_rows = _take(op_section, "rows", int, "simulate.operator", default=length)
 
     signal = generate_sparse_signal(SignalSpec(
         length=length, sparsity=sparsity, amplitude_range=amplitude,
@@ -357,14 +421,15 @@ def run_simulate(cfg: RunConfig) -> None:
                                _sub_seed(cfg.seed, 1), "simulate.operator")
     outputs = {"H.csv": H}
     if cfg.model == "indirect":
-        D = _operator_from_section(sim.get("transform", {"kind": "identity"}),
+        D = _operator_from_section(_take_section(sim, "transform", "simulate",
+                                                 {"kind": "identity"}),
                                    length, length, _sub_seed(cfg.seed, 3),
                                    "simulate.transform")
         f_true = D @ signal
         outputs["D.csv"] = D
     else:
         f_true = signal
-    noise = _noise_from_section(sim.get("noise", {"kind": "none"}))
+    noise = _noise_from_section(_take_section(sim, "noise", "simulate", {"kind": "none"}))
     g, v_true = synthesize_observation(H, f_true, noise, seed=_sub_seed(cfg.seed, 2))
     outputs["g.csv"] = g
     outputs["f_true.csv"] = f_true
@@ -461,13 +526,13 @@ def run_solve(cfg: RunConfig) -> None:
 
 def _priors_report(cfg: RunConfig) -> dict:
     p = cfg.priors
-    levels = [float(v) for v in p.get("levels", (1.0, 0.1, 0.01, 0.001))]
-    lo = float(p.get("grid_lo", -10.0))
-    hi = float(p.get("grid_hi", 10.0))
-    step = float(p.get("grid_step", 0.01))
-    nu = float(p.get("nu", 1.0))
-    b = float(p.get("b", 1.0))
-    n_draws = int(p.get("mixture_draws", 10))
+    levels = list(_take_floats(p, "levels", "priors", default=(1.0, 0.1, 0.01, 0.001)))
+    lo = _take(p, "grid_lo", float, "priors", default=-10.0)
+    hi = _take(p, "grid_hi", float, "priors", default=10.0)
+    step = _take(p, "grid_step", float, "priors", default=0.01)
+    nu = _take(p, "nu", float, "priors", default=1.0)
+    b = _take(p, "b", float, "priors", default=1.0)
+    n_draws = _take(p, "mixture_draws", int, "priors", default=10)
     grid = np.arange(lo, hi + 0.5 * step, step)
     rng = SplitMix64(_sub_seed(cfg.seed, 4))
 

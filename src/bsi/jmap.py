@@ -21,7 +21,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from ._linalg import rel_change, spd_solve
+from ._linalg import rel_change, solve_normal
 from .model import (
     ForwardProblem,
     HyperParams,
@@ -68,16 +68,13 @@ def jmap_update_f(problem, v_eps, v_xi, z=None) -> np.ndarray:
     """
     v_eps = _check_positive(v_eps, "v_eps")
     v_xi = _check_positive(v_xi, "v_xi")
-    H = problem.H
-    Hw = H / v_eps[:, None]                    # Veps^-1 H
-    A = H.T @ Hw
-    A[np.diag_indices_from(A)] += 1.0 / v_xi
-    b = Hw.T @ problem.g
+    w = 1.0 / v_eps                            # Veps^-1
+    b = problem.H.T @ (w * problem.g)
     if z is not None:
         if problem.is_direct:
             raise ModelMismatch("z passed for a direct-sparsity problem")
         b = b + (problem.D @ np.asarray(z, dtype=float)) / v_xi
-    return spd_solve(A, b)
+    return solve_normal(problem.H, problem.H_bands, w, 1.0 / v_xi, b)
 
 
 def jmap_update_z(problem, v_xi, v_z, f) -> np.ndarray:
@@ -86,12 +83,9 @@ def jmap_update_z(problem, v_xi, v_z, f) -> np.ndarray:
         raise ModelMismatch("z-update requires the indirect model (D present)")
     v_xi = _check_positive(v_xi, "v_xi")
     v_z = _check_positive(v_z, "v_z")
-    D = problem.D
-    Dw = D / v_xi[:, None]                     # Vxi^-1 D
-    A = D.T @ Dw
-    A[np.diag_indices_from(A)] += 1.0 / v_z
-    b = Dw.T @ np.asarray(f, dtype=float)
-    return spd_solve(A, b)
+    w = 1.0 / v_xi                             # Vxi^-1
+    b = problem.D.T @ (w * np.asarray(f, dtype=float))
+    return solve_normal(problem.D, problem.D_bands, w, 1.0 / v_z, b)
 
 
 def jmap_update_variance(kind, alpha, beta, residual):

@@ -29,6 +29,7 @@ consumers must compare L differences or argmins, never absolute values.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import TYPE_CHECKING, Optional
 
 import numpy as np
@@ -97,6 +98,32 @@ class ForwardProblem:
     @property
     def is_direct(self) -> bool:
         return self.D is None
+
+    @cached_property
+    def H_bands(self) -> tuple:
+        """(kl, ku) of H, found once per problem: see :func:`bandwidths`."""
+        return bandwidths(self.H)
+
+    @cached_property
+    def D_bands(self) -> tuple:
+        """(kl, ku) of D, found once per problem; indirect model only."""
+        if self.D is None:
+            raise ModelMismatch("D_bands requires the indirect model (D present)")
+        return bandwidths(self.D)
+
+
+def bandwidths(K: np.ndarray) -> tuple:
+    """(kl, ku): how many diagonals below and above the main one hold nonzeros.
+
+    An all-zero K gives (0, 0).  A dense N x M matrix gives (N - 1, M - 1).
+    """
+    nz = K != 0
+    rows = np.flatnonzero(nz.any(axis=1))
+    if rows.size == 0:
+        return 0, 0
+    first = nz[rows].argmax(axis=1)
+    last = K.shape[1] - 1 - nz[rows, ::-1].argmax(axis=1)
+    return max(int((rows - first).max()), 0), max(int((last - rows).max()), 0)
 
 
 @dataclass(frozen=True)

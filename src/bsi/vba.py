@@ -48,7 +48,7 @@ from typing import Optional, Union
 import numpy as np
 from scipy.linalg.blas import daxpy
 
-from ._linalg import rel_change, spd_inverse
+from ._linalg import normal_matrix, rel_change, spd_inverse
 from .jmap import initial_iterates
 from .model import (
     ForwardProblem,
@@ -131,9 +131,7 @@ def vba_update_f(problem, vtilde_eps, vtilde_xi, z_hat=None):
     vtilde_eps = _check_positive(vtilde_eps, "vtilde_eps")
     vtilde_xi = _check_positive(vtilde_xi, "vtilde_xi")
     H = problem.H
-    A = H.T @ (H * vtilde_eps[:, None])
-    A[np.diag_indices_from(A)] += vtilde_xi
-    Sigma_f = spd_inverse(A)
+    Sigma_f = spd_inverse(normal_matrix(H, vtilde_eps, vtilde_xi))
     b = H.T @ (vtilde_eps * problem.g)
     if z_hat is not None:
         if problem.is_direct:
@@ -149,9 +147,7 @@ def vba_update_z(problem, vtilde_xi, vtilde_z, f_hat):
     vtilde_xi = _check_positive(vtilde_xi, "vtilde_xi")
     vtilde_z = _check_positive(vtilde_z, "vtilde_z")
     D = problem.D
-    A = D.T @ (D * vtilde_xi[:, None])
-    A[np.diag_indices_from(A)] += vtilde_z
-    Sigma_z = spd_inverse(A)
+    Sigma_z = spd_inverse(normal_matrix(D, vtilde_xi, vtilde_z))
     b = D.T @ (vtilde_xi * np.asarray(f_hat, dtype=float))
     return Sigma_z @ b, Sigma_z
 

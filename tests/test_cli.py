@@ -17,7 +17,9 @@ from bsi.cli import (
     main,
     parse_config,
     read_matrix,
+    run_simulate,
     write_matrix,
+    _read_matrix_by_token,
 )
 
 RESULT_SCHEMA = {
@@ -101,6 +103,75 @@ class TestMatrixIo:
             read_matrix(path)
 
 
+def read_outcome(reader, path):
+    """(int64 bit view, shape) of a read, or the error's type and fields."""
+    try:
+        a = reader(path)
+    except (ParseError, ShapeError) as exc:
+        return type(exc), str(exc), exc.line, getattr(exc, "column", None)
+    return a.view(np.int64).tolist(), a.shape
+
+
+class TestBulkMatrixIo:
+    @pytest.mark.parametrize("text", [
+        "# rows=2 cols=2\n-0.0,1e-17\ninf,-inf\n",
+        "# rows=2 cols=2\n\n1.0,2.0\n\n\n3.0,4.0\n\n",
+        "# rows=1 cols=3\n1_0,  2.5 ,-7e-3\t\n",
+        "# rows=1 cols=4\nnan,-nan,1e999,-1e-400\n",
+        "# rows=3 cols=1\n1.0\n   \n2.0\n3.0\n",
+        "# rows=2 cols=2\r\n1.0,2.0\r\n3.0,4.0\r\n",
+        "# rows=1 cols=2\n\u0661,2\n",
+        "# rows=0 cols=3\n",
+        "# rows=2 cols=2\n",
+        "# rows=1 cols=2\n1.0\x0c,2.0\n",
+        "# rows=1 cols=2\n1.0,\x0c2.0\n",
+        "# rows=1\x0ccols=1\n1.0\n",
+        "# rows=1 cols=2\n1.0#x,2.0\n",
+        "# rows=1 cols=2\n1.0,2.0,\n",
+        "# rows=1 cols=2\n1.0,,\n",
+        "# rows=2 cols=2\n1.0,2.0\n",
+        "# rows=1 cols=2\n0x1p3,1\n",
+    ])
+    def test_bulk_reader_matches_token_reader(self, tmp_path, text):
+        path = tmp_path / "m.csv"
+        path.write_bytes(text.encode("utf-8"))
+        assert read_outcome(read_matrix, path) == read_outcome(_read_matrix_by_token, path)
+
+    def test_plain_file_takes_the_bulk_path(self, tmp_path, monkeypatch):
+        import bsi.cli
+        a = np.random.RandomState(1).randn(20, 7)
+        a[0, :3] = (-0.0, 1e-300, np.inf)
+        path = tmp_path / "m.csv"
+        write_matrix(a, path)
+        expected = _read_matrix_by_token(path)
+        monkeypatch.setattr(bsi.cli, "_read_matrix_by_token", None)
+        got = read_matrix(path)
+        assert got.view(np.int64).tolist() == expected.view(np.int64).tolist()
+
+    def test_bad_token_deep_in_large_file(self, tmp_path):
+        path = tmp_path / "big.csv"
+        write_matrix(np.random.RandomState(2).randn(300, 200), path)
+        lines = path.read_text().splitlines()
+        fields = lines[249].split(",")              # file line 250
+        fields[136] = "1.0.0"                       # column 137
+        lines[249] = ",".join(fields)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ParseError) as err:
+            read_matrix(path)
+        assert (err.value.line, err.value.column) == (250, 137)
+        assert str(err.value) == f"{path}: line 250, column 137: bad float '1.0.0'"
+
+    def test_write_matrix_bytes_unchanged(self, tmp_path):
+        rng = np.random.RandomState(3)
+        a = (rng.randn(6, 40) * 10.0 ** rng.uniform(-300, 300, (6, 40)))
+        a[0, :5] = (-0.0, np.inf, -np.inf, np.nan, 5e-324)
+        path = tmp_path / "m.csv"
+        write_matrix(a, path)
+        expected = f"# rows={a.shape[0]} cols={a.shape[1]}\n" + "".join(
+            ",".join(repr(float(v)) for v in row) + "\n" for row in a)
+        assert path.read_bytes() == expected.encode("utf-8")
+
+
 class TestConfigParsing:
     def base(self):
         return {"mode": "simulate", "simulate": {"length": 4, "sparsity": 1}}
@@ -144,12 +215,39 @@ class TestConfigParsing:
         {"seed": True},
         {"solver": {"max_iter": 2.9}},
         {"hyper": {"alpha_eps": "2"}},
+        {"simulate": 5},
+        {"inputs": {"g": 5}},
     ])
     def test_wrong_json_type_rejected(self, patch):
         raw = self.base()
         raw.update(patch)
         with pytest.raises(ConfigError):
             parse_config(raw)
+
+    @pytest.mark.parametrize("section", [
+        {"length": 8.9, "sparsity": 1},
+        {"length": 8, "sparsity": True},
+        {"length": 8, "sparsity": 1, "noise": {"kind": "stationary", "sigma": "0.5"}},
+        {"length": 8, "sparsity": 1, "noise": "none"},
+        {"length": 8, "sparsity": 1, "amplitude": [1, "2"]},
+        {"length": 8, "sparsity": 1, "operator": {"kind": "convolution", "rows": 8.0}},
+        {"length": 8, "sparsity": 1, "operator": {"kind": "convolution",
+                                                  "kernel": "0.5"}},
+    ])
+    def test_wrong_simulate_type_rejected(self, tmp_path, section):
+        raw = self.base()
+        raw["simulate"] = section
+        raw["out_dir"] = str(tmp_path)
+        with pytest.raises(ConfigError):
+            run_simulate(parse_config(raw))
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("priors", [{"mixture_draws": 2.5}, {"grid_step": "0.1"},
+                                        {"levels": [1.0, True]}, {"nu": None}])
+    def test_wrong_priors_type_rejected(self, tmp_path, priors):
+        raw = {"mode": "verify-priors", "out_dir": str(tmp_path), "priors": priors}
+        path = write_config(tmp_path, "priors.json", raw)
+        assert main(["verify-priors", "--config", path]) == EXIT_CONFIG
 
     def test_json_types_accepted(self):
         raw = self.base()

@@ -3,6 +3,7 @@ import pytest
 
 from bsi import (
     ForwardProblem,
+    SingularSystem,
     HyperParams,
     JmapConfig,
     ModelMismatch,
@@ -52,6 +53,13 @@ class TestUpdateF:
         direct = ForwardProblem(g=g, H=H)
         assert jmap_update_f(indirect, v_eps, v, np.zeros(m)) == pytest.approx(
             jmap_update_f(direct, v_eps, v), rel=1e-13)
+
+
+    def test_overflowing_weight_rejected(self):
+        # 1 / 1e-320 overflows to inf: a typed error, not a meaningless f
+        p = ForwardProblem(g=[1.0, 2.0, 3.0], H=np.eye(3))
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(SingularSystem):
+            jmap_update_f(p, [1.0, 1e-320, 1.0], [1.0, 1.0, 1.0])
 
 
 class TestUpdateZ:
@@ -235,3 +243,55 @@ class TestJmapConfig:
             JmapConfig(tol_rel_f=0.0)
         with pytest.raises(ValueError):
             JmapConfig(init="warm")
+
+
+def dense_reference_jmap(problem, hyper, sweeps):
+    """The JMAP sweep with every Gaussian block formed and solved densely."""
+    H, g, D = problem.H, problem.g, problem.D
+    m = problem.n_coef
+
+    def gaussian(K, w, p, rhs):
+        return np.linalg.solve(K.T @ (K * w[:, None]) + np.diag(p), rhs)
+
+    def mode(alpha, beta, r):
+        return (beta + 0.5 * r * r) / (alpha + 1.5)
+
+    f = np.zeros(m)
+    v_eps = np.full(problem.n_obs, hyper.beta_eps / (hyper.alpha_eps + 1.5))
+    if D is None:
+        v_f = np.full(m, hyper.beta_f / (hyper.alpha_f + 1.5))
+        for _ in range(sweeps):
+            v_f = mode(hyper.alpha_f, hyper.beta_f, f)
+            v_eps = mode(hyper.alpha_eps, hyper.beta_eps, g - H @ f)
+            f = gaussian(H, 1.0 / v_eps, 1.0 / v_f, H.T @ (g / v_eps))
+        return f, v_eps, v_f
+    z = np.zeros(m)
+    v_xi = np.full(m, hyper.beta_xi / (hyper.alpha_xi + 1.5))
+    v_z = np.full(m, hyper.beta_z / (hyper.alpha_z + 1.5))
+    for _ in range(sweeps):
+        f = gaussian(H, 1.0 / v_eps, 1.0 / v_xi, H.T @ (g / v_eps) + D @ z / v_xi)
+        z = gaussian(D, 1.0 / v_xi, 1.0 / v_z, D.T @ (f / v_xi))
+        v_xi = mode(hyper.alpha_xi, hyper.beta_xi, f - D @ z)
+        v_eps = mode(hyper.alpha_eps, hyper.beta_eps, g - H @ f)
+        v_z = mode(hyper.alpha_z, hyper.beta_z, z)
+    return f, v_eps, v_xi
+
+
+@pytest.mark.parametrize("model", ["direct", "indirect"])
+def test_banded_solve_matches_dense_reference(model):
+    """On a convolution H (and D = I) the banded blocks track dense solves."""
+    m = 96
+    H = generate_operator(OperatorSpec(kind="convolution", n_rows=m, n_cols=m,
+                                       kernel=(0.1, 0.25, 0.5, 0.25, 0.1)))
+    f_true = generate_sparse_signal(SignalSpec(length=m, sparsity=6,
+                                               amplitude_range=(2.0, 4.0), seed=4))
+    g = H @ f_true + 0.05 * np.random.RandomState(4).randn(m)
+    problem = ForwardProblem(g=g, H=H, D=np.eye(m) if model == "indirect" else None)
+    assert problem.H_bands == (2, 2)
+    hyper = HyperParams(3.0, 0.05, 1.0, 0.1, 1.0, 0.5, 1.0, 0.5)
+    state, _ = solve_jmap(problem, hyper, JmapConfig(max_iter=30, tol_rel_f=1e-300,
+                                                     tol_rel_L=1e-300))
+    f, v_eps, v_second = dense_reference_jmap(problem, hyper, 30)
+    got = state.v_f if model == "direct" else state.v_xi
+    for a, b in ((state.f_hat, f), (state.v_eps, v_eps), (got, v_second)):
+        assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max()

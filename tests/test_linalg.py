@@ -1,8 +1,18 @@
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import assume, given, settings, strategies as st
 
-from bsi import SingularSystem
-from bsi._linalg import spd_inverse
+from bsi import (
+    ForwardProblem,
+    OperatorSpec,
+    SingularSystem,
+    generate_operator,
+    jmap_update_f,
+    jmap_update_z,
+)
+from bsi._linalg import _normal_band, solve_normal, spd_inverse
+from bsi.model import bandwidths
 
 
 @pytest.mark.parametrize("m", [1, 2, 7, 40])
@@ -31,3 +41,109 @@ def test_spd_inverse_leaves_input_unchanged():
 def test_spd_inverse_rejects_non_spd(A):
     with pytest.raises(SingularSystem):
         spd_inverse(A)
+
+
+def banded(rng, n, m, kl, ku):
+    K = rng.uniform(-1.0, 1.0, (n, m))
+    i, j = np.indices((n, m))
+    K[(j - i > ku) | (i - j > kl)] = 0.0
+    return K
+
+
+@st.composite
+def normal_systems(draw):
+    """(K, (kl, ku), w, p, rhs); K banded, diagonal or the identity."""
+    rng = np.random.RandomState(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["band", "diagonal", "identity"]))
+    m = draw(st.integers(1, 48))
+    if kind == "band":
+        n = max(1, m + draw(st.integers(-6, 6)))
+        kl, ku = draw(st.integers(0, 3)), draw(st.integers(0, 3))
+        K = banded(rng, n, m, kl, ku)
+        K[:, rng.rand(m) < 0.2] = 0.0                  # zero columns
+    else:
+        n, kl, ku = m, 0, 0
+        K = np.eye(m) if kind == "identity" else np.diag(rng.uniform(-2.0, 2.0, m))
+    w = 10.0 ** rng.uniform(-2.0, 2.0, n)
+    p = 10.0 ** rng.uniform(-8.0, 8.0, m)
+    return K, (kl, ku), w, p, rng.randn(m)
+
+
+def dense_oracle(K, w, p, rhs):
+    A = K.T @ (K * w[:, None]) + np.diag(p)
+    return A, np.linalg.solve(A, rhs)
+
+
+def rel_err(x, oracle):
+    return np.abs(x - oracle).max() / np.abs(oracle).max()
+
+
+@settings(max_examples=150, deadline=None)
+@given(normal_systems())
+def test_solve_normal_matches_dense_oracle(system):
+    K, bands, w, p, rhs = system
+    A, oracle = dense_oracle(K, w, p, rhs)
+    # Any backward-stable solver is off by about eps times the condition
+    # number of the diagonally scaled matrix; p over 16 decades makes that
+    # unbounded, so the 1e-12 bound is checked where it is attainable.
+    d = np.sqrt(np.diag(A))
+    assume(np.linalg.cond(A / np.outer(d, d)) <= 1e3)
+    detected = bandwidths(K)
+    assert detected[0] <= bands[0] and detected[1] <= bands[1]
+    m = K.shape[1]
+    for b in (bands, detected, (bands[0] + 1, bands[1])):
+        assert rel_err(solve_normal(K, b, w, p, rhs), oracle) <= 1e-12
+        u = b[0] + b[1]
+        if u < m:                               # the band, whichever path runs
+            ab = _normal_band(K, b[0], b[1], w, p)
+            for d in range(u + 1):
+                np.testing.assert_allclose(ab[u - d, d:], np.diagonal(A, d),
+                                           rtol=1e-13, atol=1e-13 * np.abs(A).max())
+
+
+def test_bandwidths():
+    K = np.zeros((5, 8))
+    assert bandwidths(K) == (0, 0)
+    K[4, 1] = 1.0
+    K[0, 6] = -1.0
+    assert bandwidths(K) == (3, 6)
+    assert bandwidths(np.ones((4, 6))) == (3, 5)
+    assert bandwidths(np.eye(6)) == (0, 0)
+
+
+@pytest.mark.parametrize("bands", [(1, 1), (40, 40)], ids=["banded", "dense"])
+@pytest.mark.parametrize("w_bad", [np.nan, np.inf, 1e300], ids=["nan", "inf", "overflow"])
+def test_solve_normal_rejects_non_finite_weights(bands, w_bad):
+    rng = np.random.RandomState(1)
+    m = 40
+    K = banded(rng, m, m, 1, 1) * 1e10
+    w = np.ones(m)
+    w[7] = w_bad
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(SingularSystem):
+        solve_normal(K, bands, w, np.ones(m), rng.randn(m))
+
+
+def test_banded_path_is_taken_by_structure(monkeypatch):
+    """Convolution operators go through solveh_banded; dense ones never do."""
+    calls = []
+    real = scipy.linalg.solveh_banded
+    monkeypatch.setattr(scipy.linalg, "solveh_banded",
+                        lambda *a, **k: calls.append(1) or real(*a, **k))
+    m = 64
+    rng = np.random.RandomState(2)
+    conv = generate_operator(OperatorSpec(kind="convolution", n_rows=m, n_cols=m,
+                                          kernel=(0.25, 0.5, 0.25)))
+    dense = generate_operator(OperatorSpec(kind="gaussian_random", n_rows=m,
+                                           n_cols=m, seed=3))
+    v_eps, v_f = rng.uniform(0.5, 2.0, m), rng.uniform(0.5, 2.0, m)
+    for H, expect in ((conv, 1), (dense, 0)):
+        calls.clear()
+        problem = ForwardProblem(g=rng.randn(m), H=H)
+        f = jmap_update_f(problem, v_eps, v_f)
+        assert len(calls) == expect
+        _, oracle = dense_oracle(H, 1.0 / v_eps, 1.0 / v_f, H.T @ (problem.g / v_eps))
+        assert rel_err(f, oracle) <= 1e-12
+    calls.clear()
+    jmap_update_z(ForwardProblem(g=rng.randn(m), H=dense, D=np.eye(m)),
+                  v_eps, v_f, rng.randn(m))
+    assert len(calls) == 1                     # D = I is a diagonal solve

@@ -43,6 +43,7 @@ from .priors import (
     DomainError,
     GhParams,
     GigParams,
+    PriorsSettings,
     QuadratureFailure,
     SingularDensity,
     bessel_k,
@@ -50,6 +51,7 @@ from .priors import (
     gh_pdf,
     gig_pdf,
     limit_deviation,
+    priors_report,
     reference_pdf,
 )
 from .synth import (
@@ -77,9 +79,10 @@ __all__ = [
     "IgFamily", "IndexOutOfRange", "VbaConfig", "ig_inv_expectation",
     "solve_vba", "vba_full_coordinate_update", "vba_update_f",
     "vba_update_ig", "vba_update_z",
-    "DomainError", "GhParams", "GigParams", "QuadratureFailure",
-    "SingularDensity", "bessel_k", "gh_marginal_quadrature", "gh_pdf",
-    "gig_pdf", "limit_deviation", "reference_pdf",
+    "DomainError", "GhParams", "GigParams", "PriorsSettings",
+    "QuadratureFailure", "SingularDensity", "bessel_k",
+    "gh_marginal_quadrature", "gh_pdf", "gig_pdf", "limit_deviation",
+    "priors_report", "reference_pdf",
     "NoiseSpec", "OperatorSpec", "ReconstructionMetrics", "SignalSpec",
     "SpecError", "generate_operator", "generate_sparse_signal",
     "reconstruction_metrics", "synthesize_observation",

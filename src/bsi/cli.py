@@ -29,7 +29,6 @@ from __future__ import annotations
 import argparse
 import json
 import logging
-import math
 import os
 import re
 import sys
@@ -37,7 +36,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.integrate
 
 from .jmap import JmapConfig, solve_jmap
 from .model import (
@@ -50,17 +48,7 @@ from .model import (
     DimensionMismatch,
     SingularSystem,
 )
-from .priors import (
-    GhParams,
-    GigParams,
-    QuadratureFailure,
-    bessel_k,
-    gh_marginal_quadrature,
-    gh_pdf,
-    limit_deviation,
-    reference_pdf,
-)
-from .rng import SplitMix64
+from .priors import PriorsSettings, QuadratureFailure, priors_report
 from .synth import (
     NoiseSpec,
     OperatorSpec,
@@ -215,6 +203,7 @@ def _read_vector(path) -> np.ndarray:
 _MODES = ("simulate", "solve", "verify-priors")
 _MODELS = ("direct", "indirect")
 _METHODS = ("jmap", "vba-partial", "vba-full")
+_PRIORS_FLOATS = ("grid_lo", "grid_hi", "grid_step", "nu", "b")
 
 
 @dataclass
@@ -353,8 +342,7 @@ def parse_config(raw: dict) -> RunConfig:
     cfg.simulate = dict(simulate_raw)
 
     priors_raw = _take_section(raw, "priors", "config root")
-    _check_keys(priors_raw, ("levels", "grid_lo", "grid_hi", "grid_step",
-                             "nu", "b", "mixture_draws"), "priors")
+    _check_keys(priors_raw, _PRIORS_FLOATS + ("levels", "mixture_draws"), "priors")
     cfg.priors = dict(priors_raw)
 
     if mode == "solve":
@@ -524,117 +512,18 @@ def run_solve(cfg: RunConfig) -> None:
     log.info("wrote result.json and trace.csv (converged=%s)", trace.converged)
 
 
-def _priors_report(cfg: RunConfig) -> dict:
-    p = cfg.priors
-    levels = list(_take_floats(p, "levels", "priors", default=(1.0, 0.1, 0.01, 0.001)))
-    lo = _take(p, "grid_lo", float, "priors", default=-10.0)
-    hi = _take(p, "grid_hi", float, "priors", default=10.0)
-    step = _take(p, "grid_step", float, "priors", default=0.01)
-    nu = _take(p, "nu", float, "priors", default=1.0)
-    b = _take(p, "b", float, "priors", default=1.0)
-    n_draws = _take(p, "mixture_draws", int, "priors", default=10)
-    grid = np.arange(lo, hi + 0.5 * step, step)
-    rng = SplitMix64(_sub_seed(cfg.seed, 4))
-
-    half_order = abs(bessel_k(0.5, 1.0) - math.sqrt(math.pi / 2.0) * math.exp(-1.0))
-    sym_max = 0.0
-    rec_max = 0.0
-    for _ in range(50):
-        lam = -5.0 + 10.0 * rng.uniform()
-        x = 0.1 + 5.0 * rng.uniform()
-        k0, k1 = bessel_k(lam, x), bessel_k(-lam, x)
-        sym_max = max(sym_max, abs(k0 - k1) / abs(k0))
-        lhs = bessel_k(lam + 1.0, x)
-        rhs = bessel_k(lam - 1.0, x) + 2.0 * lam / x * bessel_k(lam, x)
-        rec_max = max(rec_max, abs(lhs - rhs) / abs(lhs))
-
-    def draw_gh():
-        alpha = 0.6 + 2.0 * rng.uniform()
-        beta = (2.0 * rng.uniform() - 1.0) * 0.7 * alpha
-        delta = 0.5 + 1.5 * rng.uniform()
-        lam = -1.5 + 3.0 * rng.uniform()
-        mu = -0.5 + rng.uniform()
-        return GhParams(lam=lam, alpha=alpha, beta=beta, delta=delta, mu=mu)
-
-    ident_grid = np.linspace(-8.0, 8.0, 201)
-    hyp_max = 0.0
-    nig_max = 0.0
-    for _ in range(5):
-        params = draw_gh()
-        ref = {"alpha": params.alpha, "beta": params.beta,
-               "delta": params.delta, "mu": params.mu}
-        hyp = reference_pdf("hyperbolic", ref, ident_grid)
-        got = gh_pdf(ident_grid, GhParams(lam=1.0, alpha=params.alpha,
-                                          beta=params.beta, delta=params.delta,
-                                          mu=params.mu))
-        hyp_max = max(hyp_max, float(np.max(np.abs(got - hyp))))
-        nig = reference_pdf("nig", ref, ident_grid)
-        got = gh_pdf(ident_grid, GhParams(lam=-0.5, alpha=params.alpha,
-                                          beta=params.beta, delta=params.delta,
-                                          mu=params.mu))
-        nig_max = max(nig_max, float(np.max(np.abs(got - nig))))
-
-    student_devs = limit_deviation("student_t_alpha", levels, grid, nu=nu)
-    laplace_devs = limit_deviation("laplace_delta", levels, grid, b=b)
-
-    mix_max = 0.0
-    for _ in range(n_draws):
-        params = draw_gh()
-        gig = GigParams(gamma_sq=params.gamma ** 2, delta_sq=params.delta ** 2,
-                        lam=params.lam)
-        xs = np.linspace(params.mu - 3.0, params.mu + 3.0, 21)
-        closed = gh_pdf(xs, params)
-        for x, c in zip(xs, closed):
-            mix_max = max(mix_max, abs(gh_marginal_quadrature(
-                float(x), params.mu, params.beta, gig) - c))
-
-    ig_max = 0.0
-    for _ in range(20):
-        alpha = 0.5 + 9.5 * rng.uniform()
-        beta = 0.5 + 9.5 * rng.uniform()
-        val, _err = scipy.integrate.quad(
-            lambda x: (1.0 / x) * math.exp(
-                alpha * math.log(beta) - math.lgamma(alpha)
-                - (alpha + 1.0) * math.log(x) - beta / x),
-            0.0, np.inf, epsabs=1e-12, epsrel=1e-12, limit=300)
-        ig_max = max(ig_max, abs(val - alpha / beta))
-
-    def strictly_decreasing(seq):
-        return all(a > b_ for a, b_ in zip(seq, seq[1:]))
-
-    return {
-        "bessel": {
-            "half_order_abs_error": half_order,
-            "symmetry_max_rel": sym_max,
-            "recurrence_max_rel": rec_max,
-        },
-        "identities": {
-            "hyperbolic_max_abs": hyp_max,
-            "nig_max_abs": nig_max,
-        },
-        "limits": {
-            "student_t_alpha": {
-                "levels": levels,
-                "sup_deviation": student_devs,
-                "strictly_decreasing": strictly_decreasing(student_devs),
-            },
-            "laplace_delta": {
-                "levels": levels,
-                "sup_deviation": laplace_devs,
-                "strictly_decreasing": strictly_decreasing(laplace_devs),
-            },
-        },
-        "scale_mixture": {
-            "draws": n_draws,
-            "grid_points": 21,
-            "max_abs_deviation": mix_max,
-        },
-        "ig_inverse_expectation": {"max_abs_error": ig_max},
-    }
+def _priors_settings(section) -> PriorsSettings:
+    """The priors section; absent keys keep the PriorsSettings defaults."""
+    values = {k: _take(section, k, float, "priors") for k in _PRIORS_FLOATS if k in section}
+    if "mixture_draws" in section:
+        values["mixture_draws"] = _take(section, "mixture_draws", int, "priors")
+    if "levels" in section:
+        values["levels"] = _take_floats(section, "levels", "priors")
+    return PriorsSettings(**values)
 
 
 def run_verify_priors(cfg: RunConfig) -> None:
-    report = _priors_report(cfg)
+    report = priors_report(_priors_settings(cfg.priors), _sub_seed(cfg.seed, 4))
     os.makedirs(cfg.out_dir, exist_ok=True)
     with open(os.path.join(cfg.out_dir, "priors_report.json"), "w",
               encoding="utf-8") as fh:

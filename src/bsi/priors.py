@@ -26,6 +26,10 @@ alpha -> 0), Hyperbolic (lambda=1), Laplace (lambda=1, alpha=1/b,
 delta -> 0), Variance-Gamma (delta -> 0, lambda > 0) and NIG
 (lambda=-1/2).  Limits are exercised at small finite surrogate values,
 never symbolically.
+
+:func:`priors_report` runs all of these checks on seeded random draws;
+it is the body of the ``verify-priors`` command.  ``scipy.integrate``
+is imported only by the functions that integrate.
 """
 
 from __future__ import annotations
@@ -35,8 +39,11 @@ from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
-import scipy.integrate
 import scipy.special
+
+from .rng import SplitMix64
+
+_HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
 
 
 class DomainError(ValueError):
@@ -93,6 +100,11 @@ class GigParams:
             raise DomainError("gamma_sq and delta_sq cannot both be zero")
 
 
+# scipy's kv/kve return nan for subnormal orders.  K_lambda(x) equals
+# K_0(x) (1 + O(lambda^2 log^2 x)), so orders below this are read as 0.
+_TINY_ORDER = 1e-154
+
+
 def bessel_k(lam: float, x: float) -> float:
     """Modified Bessel function of the second kind K_lambda(x), x > 0.
 
@@ -102,6 +114,8 @@ def bessel_k(lam: float, x: float) -> float:
     """
     if not (x > 0 and math.isfinite(x)):
         raise DomainError(f"bessel_k needs x > 0, got {x}")
+    if abs(lam) < _TINY_ORDER:
+        lam = 0.0
     return float(scipy.special.kv(lam, x))
 
 
@@ -112,17 +126,44 @@ def log_bessel_k(lam, x):
     Gamma(|lambda|) 2^{|lambda|-1} x^{-|lambda|} when the scaled Bessel
     value overflows.
     """
+    if abs(lam) < _TINY_ORDER:
+        lam = 0.0
     x = np.asarray(x, dtype=float)
     out = np.log(scipy.special.kve(lam, x)) - x
     bad = ~np.isfinite(out)
     if np.any(bad):
+        out = np.array(out)  # writable, also for a 0-d x
         a = abs(lam)
         if a > 0:
-            small = scipy.special.gammaln(a) + (a - 1.0) * math.log(2.0) - a * np.log(x[bad])
+            out[bad] = scipy.special.gammaln(a) + (a - 1.0) * math.log(2.0) \
+                - a * np.log(x[bad])
         else:
-            small = np.log(-np.log(x[bad] / 2.0) - np.euler_gamma)
-        out = np.where(bad, small, out)
+            out[bad] = np.log(-np.log(x[bad] / 2.0) - np.euler_gamma)
     return out
+
+
+def _gig_log_norm(params: GigParams) -> float:
+    """Log normalizing constant c of the GIG density, validated, so that
+
+        log GIG(v) = c + (lambda - 1) log v - (gamma^2 v + delta^2 / v) / 2.
+
+    delta^2 = 0 is the Gamma(lambda, rate gamma^2/2) reduction (lambda > 0),
+    gamma^2 = 0 the Inverse Gamma(-lambda, delta^2/2) one (lambda < 0).
+    """
+    params.validate()
+    lam = params.lam
+    if params.delta_sq == 0.0:
+        if lam <= 0:
+            raise DomainError("delta_sq = 0 requires lambda > 0 (Gamma reduction)")
+        return float(lam * math.log(0.5 * params.gamma_sq) - scipy.special.gammaln(lam))
+    if params.gamma_sq == 0.0:
+        if lam >= 0:
+            raise DomainError("gamma_sq = 0 requires lambda < 0 (Inverse-Gamma reduction)")
+        return float(-lam * math.log(0.5 * params.delta_sq) - scipy.special.gammaln(-lam))
+    gamma = math.sqrt(params.gamma_sq)
+    delta = math.sqrt(params.delta_sq)
+    return float(lam * (math.log(gamma) - math.log(delta)) - math.log(2.0)
+                 - log_bessel_k(lam, delta * gamma))
 
 
 def gig_pdf(v, params: GigParams):
@@ -132,31 +173,12 @@ def gig_pdf(v, params: GigParams):
     delta^2 = 0 is a Gamma(lambda, rate gamma^2/2) density (lambda > 0),
     gamma^2 = 0 an Inverse Gamma(-lambda, delta^2/2) density (lambda < 0).
     """
-    params.validate()
+    c = _gig_log_norm(params)
     v_arr = np.asarray(v, dtype=float)
     if np.any(v_arr <= 0) or not np.all(np.isfinite(v_arr)):
         raise DomainError("gig_pdf needs v > 0")
-    lam = params.lam
-    if params.delta_sq == 0.0:
-        if lam <= 0:
-            raise DomainError("delta_sq = 0 requires lambda > 0 (Gamma reduction)")
-        rate = 0.5 * params.gamma_sq
-        logpdf = lam * math.log(rate) - scipy.special.gammaln(lam) \
-            + (lam - 1.0) * np.log(v_arr) - rate * v_arr
-    elif params.gamma_sq == 0.0:
-        if lam >= 0:
-            raise DomainError("gamma_sq = 0 requires lambda < 0 (Inverse-Gamma reduction)")
-        a, b = -lam, 0.5 * params.delta_sq
-        logpdf = a * math.log(b) - scipy.special.gammaln(a) \
-            + (lam - 1.0) * np.log(v_arr) - b / v_arr
-    else:
-        gamma = math.sqrt(params.gamma_sq)
-        delta = math.sqrt(params.delta_sq)
-        logpdf = lam * (math.log(gamma) - math.log(delta)) - math.log(2.0) \
-            - log_bessel_k(lam, delta * gamma) \
-            + (lam - 1.0) * np.log(v_arr) \
-            - 0.5 * (params.gamma_sq * v_arr + params.delta_sq / v_arr)
-    out = np.exp(logpdf)
+    out = np.exp(c + (params.lam - 1.0) * np.log(v_arr)
+                 - 0.5 * (params.gamma_sq * v_arr + params.delta_sq / v_arr))
     return out if v_arr.ndim else float(out)
 
 
@@ -294,8 +316,32 @@ def _variance_gamma_pdf(params, x):
     return out
 
 
-def _normal_pdf(x, mean, var):
-    return np.exp(-0.5 * (x - mean) ** 2 / var) / np.sqrt(2.0 * math.pi * var)
+def _mixture_integrand(x: float, mu: float, beta: float, gig: GigParams):
+    """v -> N(x | mu + beta v, v) GIG(v), fused into one scalar exponent
+
+        c + (lambda - 3/2) log v - ((x - mu - beta v)^2 / 2 + delta^2 / 2) / v
+          - gamma^2 v / 2,
+
+    with c the GIG log normalizer minus log(2 pi) / 2.  Validates ``gig``
+    now, not per point.  An exponent past the double range raises
+    QuadratureFailure.
+    """
+    c = _gig_log_norm(gig) - _HALF_LOG_2PI
+    shape = gig.lam - 1.5
+    half_delta_sq = 0.5 * gig.delta_sq
+    half_gamma_sq = 0.5 * gig.gamma_sq
+    exp, log = math.exp, math.log
+
+    def integrand(v):
+        r = x - (mu + beta * v)
+        try:
+            return exp(c + shape * log(v) - (0.5 * r * r + half_delta_sq) / v
+                       - half_gamma_sq * v)
+        except OverflowError:
+            raise QuadratureFailure(
+                f"mixture integrand exceeds the double range at v = {v!r}") from None
+
+    return integrand
 
 
 def gh_marginal_quadrature(x: float, mu: float, beta: float, gig: GigParams,
@@ -306,11 +352,11 @@ def gh_marginal_quadrature(x: float, mu: float, beta: float, gig: GigParams,
     over v in (0, inf) to absolute tolerance ``tol``.  Serves as the
     independent oracle for :func:`gh_pdf`.
     """
-    gig.validate()
+    import scipy.integrate
 
-    def integrand(v):
-        return _normal_pdf(x, mu + beta * v, v) * gig_pdf(v, gig)
-
+    if not all(math.isfinite(t) for t in (x, mu, beta)):
+        raise DomainError(f"x, mu and beta must be finite, got {(x, mu, beta)}")
+    integrand = _mixture_integrand(x, mu, beta, gig)
     value, err = scipy.integrate.quad(integrand, 0.0, np.inf,
                                       epsabs=tol, epsrel=1e-12, limit=400)
     if err > tol:
@@ -362,3 +408,127 @@ def limit_deviation(limit_case: str, levels, grid, nu: float = 1.0, b: float = 1
                                          delta=level, mu=0.0))
 
     return [float(np.max(np.abs(density(level) - reference))) for level in levels]
+
+
+@dataclass(frozen=True)
+class PriorsSettings:
+    """Grid, limit levels and draw count of :func:`priors_report`."""
+
+    levels: tuple = (1.0, 0.1, 0.01, 0.001)
+    grid_lo: float = -10.0
+    grid_hi: float = 10.0
+    grid_step: float = 0.01
+    nu: float = 1.0
+    b: float = 1.0
+    mixture_draws: int = 10
+
+
+def priors_report(settings: PriorsSettings, seed: int) -> dict:
+    """Bessel, GH identity, limit and quadrature checks as one report.
+
+    Every random parameter is drawn from ``SplitMix64(seed)`` in a fixed
+    order, so equal settings and seed give an identical report.
+    """
+    import scipy.integrate
+
+    levels = list(settings.levels)
+    step = settings.grid_step
+    grid = np.arange(settings.grid_lo, settings.grid_hi + 0.5 * step, step)
+    rng = SplitMix64(seed)
+
+    half_order = abs(bessel_k(0.5, 1.0) - math.sqrt(math.pi / 2.0) * math.exp(-1.0))
+    sym_max = 0.0
+    rec_max = 0.0
+    for _ in range(50):
+        lam = -5.0 + 10.0 * rng.uniform()
+        x = 0.1 + 5.0 * rng.uniform()
+        k0, k1 = bessel_k(lam, x), bessel_k(-lam, x)
+        sym_max = max(sym_max, abs(k0 - k1) / abs(k0))
+        lhs = bessel_k(lam + 1.0, x)
+        rhs = bessel_k(lam - 1.0, x) + 2.0 * lam / x * bessel_k(lam, x)
+        rec_max = max(rec_max, abs(lhs - rhs) / abs(lhs))
+
+    def draw_gh():
+        alpha = 0.6 + 2.0 * rng.uniform()
+        beta = (2.0 * rng.uniform() - 1.0) * 0.7 * alpha
+        delta = 0.5 + 1.5 * rng.uniform()
+        lam = -1.5 + 3.0 * rng.uniform()
+        mu = -0.5 + rng.uniform()
+        return GhParams(lam=lam, alpha=alpha, beta=beta, delta=delta, mu=mu)
+
+    ident_grid = np.linspace(-8.0, 8.0, 201)
+    hyp_max = 0.0
+    nig_max = 0.0
+    for _ in range(5):
+        params = draw_gh()
+        ref = {"alpha": params.alpha, "beta": params.beta,
+               "delta": params.delta, "mu": params.mu}
+        hyp = reference_pdf("hyperbolic", ref, ident_grid)
+        got = gh_pdf(ident_grid, GhParams(lam=1.0, alpha=params.alpha,
+                                          beta=params.beta, delta=params.delta,
+                                          mu=params.mu))
+        hyp_max = max(hyp_max, float(np.max(np.abs(got - hyp))))
+        nig = reference_pdf("nig", ref, ident_grid)
+        got = gh_pdf(ident_grid, GhParams(lam=-0.5, alpha=params.alpha,
+                                          beta=params.beta, delta=params.delta,
+                                          mu=params.mu))
+        nig_max = max(nig_max, float(np.max(np.abs(got - nig))))
+
+    student_devs = limit_deviation("student_t_alpha", levels, grid, nu=settings.nu)
+    laplace_devs = limit_deviation("laplace_delta", levels, grid, b=settings.b)
+
+    mix_max = 0.0
+    for _ in range(settings.mixture_draws):
+        params = draw_gh()
+        gig = GigParams(gamma_sq=params.gamma ** 2, delta_sq=params.delta ** 2,
+                        lam=params.lam)
+        xs = np.linspace(params.mu - 3.0, params.mu + 3.0, 21)
+        closed = gh_pdf(xs, params)
+        for x, c in zip(xs, closed):
+            mix_max = max(mix_max, abs(gh_marginal_quadrature(
+                float(x), params.mu, params.beta, gig) - c))
+
+    ig_max = 0.0
+    for _ in range(20):
+        alpha = 0.5 + 9.5 * rng.uniform()
+        beta = 0.5 + 9.5 * rng.uniform()
+        # IG(alpha, beta) density times 1/x, its log normalizer hoisted
+        log_norm = alpha * math.log(beta) - math.lgamma(alpha)
+        shape = alpha + 1.0
+        val, _err = scipy.integrate.quad(
+            lambda x: (1.0 / x) * math.exp(log_norm - shape * math.log(x) - beta / x),
+            0.0, np.inf, epsabs=1e-12, epsrel=1e-12, limit=300)
+        ig_max = max(ig_max, abs(val - alpha / beta))
+
+    def strictly_decreasing(seq):
+        return all(a > b_ for a, b_ in zip(seq, seq[1:]))
+
+    return {
+        "bessel": {
+            "half_order_abs_error": half_order,
+            "symmetry_max_rel": sym_max,
+            "recurrence_max_rel": rec_max,
+        },
+        "identities": {
+            "hyperbolic_max_abs": hyp_max,
+            "nig_max_abs": nig_max,
+        },
+        "limits": {
+            "student_t_alpha": {
+                "levels": levels,
+                "sup_deviation": student_devs,
+                "strictly_decreasing": strictly_decreasing(student_devs),
+            },
+            "laplace_delta": {
+                "levels": levels,
+                "sup_deviation": laplace_devs,
+                "strictly_decreasing": strictly_decreasing(laplace_devs),
+            },
+        },
+        "scale_mixture": {
+            "draws": settings.mixture_draws,
+            "grid_points": 21,
+            "max_abs_deviation": mix_max,
+        },
+        "ig_inverse_expectation": {"max_abs_error": ig_max},
+    }

@@ -1,11 +1,15 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 import jsonschema
 
+import bsi
 from bsi.cli import (
     ConfigError,
     EXIT_CONFIG,
@@ -373,6 +377,17 @@ class TestCliRuns:
         assert report["scale_mixture"]["max_abs_deviation"] < 1e-6
         assert report["bessel"]["half_order_abs_error"] < 1e-10
 
+    def test_verify_priors_reruns_are_byte_identical(self, tmp_path):
+        outputs = []
+        for run in ("a", "b"):
+            cfg = write_config(tmp_path, f"priors_{run}.json", {
+                "mode": "verify-priors", "seed": 17, "out_dir": str(tmp_path / run),
+                "priors": {"grid_step": 0.1, "mixture_draws": 2},
+            })
+            assert main(["verify-priors", "--config", cfg]) == EXIT_OK
+            outputs.append((tmp_path / run / "priors_report.json").read_bytes())
+        assert outputs[0] == outputs[1]
+
     def test_non_convergence_still_exits_zero(self, tmp_path):
         sim_out = tmp_path / "sim"
         assert main(["simulate", "--config", simulate_config(tmp_path, sim_out)]) == EXIT_OK
@@ -463,3 +478,12 @@ class TestExitCodes:
             "inputs": {"g": str(g), "H": str(H)},
         })
         assert main(["solve", "--config", cfg]) == EXIT_SOLVER
+
+
+def test_cli_import_leaves_out_scipy_integrate():
+    """Only verify-priors integrates; importing the CLI must not load QUADPACK."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(bsi.__file__)))
+    code = "import sys, bsi.cli; print(sorted(m for m in sys.modules if m.startswith('scipy.integrate')))"
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, timeout=120, check=True)
+    assert done.stdout.strip() == "[]"

@@ -1,13 +1,16 @@
 import math
+import sys
 
 import numpy as np
 import pytest
 import scipy.integrate
+from hypothesis import given, settings, strategies as st
 
 from bsi import (
     DomainError,
     GhParams,
     GigParams,
+    QuadratureFailure,
     SingularDensity,
     bessel_k,
     gh_marginal_quadrature,
@@ -16,6 +19,7 @@ from bsi import (
     limit_deviation,
     reference_pdf,
 )
+from bsi.priors import _mixture_integrand, log_bessel_k
 
 # high-precision values frozen from an arbitrary-precision evaluation of
 # K_lambda(x) (independent of the scipy code path under test)
@@ -59,6 +63,24 @@ class TestBesselK:
 
     def test_overflow_reported_as_inf(self):
         assert bessel_k(60.0, 1e-8) == math.inf
+
+    def test_subnormal_order_is_order_zero(self):
+        # scipy's kv gives nan at orders below the normal double range
+        assert bessel_k(5e-324, 1.0) == bessel_k(0.0, 1.0)
+        assert gig_pdf(1.0, GigParams(1.0, 1.0, 5e-324)) == gig_pdf(1.0, GigParams(1.0, 1.0, 0.0))
+        assert gh_pdf(0.3, GhParams(lam=5e-324, alpha=1.0)) == gh_pdf(0.3, GhParams(lam=0.0, alpha=1.0))
+
+    def test_log_overflow_fallback_keeps_shape(self):
+        xs = np.array([1e-300, 1e-290, 1.0])
+        got = log_bessel_k(60.0, xs)
+        assert got.shape == (3,)
+        for x, value in zip(xs, got):
+            assert float(log_bessel_k(60.0, x)) == value
+        assert np.ndim(log_bessel_k(60.0, 1e-300)) == 0
+        # small-argument asymptote log(Gamma(60) 2^59 x^-60)
+        assert got[0] == pytest.approx(math.lgamma(60.0) + 59.0 * math.log(2.0)
+                                       + 60.0 * 300.0 * math.log(10.0), rel=1e-12)
+        assert got[2] == pytest.approx(math.log(bessel_k(60.0, 1.0)), rel=1e-13)
 
     def test_order_symmetry_random(self):
         rng = np.random.RandomState(2)
@@ -294,7 +316,6 @@ class TestMarginalQuadrature:
             assert abs(mix - ref) < 2e-3
 
     def test_unreachable_tolerance_raises(self):
-        from bsi import QuadratureFailure
         gig = GigParams(gamma_sq=1.0, delta_sq=1.0, lam=0.5)
         with pytest.raises(QuadratureFailure):
             gh_marginal_quadrature(0.0, 0.0, 0.0, gig, tol=1e-18)
@@ -307,6 +328,92 @@ class TestMarginalQuadrature:
             mix = gh_marginal_quadrature(x, 0.0, 0.0, gig)
             ref = reference_pdf("student_t", {"nu": 2.0}, x)
             assert abs(mix - ref) < 1e-6
+
+    def test_matches_quadrature_of_composed_densities(self):
+        # the draws of acceptance criterion 8, integrated once more with the
+        # unfused normal-pdf-times-gig_pdf integrand and the same settings
+        rng = np.random.RandomState(88)
+        for _ in range(10):
+            alpha = 0.6 + 2.0 * rng.uniform()
+            p = GhParams(lam=-1.5 + 3.0 * rng.uniform(), alpha=alpha,
+                         beta=(2.0 * rng.uniform() - 1.0) * 0.7 * alpha,
+                         delta=0.5 + 1.5 * rng.uniform(), mu=-0.5 + rng.uniform())
+            gig = GigParams(gamma_sq=p.gamma ** 2, delta_sq=p.delta ** 2, lam=p.lam)
+            for x in np.linspace(p.mu - 3.0, p.mu + 3.0, 21):
+                x = float(x)
+                oracle, err = scipy.integrate.quad(
+                    lambda v: composed_integrand(x, p.mu, p.beta, gig, v),
+                    0.0, np.inf, epsabs=1e-9, epsrel=1e-12, limit=400)
+                assert err <= 1e-9
+                assert abs(gh_marginal_quadrature(x, p.mu, p.beta, gig) - oracle) <= 1e-12
+
+    @pytest.mark.parametrize("gig", [
+        GigParams(gamma_sq=1.0, delta_sq=0.0, lam=0.0),
+        GigParams(gamma_sq=1.0, delta_sq=0.0, lam=-1.0),
+        GigParams(gamma_sq=0.0, delta_sq=1.0, lam=0.0),
+        GigParams(gamma_sq=0.0, delta_sq=1.0, lam=2.0),
+        GigParams(gamma_sq=0.0, delta_sq=0.0, lam=-1.0),
+        GigParams(gamma_sq=-1.0, delta_sq=1.0, lam=1.0),
+    ])
+    def test_domain_error_before_quadrature(self, gig, monkeypatch):
+        def no_quad(*args, **kwargs):
+            raise AssertionError("quadrature started")
+
+        monkeypatch.setattr(scipy.integrate, "quad", no_quad)
+        with pytest.raises(DomainError):
+            gh_marginal_quadrature(0.5, 0.0, 0.0, gig)
+
+    @pytest.mark.parametrize("x,mu,beta", [(math.nan, 0.0, 0.0), (0.0, math.inf, 0.0),
+                                           (0.0, 0.0, -math.inf)])
+    def test_nonfinite_arguments_rejected(self, x, mu, beta):
+        with pytest.raises(DomainError):
+            gh_marginal_quadrature(x, mu, beta, GigParams(1.0, 1.0, 0.5))
+
+    def test_exponent_overflow_is_typed(self):
+        # Gamma mixing with rate 1e300 at x = mu: near v = 1e-301 the
+        # mixture integrand is about 1e450, past the double range
+        integrand = _mixture_integrand(0.0, 0.0, 0.0,
+                                       GigParams(gamma_sq=2e300, delta_sq=0.0, lam=1.0))
+        with pytest.raises(QuadratureFailure):
+            integrand(1e-301)
+        # and it leaves QUADPACK as that error, not as an OverflowError
+        with pytest.raises(QuadratureFailure):
+            scipy.integrate.quad(integrand, 0.0, 1e-300)
+
+
+def composed_integrand(x, mu, beta, gig, v):
+    """N(x | mu + beta v, v) times gig_pdf(v): the integrand before fusing."""
+    mean = mu + beta * v
+    normal = np.exp(-0.5 * (x - mean) ** 2 / v) / np.sqrt(2.0 * math.pi * v)
+    return normal * gig_pdf(v, gig)
+
+
+@st.composite
+def gig_params(draw):
+    branch = draw(st.sampled_from(["general", "gamma", "inverse_gamma"]))
+    scale = st.floats(1e-2, 1e2)
+    if branch == "gamma":
+        return GigParams(gamma_sq=draw(scale), delta_sq=0.0,
+                         lam=draw(st.floats(0.0, 5.0, exclude_min=True)))
+    if branch == "inverse_gamma":
+        return GigParams(gamma_sq=0.0, delta_sq=draw(scale),
+                         lam=draw(st.floats(-5.0, 0.0, exclude_max=True)))
+    return GigParams(gamma_sq=draw(scale), delta_sq=draw(scale),
+                     lam=draw(st.floats(-5.0, 5.0)))
+
+
+class TestMixtureIntegrand:
+    @settings(max_examples=300, deadline=None)
+    @given(gig=gig_params(), x=st.floats(-10.0, 10.0), mu=st.floats(-10.0, 10.0),
+           beta=st.floats(-3.0, 3.0), log10_v=st.floats(-6.0, 6.0))
+    def test_matches_composed_densities(self, gig, x, mu, beta, log10_v):
+        v = 10.0 ** log10_v
+        with np.errstate(over="ignore", under="ignore"):
+            expected = float(composed_integrand(x, mu, beta, gig, v))
+        if not sys.float_info.min <= expected < math.inf:
+            return  # the product is zero, subnormal or infinite
+        got = _mixture_integrand(x, mu, beta, gig)(v)
+        assert abs(got - expected) <= 1e-12 * expected
 
 
 class TestLimitDeviation:

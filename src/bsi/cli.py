@@ -329,7 +329,7 @@ def parse_config(raw: dict) -> RunConfig:
     cfg.init = _take(solver_raw, "init", str, "solver", default="zeros")
     if cfg.init not in ("zeros", "least-squares"):
         raise ConfigError("solver.init must be 'zeros' or 'least-squares'")
-    if cfg.max_iter < 1 or cfg.tol_rel_f <= 0 or cfg.tol_rel_L <= 0:
+    if cfg.max_iter < 1 or not cfg.tol_rel_f > 0 or not cfg.tol_rel_L > 0:  # NaN too
         raise ConfigError("solver limits must be positive")
 
     inputs_raw = _take_section(raw, "inputs", "config root")

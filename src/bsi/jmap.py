@@ -11,12 +11,22 @@ along the iteration:
 Direct model: the xi-block becomes the f-prior block (V_f, residual f_j)
 and there is no z.  Update order is f, z, v_xi, v_eps, v_z for the
 indirect model and v_f, v_eps, f for the direct one.
+
+JMAP and VBA share one loop, :func:`alternate`: it applies a solver's
+sweep (one update of every block, state in, state out), records L and
+the iterate changes, and applies the stop test.  The variance families
+(kind, IG prior, residual) come from one table,
+``model._variance_families``, which also defines L; the JMAP variance
+block is the mode of each family, and every family starts at its mode
+for a zero residual, whatever the init.
 """
 
 from __future__ import annotations
 
+import numbers
 import time
 from dataclasses import dataclass
+from functools import partial
 from typing import Optional, Union
 
 import numpy as np
@@ -32,6 +42,7 @@ from .model import (
     neg_log_posterior,
     validate_problem,
     _check_positive,
+    _variance_families,
 )
 
 _VARIANCE_KINDS = ("eps", "xi", "z", "f_direct")
@@ -52,12 +63,29 @@ class JmapConfig:
     init: Union[str, np.ndarray] = "zeros"
 
     def __post_init__(self):
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be >= 1")
-        if self.tol_rel_f <= 0 or self.tol_rel_L <= 0:
-            raise ValueError("tolerances must be strictly positive")
-        if isinstance(self.init, str) and self.init not in ("zeros", "least-squares"):
-            raise ValueError(f"unknown init {self.init!r}")
+        _check_limits(self.max_iter, self.init, tol_rel_f=self.tol_rel_f,
+                      tol_rel_L=self.tol_rel_L)
+
+
+def _check_limits(max_iter, init, **tolerances):
+    """Checks shared by JmapConfig and VbaConfig; raises ValueError.
+
+    max_iter must be an integer >= 1 (numpy integers too, bool not),
+    every tolerance strictly positive (NaN is not), a string init known
+    and a vector init finite.
+    """
+    if isinstance(max_iter, bool) or not isinstance(max_iter, numbers.Integral):
+        raise ValueError(f"max_iter must be an integer, got {max_iter!r}")
+    if max_iter < 1:
+        raise ValueError("max_iter must be >= 1")
+    for name, tol in tolerances.items():
+        if not tol > 0:
+            raise ValueError(f"{name} must be strictly positive, got {tol!r}")
+    if isinstance(init, str):
+        if init not in ("zeros", "least-squares"):
+            raise ValueError(f"unknown init {init!r}")
+    elif not np.all(np.isfinite(np.asarray(init, dtype=float))):
+        raise ValueError("init vector must be finite")
 
 
 def jmap_update_f(problem, v_eps, v_xi, z=None) -> np.ndarray:
@@ -106,16 +134,6 @@ def jmap_update_variance(kind, alpha, beta, residual):
     return out if r.ndim else float(out)
 
 
-def _zero_residual_variances(problem, hyper):
-    n, m = problem.n_obs, problem.n_coef
-    v_eps = np.full(n, hyper.beta_eps / (hyper.alpha_eps + 1.5))
-    if problem.is_direct:
-        return v_eps, np.full(m, hyper.beta_f / (hyper.alpha_f + 1.5)), None
-    v_xi = np.full(m, hyper.beta_xi / (hyper.alpha_xi + 1.5))
-    v_z = np.full(m, hyper.beta_z / (hyper.alpha_z + 1.5))
-    return v_eps, v_xi, v_z
-
-
 def initial_iterates(problem, config):
     """Starting (f, z) per config.init; z is the least-squares pullback of f."""
     m = problem.n_coef
@@ -135,6 +153,54 @@ def initial_iterates(problem, config):
     return f0, np.linalg.lstsq(problem.D, f0, rcond=None)[0]
 
 
+def alternate(problem, hyper, config, order, state, sweep, tol_rel_L=None):
+    """The alternation loop of every solver; returns (SolverState, RunTrace).
+
+    ``sweep(state)`` updates each block once, in the cycle ``order``
+    names, and returns the new state.  The trace records L at every
+    state (record 0 is ``state``) with the relative f and z changes.  The
+    run stops at config.max_iter, or when the f change falls below
+    config.tol_rel_f and, if ``tol_rel_L`` is given, the relative
+    decrease of L below it.
+    """
+    trace = RunTrace(update_order=order)
+    L = neg_log_posterior(state, problem, hyper)
+    trace.append(L)
+    for _ in range(config.max_iter):
+        tic = time.perf_counter()
+        prev, L_prev = state, L
+        state = sweep(prev)
+        L = neg_log_posterior(state, problem, hyper)
+        df = rel_change(state.f_hat, prev.f_hat)
+        dz = None if state.z_hat is None else rel_change(state.z_hat, prev.z_hat)
+        trace.append(L, df, dz, time.perf_counter() - tic)
+        if df < config.tol_rel_f and (
+                tol_rel_L is None
+                or (L_prev - L) / max(abs(L_prev), np.finfo(float).tiny) < tol_rel_L):
+            trace.converged = True
+            trace.stop_reason = "tolerance"
+            break
+    return state, trace
+
+
+def _variance_modes(problem, hyper, f, z):
+    """The variance block: every family's mode at (f, z), as v_<kind> fields."""
+    return {"v_" + kind: jmap_update_variance("f_direct" if kind == "f" else kind,
+                                              alpha, beta, residual)
+            for kind, alpha, beta, residual in _variance_families(problem, hyper, f, z)}
+
+
+def _sweep_direct(problem, hyper, state):
+    v = _variance_modes(problem, hyper, state.f_hat, None)
+    return SolverState(f_hat=jmap_update_f(problem, v["v_eps"], v["v_f"]), **v)
+
+
+def _sweep_indirect(problem, hyper, state):
+    f = jmap_update_f(problem, state.v_eps, state.v_xi, state.z_hat)
+    z = jmap_update_z(problem, state.v_xi, state.v_z, f)
+    return SolverState(f_hat=f, z_hat=z, **_variance_modes(problem, hyper, f, z))
+
+
 def solve_jmap(problem: ForwardProblem, hyper: HyperParams, config: Optional[JmapConfig] = None):
     """Alternating minimization of L; returns (SolverState, RunTrace).
 
@@ -146,43 +212,11 @@ def solve_jmap(problem: ForwardProblem, hyper: HyperParams, config: Optional[Jma
     config = config or JmapConfig()
     validate_problem(problem, hyper)
     f, z = initial_iterates(problem, config)
-    v_eps, v_second, v_z = _zero_residual_variances(problem, hyper)
-    direct = problem.is_direct
-
-    def current_state():
-        if direct:
-            return SolverState(f_hat=f, v_eps=v_eps, v_f=v_second)
-        return SolverState(f_hat=f, z_hat=z, v_eps=v_eps, v_xi=v_second, v_z=v_z)
-
-    order = ("v_f", "v_eps", "f") if direct else ("f", "z", "v_xi", "v_eps", "v_z")
-    trace = RunTrace(update_order=order)
-    L = neg_log_posterior(current_state(), problem, hyper)
-    trace.append(L)
-
-    for _ in range(config.max_iter):
-        tic = time.perf_counter()
-        f_prev, z_prev, L_prev = f, z, L
-        if direct:
-            v_second = jmap_update_variance("f_direct", hyper.alpha_f, hyper.beta_f, f)
-            v_eps = jmap_update_variance("eps", hyper.alpha_eps, hyper.beta_eps,
-                                         problem.g - problem.H @ f)
-            f = jmap_update_f(problem, v_eps, v_second)
-        else:
-            f = jmap_update_f(problem, v_eps, v_second, z)
-            z = jmap_update_z(problem, v_second, v_z, f)
-            v_second = jmap_update_variance("xi", hyper.alpha_xi, hyper.beta_xi,
-                                            f - problem.D @ z)
-            v_eps = jmap_update_variance("eps", hyper.alpha_eps, hyper.beta_eps,
-                                         problem.g - problem.H @ f)
-            v_z = jmap_update_variance("z", hyper.alpha_z, hyper.beta_z, z)
-        L = neg_log_posterior(current_state(), problem, hyper)
-        df = rel_change(f, f_prev)
-        dz = None if direct else rel_change(z, z_prev)
-        trace.append(L, df, dz, time.perf_counter() - tic)
-        dL = (L_prev - L) / max(abs(L_prev), np.finfo(float).tiny)
-        if df < config.tol_rel_f and dL < config.tol_rel_L:
-            trace.converged = True
-            trace.stop_reason = "tolerance"
-            break
-
-    return current_state(), trace
+    seed = {"v_" + kind: np.full(residual.size, beta / (alpha + 1.5))
+            for kind, alpha, beta, residual in _variance_families(problem, hyper, f, z)}
+    if problem.is_direct:
+        order, sweep = ("v_f", "v_eps", "f"), _sweep_direct
+    else:
+        order, sweep = ("f", "z", "v_xi", "v_eps", "v_z"), _sweep_indirect
+    return alternate(problem, hyper, config, order, SolverState(f_hat=f, z_hat=z, **seed),
+                     partial(sweep, problem, hyper), config.tol_rel_L)

@@ -265,6 +265,20 @@ def _ig_block(v, alpha, beta, residual):
     )
 
 
+def _variance_families(problem: ForwardProblem, hyper: HyperParams, f, z) -> tuple:
+    """The model's variance families as ``(kind, alpha, beta, residual)``.
+
+    eps comes first, then f (direct model) or xi and z (indirect model).
+    ``kind`` names the state fields ``v_<kind>`` and ``ig_<kind>``; the
+    residual is the quantity whose variance the family holds at (f, z).
+    """
+    eps = ("eps", hyper.alpha_eps, hyper.beta_eps, problem.g - problem.H @ f)
+    if problem.is_direct:
+        return eps, ("f", hyper.alpha_f, hyper.beta_f, f)
+    return (eps, ("xi", hyper.alpha_xi, hyper.beta_xi, f - problem.D @ z),
+            ("z", hyper.alpha_z, hyper.beta_z, z))
+
+
 def neg_log_posterior(state: SolverState, problem: ForwardProblem, hyper: HyperParams) -> float:
     """Joint negative-log-posterior L at a state (constants dropped).
 
@@ -272,17 +286,9 @@ def neg_log_posterior(state: SolverState, problem: ForwardProblem, hyper: HyperP
     the dropped normalization constants.
     """
     f = _as_vector(state.f_hat, "f_hat")
-    v_eps = _check_positive(state.v_eps, "v_eps")
-    r_eps = problem.g - problem.H @ f
-    total = _ig_block(v_eps, hyper.alpha_eps, hyper.beta_eps, r_eps)
-    if problem.is_direct:
-        v_f = _check_positive(state.v_f, "v_f")
-        total += _ig_block(v_f, hyper.alpha_f, hyper.beta_f, f)
-    else:
-        z = _as_vector(state.z_hat, "z_hat")
-        v_xi = _check_positive(state.v_xi, "v_xi")
-        v_z = _check_positive(state.v_z, "v_z")
-        r_xi = f - problem.D @ z
-        total += _ig_block(v_xi, hyper.alpha_xi, hyper.beta_xi, r_xi)
-        total += _ig_block(v_z, hyper.alpha_z, hyper.beta_z, z)
+    z = None if problem.is_direct else _as_vector(state.z_hat, "z_hat")
+    total = 0.0
+    for kind, alpha, beta, residual in _variance_families(problem, hyper, f, z):
+        v = _check_positive(getattr(state, "v_" + kind), "v_" + kind)
+        total += _ig_block(v, alpha, beta, residual)
     return total

@@ -359,8 +359,10 @@ def gh_marginal_quadrature(x: float, mu: float, beta: float, gig: GigParams,
     integrand = _mixture_integrand(x, mu, beta, gig)
     value, err = scipy.integrate.quad(integrand, 0.0, np.inf,
                                       epsabs=tol, epsrel=1e-12, limit=400)
-    if err > tol:
-        # retry with the mass split around the mixing density's scale
+    if err > tol or value == 0.0:
+        # retry with the mass split around the mixing density's scale; the
+        # integrand is positive, so a zero means every sample underflowed
+        # (the mass sits below the smallest v the (0, inf) map reaches)
         scale = math.sqrt((gig.delta_sq + 1.0) / (gig.gamma_sq + 1.0))
         cuts = [0.0, 0.1 * scale, scale, 10.0 * scale]
         value, err = 0.0, 0.0

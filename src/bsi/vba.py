@@ -37,28 +37,32 @@ Cost per sweep, for H of size N x M (and D of size M x M):
              covariance is diagonal and stays a vector, so the eps scale
              update is (H*H) @ var.  A dense diag(var) is built once, for
              the returned state only.
+
+Both schemes run in ``jmap.alternate``, the loop JMAP uses too, with
+their own sweep: one partial sweep for both models and the coordinate
+sweep for the full scheme.  The scales start from the init residuals of
+the variance-family table ``model._variance_families``.
 """
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import partial
 from typing import Optional, Union
 
 import numpy as np
 from scipy.linalg.blas import daxpy
 
-from ._linalg import normal_matrix, rel_change, spd_inverse
-from .jmap import initial_iterates
+from ._linalg import normal_matrix, spd_inverse
+from .jmap import _check_limits, alternate, initial_iterates
 from .model import (
     ForwardProblem,
     HyperParams,
     ModelMismatch,
-    RunTrace,
     SolverState,
-    neg_log_posterior,
     validate_problem,
     _check_positive,
+    _variance_families,
 )
 
 _IG_KINDS = ("xi", "eps", "z", "f")
@@ -103,14 +107,9 @@ class VbaConfig:
     init: Union[str, np.ndarray] = "zeros"
 
     def __post_init__(self):
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be >= 1")
-        if self.tol_rel_f <= 0:
-            raise ValueError("tol_rel_f must be strictly positive")
+        _check_limits(self.max_iter, self.init, tol_rel_f=self.tol_rel_f)
         if self.separability not in ("partial", "full"):
             raise ValueError(f"unknown separability {self.separability!r}")
-        if isinstance(self.init, str) and self.init not in ("zeros", "least-squares"):
-            raise ValueError(f"unknown init {self.init!r}")
 
 
 def ig_inv_expectation(alpha: float, beta: float) -> float:
@@ -175,31 +174,23 @@ def vba_update_ig(kind, hyper, f_hat, Sigma_f, z_hat=None, Sigma_z=None, *, prob
     """
     if kind not in _IG_KINDS:
         raise ValueError(f"kind must be one of {_IG_KINDS}, got {kind!r}")
+    if kind != "eps" and (kind == "f") != problem.is_direct:
+        model = "direct" if kind == "f" else "indirect"
+        raise ModelMismatch(f"{kind}-family update requires the {model} model")
     f_hat = np.asarray(f_hat, dtype=float)
     if kind == "eps":
         r = problem.g - problem.H @ f_hat
-        alpha_hat = np.full(problem.n_obs, hyper.alpha_eps + 0.5)
-        beta_hat = hyper.beta_eps + 0.5 * (r * r + _quad_diag(problem.H, Sigma_f))
+        spread = r * r + _quad_diag(problem.H, Sigma_f)
     elif kind == "f":
-        if not problem.is_direct:
-            raise ModelMismatch("f-family update is for the direct model")
-        alpha_hat = np.full(problem.n_coef, hyper.alpha_f + 0.5)
-        beta_hat = hyper.beta_f + 0.5 * (f_hat * f_hat + _cov_diag(Sigma_f))
+        spread = f_hat * f_hat + _cov_diag(Sigma_f)
     elif kind == "xi":
-        if problem.is_direct:
-            raise ModelMismatch("xi-family update requires the indirect model")
-        z_hat = np.asarray(z_hat, dtype=float)
-        r = f_hat - problem.D @ z_hat
-        quad = _quad_diag(problem.D, Sigma_z)
-        alpha_hat = np.full(problem.n_coef, hyper.alpha_xi + 0.5)
-        beta_hat = hyper.beta_xi + 0.5 * (r * r + _cov_diag(Sigma_f) + quad)
+        r = f_hat - problem.D @ np.asarray(z_hat, dtype=float)
+        spread = r * r + _cov_diag(Sigma_f) + _quad_diag(problem.D, Sigma_z)
     else:  # z
-        if problem.is_direct:
-            raise ModelMismatch("z-family update requires the indirect model")
         z_hat = np.asarray(z_hat, dtype=float)
-        alpha_hat = np.full(problem.n_coef, hyper.alpha_z + 0.5)
-        beta_hat = hyper.beta_z + 0.5 * (z_hat * z_hat + _cov_diag(Sigma_z))
-    return IgFamily(alpha_hat, beta_hat)
+        spread = z_hat * z_hat + _cov_diag(Sigma_z)
+    alpha, beta = getattr(hyper, "alpha_" + kind), getattr(hyper, "beta_" + kind)
+    return IgFamily(np.full(spread.size, alpha + 0.5), beta + 0.5 * spread)
 
 
 def vba_full_coordinate_update(problem, hyper, f_hat, vtilde_eps, vtilde_f, j):
@@ -226,21 +217,57 @@ def vba_full_coordinate_update(problem, hyper, f_hat, vtilde_eps, vtilde_f, j):
 
 
 def _seed_families(problem, hyper, f0, z0):
-    """Initial IG factors: alpha + 1/2 shapes, scales beta (+ init residuals)."""
-    n, m = problem.n_obs, problem.n_coef
-    r_eps = problem.g - problem.H @ f0
-    ig_eps = IgFamily(np.full(n, hyper.alpha_eps + 0.5),
-                      hyper.beta_eps + 0.5 * r_eps * r_eps)
-    if problem.is_direct:
-        ig_f = IgFamily(np.full(m, hyper.alpha_f + 0.5),
-                        hyper.beta_f + 0.5 * f0 * f0)
-        return ig_eps, ig_f, None
-    r_xi = f0 - problem.D @ z0
-    ig_xi = IgFamily(np.full(m, hyper.alpha_xi + 0.5),
-                     hyper.beta_xi + 0.5 * r_xi * r_xi)
-    ig_z = IgFamily(np.full(m, hyper.alpha_z + 0.5),
-                    hyper.beta_z + 0.5 * z0 * z0)
-    return ig_eps, ig_xi, ig_z
+    """Initial IG factors: shapes alpha + 1/2, scales beta + (init residual)^2 / 2.
+
+    Returns (eps, f, None) for the direct model and (eps, xi, z) for the
+    indirect one.
+    """
+    seeded = [IgFamily(np.full(residual.size, alpha + 0.5), beta + 0.5 * residual * residual)
+              for _, alpha, beta, residual in _variance_families(problem, hyper, f0, z0)]
+    return (*seeded, None)[:3]
+
+
+def _vba_state(f, z, Sigma_f, Sigma_z, families):
+    """SolverState of the factors; v_<kind> is the point variance 1/<v^-1>."""
+    return SolverState(f_hat=f, z_hat=z, Sigma_f=Sigma_f, Sigma_z=Sigma_z,
+                       **{"v_" + kind: fam.point_variance() for kind, fam in families.items()},
+                       **{"ig_" + kind: fam for kind, fam in families.items()})
+
+
+def _partial_sweep(problem, hyper, kinds, state):
+    """q(f), then q(z) (indirect model), then the IG families ``kinds``."""
+    prior = state.ig_f if problem.is_direct else state.ig_xi
+    f, Sigma_f = vba_update_f(problem, state.ig_eps.inv_expectation(),
+                              prior.inv_expectation(), state.z_hat)
+    z = Sigma_z = None
+    if not problem.is_direct:
+        z, Sigma_z = vba_update_z(problem, state.ig_xi.inv_expectation(),
+                                  state.ig_z.inv_expectation(), f)
+    return _vba_state(f, z, Sigma_f, Sigma_z, {
+        kind: vba_update_ig(kind, hyper, f, Sigma_f, z, Sigma_z, problem=problem)
+        for kind in kinds})
+
+
+def _full_sweep(problem, hyper, kinds, HT, state):
+    """One pass over the f coordinates, then the IG families ``kinds``.
+
+    Each coordinate costs one dot and one axpy, keeping resid = g - H f;
+    the covariance stays the 1-D vector of coordinate variances.
+    """
+    HTw = HT * state.ig_eps.inv_expectation()
+    col_sq = (HTw * HT).sum(axis=1)
+    denom = col_sq + state.ig_f.inv_expectation()
+    resid = problem.g - problem.H @ state.f_hat
+    f_list = state.f_hat.tolist()
+    for j, (c_j, d_j) in enumerate(zip(col_sq.tolist(), denom.tolist())):
+        f_j = f_list[j]
+        new_fj = (float(HTw[j] @ resid) + c_j * f_j) / d_j
+        resid = daxpy(HT[j], resid, a=f_j - new_fj)
+        f_list[j] = new_fj
+    f = np.array(f_list)
+    var = 1.0 / denom
+    return _vba_state(f, None, var, None, {
+        kind: vba_update_ig(kind, hyper, f, var, problem=problem) for kind in kinds})
 
 
 def solve_vba(problem: ForwardProblem, hyper: HyperParams, config: Optional[VbaConfig] = None):
@@ -255,102 +282,24 @@ def solve_vba(problem: ForwardProblem, hyper: HyperParams, config: Optional[VbaC
     """
     config = config or VbaConfig()
     validate_problem(problem, hyper)
-    if config.separability == "full" and not problem.is_direct:
-        raise ModelMismatch("full separability is defined for the direct model only")
-    if problem.is_direct:
-        return _solve_direct(problem, hyper, config)
-    return _solve_partial_indirect(problem, hyper, config)
-
-
-def _solve_partial_indirect(problem, hyper, config):
-    f, z = initial_iterates(problem, config)
-    ig_eps, ig_xi, ig_z = _seed_families(problem, hyper, f, z)
-    Sigma_f = np.zeros((problem.n_coef,) * 2)
-    Sigma_z = np.zeros((problem.n_coef,) * 2)
-
-    def current_state():
-        return SolverState(
-            f_hat=f, z_hat=z,
-            v_eps=ig_eps.point_variance(), v_xi=ig_xi.point_variance(),
-            v_z=ig_z.point_variance(),
-            Sigma_f=Sigma_f, Sigma_z=Sigma_z,
-            ig_eps=ig_eps, ig_xi=ig_xi, ig_z=ig_z,
-        )
-
-    trace = RunTrace(update_order=("q_f", "q_z", "ig_xi", "ig_eps", "ig_z"))
-    trace.append(neg_log_posterior(current_state(), problem, hyper))
-    for _ in range(config.max_iter):
-        tic = time.perf_counter()
-        f_prev, z_prev = f, z
-        f, Sigma_f = vba_update_f(problem, ig_eps.inv_expectation(),
-                                  ig_xi.inv_expectation(), z)
-        z, Sigma_z = vba_update_z(problem, ig_xi.inv_expectation(),
-                                  ig_z.inv_expectation(), f)
-        ig_xi = vba_update_ig("xi", hyper, f, Sigma_f, z, Sigma_z, problem=problem)
-        ig_eps = vba_update_ig("eps", hyper, f, Sigma_f, problem=problem)
-        ig_z = vba_update_ig("z", hyper, f, Sigma_f, z, Sigma_z, problem=problem)
-        df = rel_change(f, f_prev)
-        trace.append(neg_log_posterior(current_state(), problem, hyper),
-                     df, rel_change(z, z_prev), time.perf_counter() - tic)
-        if df < config.tol_rel_f:
-            trace.converged = True
-            trace.stop_reason = "tolerance"
-            break
-    return current_state(), trace
-
-
-def _solve_direct(problem, hyper, config):
-    f, _ = initial_iterates(problem, config)
-    ig_eps, ig_f, _ = _seed_families(problem, hyper, f, None)
     full = config.separability == "full"
-    m = problem.n_coef
-    Sigma_f = np.zeros((m, m))
-
-    def current_state():
-        return SolverState(
-            f_hat=f,
-            v_eps=ig_eps.point_variance(), v_f=ig_f.point_variance(),
-            Sigma_f=Sigma_f, ig_eps=ig_eps, ig_f=ig_f,
-        )
-
-    order = ("q_f_sweep", "ig_f", "ig_eps") if full else ("q_f", "ig_f", "ig_eps")
-    trace = RunTrace(update_order=order)
-    trace.append(neg_log_posterior(current_state(), problem, hyper))
+    if full and not problem.is_direct:
+        raise ModelMismatch("full separability is defined for the direct model only")
+    f, z = initial_iterates(problem, config)
+    if problem.is_direct:
+        seeded = zip(("eps", "f"), _seed_families(problem, hyper, f, None))
+        order = ("q_f_sweep", "ig_f", "ig_eps") if full else ("q_f", "ig_f", "ig_eps")
+    else:
+        seeded = zip(("eps", "xi", "z"), _seed_families(problem, hyper, f, z))
+        order = ("q_f", "q_z", "ig_xi", "ig_eps", "ig_z")
+    # the IG families a sweep updates, in the order the trace records
+    kinds = tuple(step[3:] for step in order if step.startswith("ig_"))
     if full:
-        HT = np.ascontiguousarray(problem.H.T)
-    for _ in range(config.max_iter):
-        tic = time.perf_counter()
-        f_prev = f
-        vt_eps = ig_eps.inv_expectation()
-        vt_f = ig_f.inv_expectation()
-        if full:
-            # one dot and one axpy per coordinate, keeping resid = g - H f
-            HTw = HT * vt_eps
-            col_sq = (HTw * HT).sum(axis=1)
-            denom = col_sq + vt_f
-            resid = problem.g - problem.H @ f
-            f_list = f.tolist()
-            for j, (c_j, d_j) in enumerate(zip(col_sq.tolist(), denom.tolist())):
-                f_j = f_list[j]
-                new_fj = (float(HTw[j] @ resid) + c_j * f_j) / d_j
-                resid = daxpy(HT[j], resid, a=f_j - new_fj)
-                f_list[j] = new_fj
-            f = np.array(f_list)
-            var = 1.0 / denom
-            ig_f = IgFamily(np.full(m, hyper.alpha_f + 0.5),
-                            hyper.beta_f + 0.5 * (f * f + var))
-            ig_eps = vba_update_ig("eps", hyper, f, var, problem=problem)
-        else:
-            f, Sigma_f = vba_update_f(problem, vt_eps, vt_f)
-            ig_f = vba_update_ig("f", hyper, f, Sigma_f, problem=problem)
-            ig_eps = vba_update_ig("eps", hyper, f, Sigma_f, problem=problem)
-        df = rel_change(f, f_prev)
-        trace.append(neg_log_posterior(current_state(), problem, hyper),
-                     df, None, time.perf_counter() - tic)
-        if df < config.tol_rel_f:
-            trace.converged = True
-            trace.stop_reason = "tolerance"
-            break
+        sweep = partial(_full_sweep, problem, hyper, kinds, np.ascontiguousarray(problem.H.T))
+    else:
+        sweep = partial(_partial_sweep, problem, hyper, kinds)
+    state, trace = alternate(problem, hyper, config, order,
+                             _vba_state(f, z, None, None, dict(seeded)), sweep)
     if full:
-        Sigma_f = np.diag(var)
-    return current_state(), trace
+        state = replace(state, Sigma_f=np.diag(state.Sigma_f))
+    return state, trace

@@ -228,6 +228,14 @@ class TestConfigParsing:
         with pytest.raises(ConfigError):
             parse_config(raw)
 
+    @pytest.mark.parametrize("key", ["tol_rel_f", "tol_rel_L"])
+    def test_nan_tolerance_rejected(self, key):
+        # json.loads accepts the NaN token; a NaN tolerance never stops a run
+        raw = self.base()
+        raw["solver"] = json.loads(f'{{"{key}": NaN}}')
+        with pytest.raises(ConfigError):
+            parse_config(raw)
+
     @pytest.mark.parametrize("section", [
         {"length": 8.9, "sparsity": 1},
         {"length": 8, "sparsity": True},

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bsi import (
     ForwardProblem,
+    NonPositiveVariance,
     SingularSystem,
     HyperParams,
     JmapConfig,
@@ -154,15 +156,28 @@ class TestSolveJmap:
         assert start == pytest.approx(1.0)
         assert final < start
 
-    def test_monotone_descent_random_indirect(self):
-        rng = np.random.RandomState(21)
-        for _ in range(10):
-            n, m = rng.randint(3, 9), rng.randint(3, 9)
-            p = ForwardProblem(g=rng.randn(n), H=rng.randn(n, m), D=rng.randn(m, m))
-            hyper = HyperParams(*rng.uniform(0.5, 2.5, 8))
-            _, trace = solve_jmap(p, hyper, JmapConfig(max_iter=40))
-            L = trace.criterion_values()
-            assert np.all(np.diff(L) <= 1e-10 * np.abs(L[:-1]))
+    @settings(max_examples=400, deadline=None)
+    @given(model=st.sampled_from(["direct", "indirect"]), n=st.integers(1, 9),
+           m=st.integers(1, 9), zero_cols=st.lists(st.integers(0, 8), max_size=3),
+           init=st.sampled_from(["zeros", "least-squares", "vector"]),
+           hyper=st.lists(st.floats(1e-3, 3.0), min_size=8, max_size=8),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_monotone_descent_random(self, model, n, m, zero_cols, init, hyper, seed):
+        rng = np.random.RandomState(seed)
+        H = rng.randn(n, m)
+        H[:, [j for j in zero_cols if j < m]] = 0.0
+        p = ForwardProblem(g=rng.randn(n), H=H,
+                           D=rng.randn(m, m) if model == "indirect" else None)
+        if init == "vector":
+            init = rng.randn(m)
+        try:
+            state, trace = solve_jmap(p, HyperParams(*hyper),
+                                      JmapConfig(max_iter=40, init=init))
+        except (SingularSystem, NonPositiveVariance):
+            return
+        L = trace.criterion_values()
+        assert np.all(np.diff(L) <= 1e-10 * np.abs(L[:-1]))
+        assert np.all(np.isfinite(state.f_hat))
 
     def test_fixed_point_consistency(self):
         # at convergence every block update leaves its block unchanged
@@ -243,10 +258,23 @@ class TestJmapConfig:
             JmapConfig(tol_rel_f=0.0)
         with pytest.raises(ValueError):
             JmapConfig(init="warm")
+        for bad in ({"max_iter": 2.5}, {"max_iter": 3.0}, {"max_iter": True},
+                    {"max_iter": np.float64(4.0)}, {"tol_rel_f": float("nan")},
+                    {"tol_rel_L": float("nan")}, {"init": np.array([0.0, np.nan])}):
+            with pytest.raises(ValueError):
+                JmapConfig(**bad)
+        assert JmapConfig(max_iter=np.int64(3)).max_iter == 3
 
 
-def dense_reference_jmap(problem, hyper, sweeps):
-    """The JMAP sweep with every Gaussian block formed and solved densely."""
+INITS = ("zeros", "least-squares", "vector")
+
+
+def dense_reference_jmap(problem, hyper, sweeps, f0, z0):
+    """The JMAP sweep with every Gaussian block formed and solved densely.
+
+    Starts at (f0, z0); every variance starts at its zero-residual mode
+    beta / (alpha + 3/2), whatever the start.
+    """
     H, g, D = problem.H, problem.g, problem.D
     m = problem.n_coef
 
@@ -256,7 +284,7 @@ def dense_reference_jmap(problem, hyper, sweeps):
     def mode(alpha, beta, r):
         return (beta + 0.5 * r * r) / (alpha + 1.5)
 
-    f = np.zeros(m)
+    f = f0
     v_eps = np.full(problem.n_obs, hyper.beta_eps / (hyper.alpha_eps + 1.5))
     if D is None:
         v_f = np.full(m, hyper.beta_f / (hyper.alpha_f + 1.5))
@@ -265,7 +293,7 @@ def dense_reference_jmap(problem, hyper, sweeps):
             v_eps = mode(hyper.alpha_eps, hyper.beta_eps, g - H @ f)
             f = gaussian(H, 1.0 / v_eps, 1.0 / v_f, H.T @ (g / v_eps))
         return f, v_eps, v_f
-    z = np.zeros(m)
+    z = z0
     v_xi = np.full(m, hyper.beta_xi / (hyper.alpha_xi + 1.5))
     v_z = np.full(m, hyper.beta_z / (hyper.alpha_z + 1.5))
     for _ in range(sweeps):
@@ -277,8 +305,10 @@ def dense_reference_jmap(problem, hyper, sweeps):
     return f, v_eps, v_xi
 
 
-@pytest.mark.parametrize("model", ["direct", "indirect"])
-def test_banded_solve_matches_dense_reference(model):
+@pytest.mark.parametrize("model,init", [
+    pytest.param(model, init, id=model if init == "zeros" else f"{model}-{init}")
+    for init in INITS for model in ("direct", "indirect")])
+def test_banded_solve_matches_dense_reference(model, init, oracle_start):
     """On a convolution H (and D = I) the banded blocks track dense solves."""
     m = 96
     H = generate_operator(OperatorSpec(kind="convolution", n_rows=m, n_cols=m,
@@ -289,9 +319,10 @@ def test_banded_solve_matches_dense_reference(model):
     problem = ForwardProblem(g=g, H=H, D=np.eye(m) if model == "indirect" else None)
     assert problem.H_bands == (2, 2)
     hyper = HyperParams(3.0, 0.05, 1.0, 0.1, 1.0, 0.5, 1.0, 0.5)
+    init, f0, z0 = oracle_start(problem, init)
     state, _ = solve_jmap(problem, hyper, JmapConfig(max_iter=30, tol_rel_f=1e-300,
-                                                     tol_rel_L=1e-300))
-    f, v_eps, v_second = dense_reference_jmap(problem, hyper, 30)
+                                                     tol_rel_L=1e-300, init=init))
+    f, v_eps, v_second = dense_reference_jmap(problem, hyper, 30, f0, z0)
     got = state.v_f if model == "direct" else state.v_xi
     for a, b in ((state.f_hat, f), (state.v_eps, v_eps), (got, v_second)):
         assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max()

@@ -320,6 +320,16 @@ class TestMarginalQuadrature:
         with pytest.raises(QuadratureFailure):
             gh_marginal_quadrature(0.0, 0.0, 0.0, gig, tol=1e-18)
 
+    @pytest.mark.parametrize("gamma_sq", [2e4, 2e6, 2e8])
+    def test_concentrated_gamma_mixing(self, gamma_sq):
+        # Gamma(lam, rate = gamma^2 / 2) mixing at x = mu, beta = 0 gives
+        # E[(2 pi v)^-1/2] = sqrt(rate / 2 pi) Gamma(lam - 1/2) / Gamma(lam);
+        # at large rates the mass lies below every v the first pass samples
+        lam, rate = 5.0, 0.5 * gamma_sq
+        exact = math.sqrt(rate / (2.0 * math.pi)) * math.gamma(lam - 0.5) / math.gamma(lam)
+        got = gh_marginal_quadrature(0.0, 0.0, 0.0, GigParams(gamma_sq, 0.0, lam))
+        assert abs(got - exact) <= 1e-12 * exact
+
     def test_normal_inverse_gamma_mixture_is_student(self):
         # IG(alpha, beta) mixing gives Student-t with nu = 2 alpha and
         # scale sqrt(beta / alpha); at alpha = beta = 1 that is nu = 2.

@@ -235,6 +235,12 @@ class TestVbaConfig:
             VbaConfig(separability="half")
         with pytest.raises(ValueError):
             VbaConfig(init="warm")
+        for bad in ({"max_iter": 2.5}, {"max_iter": 3.0}, {"max_iter": True},
+                    {"max_iter": np.float64(4.0)}, {"tol_rel_f": float("nan")},
+                    {"init": np.array([np.inf, 0.0])}):
+            with pytest.raises(ValueError):
+                VbaConfig(**bad)
+        assert VbaConfig(max_iter=np.int64(3)).max_iter == 3
 
 
 class TestSolveVba:
@@ -391,14 +397,24 @@ class TestSolveVba:
             assert np.linalg.norm(f - target) <= 1e-6 * np.linalg.norm(target)
 
 
-def reference_vba(problem, hyper, separability, sweeps):
-    """Plain numpy VBA from a zero start, with einsum quadratic forms and
-    np.linalg.inv covariances: an oracle independent of bsi's linear algebra."""
+INITS = ("zeros", "least-squares", "vector")
+
+
+def reference_vba(problem, hyper, separability, sweeps, f0, z0):
+    """Plain numpy VBA from the start (f0, z0), with einsum quadratic forms
+    and np.linalg.inv covariances: an oracle independent of bsi's linear
+    algebra.  The scales start at beta plus half the squared residuals of
+    the start."""
     H, g, D = problem.H, problem.g, problem.D
     m = H.shape[1]
-    f, z = np.zeros(m), np.zeros(m)
-    b_eps = hyper.beta_eps + 0.5 * g * g
-    b_f, b_xi, b_z = np.full(m, hyper.beta_f), np.full(m, hyper.beta_xi), np.full(m, hyper.beta_z)
+    f = f0
+    r = g - H @ f0
+    b_eps = hyper.beta_eps + 0.5 * r * r
+    b_f = hyper.beta_f + 0.5 * f0 * f0
+    if D is not None:
+        z = z0
+        r = f0 - D @ z0
+        b_xi, b_z = hyper.beta_xi + 0.5 * r * r, hyper.beta_z + 0.5 * z0 * z0
     a_eps, a_f = hyper.alpha_eps + 0.5, hyper.alpha_f + 0.5
     a_xi, a_z = hyper.alpha_xi + 0.5, hyper.alpha_z + 0.5
     for _ in range(sweeps):
@@ -440,19 +456,24 @@ def reference_vba(problem, hyper, separability, sweeps):
     return out
 
 
-@pytest.mark.parametrize("model,separability", [
-    ("direct", "partial"), ("indirect", "partial"), ("direct", "full")])
-def test_solve_vba_matches_reference_iteration(model, separability):
+@pytest.mark.parametrize("model,separability,init", [
+    pytest.param(model, separability, init, id=f"{model}-{separability}"
+                 + ("" if init == "zeros" else f"-{init}"))
+    for init in INITS
+    for model, separability in (("direct", "partial"), ("indirect", "partial"),
+                                ("direct", "full"))])
+def test_solve_vba_matches_reference_iteration(model, separability, init, oracle_start):
     rng = np.random.RandomState(47)
     n, m = 11, 8
     H = rng.randn(n, m)
     D = rng.randn(m, m) if model == "indirect" else None
     problem = ForwardProblem(g=rng.randn(n), H=H, D=D)
     hyper = HyperParams(*rng.uniform(0.5, 2.0, 8))
+    init, f0, z0 = oracle_start(problem, init)
     state, trace = solve_vba(problem, hyper, VbaConfig(
-        max_iter=5, tol_rel_f=1e-300, separability=separability))
+        max_iter=5, tol_rel_f=1e-300, separability=separability, init=init))
     assert trace.iterations == 5
-    expected = reference_vba(problem, hyper, separability, 5)
+    expected = reference_vba(problem, hyper, separability, 5, f0, z0)
     for name, want in expected.items():
         value = getattr(state, name)
         got = value.beta_hat if name.startswith("ig_") else value

@@ -5,21 +5,37 @@ x = rhs``; :func:`solve_normal` forms and solves them once for both
 JMAP blocks.  When K is banded with ``kl`` sub- and ``ku``
 super-diagonals, the matrix is banded with half-bandwidth ``kl + ku``
 and is built and factored in band storage, in O(M (kl + ku)^2) instead
-of O(N M^2 + M^3 / 3).
+of O(N M^2 + M^3 / 3).  :func:`band_factor` is that one banded factor.
+JMAP solves with it; VBA also takes from it the band of the covariance
+(:func:`selected_inverse`), which gives ``diag(K Sigma K')``
+(:func:`band_quad_diag`), and the dense covariance returned at the end
+of a solve (:func:`band_inverse`).  :func:`band_gauss_seidel` is the
+VBA coordinate pass on the same band storage.
 
-Explicit matrix inversion is confined to :func:`spd_inverse`, which the
-variational updates need because downstream scale updates consume the
-covariance diagonal and quadratic forms.  It factors once with Cholesky
-and forms the inverse from the factor with LAPACK ``potri``: about M^3
-flops in all, against 7/3 M^3 for solving against the identity.
+Explicit dense inversion is confined to :func:`spd_inverse`, which the
+variational updates need on dense operators because downstream scale
+updates consume the covariance diagonal and quadratic forms.  It
+factors once with Cholesky and forms the inverse from the factor with
+LAPACK ``potri``: about M^3 flops in all, against 7/3 M^3 for solving
+against the identity.
 """
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 import scipy.linalg
+from scipy.linalg.blas import dtbsv
+from scipy.linalg.lapack import dpbtrf, dpbtrs, dpotri, dtrtrs
 
 from .model import SingularSystem
+
+_TINY = float(np.finfo(float).tiny)
+# columns per dense block of selected_inverse: of 16, 32 and 64, 32 was
+# the fastest on most problems measured (M = 64-2048, u = 2-64, one BLAS
+# thread)
+_SELINV_BLOCK = 32
 
 
 def spd_solve(A: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -53,15 +69,25 @@ def _banded(bands, m: int) -> bool:
     return 8 * (bands[0] + bands[1]) <= m
 
 
-def _normal_band(K, kl, ku, w, p):
-    """Upper band storage (``solveh_banded`` layout) of ``K' diag(w) K + diag(p)``."""
+def _band_gather(K, kl, ku):
+    """General band storage of K, ``Kb[r, j] = K[j - ku + r, j]``, zero outside K.
+
+    Also returns the row index ``j - ku + r`` of every entry (0 where
+    it falls outside K) and the mask of entries inside K.
+    """
     n, m = K.shape
-    u = kl + ku
-    # general band storage of K: Kb[r, j] = K[j - ku + r, j]
     rows = np.arange(m) + np.arange(-ku, kl + 1)[:, None]
     inside = (rows >= 0) & (rows < n)
     rows[~inside] = 0
-    Kb = np.where(inside, K[rows, np.arange(m)], 0.0)
+    return np.where(inside, K[rows, np.arange(m)], 0.0), rows, inside
+
+
+def _normal_band(K, kl, ku, w, p):
+    """Upper band storage (LAPACK ``pbtrf`` layout, ``ab[u + i - j, j] = A[i, j]``)
+    of ``A = K' diag(w) K + diag(p)``, with ``u = kl + ku``."""
+    m = K.shape[1]
+    u = kl + ku
+    Kb, rows, _ = _band_gather(K, kl, ku)
     Kbw = Kb * w[rows]
     ab = np.zeros((u + 1, m))
     for d in range(u + 1):
@@ -71,28 +97,147 @@ def _normal_band(K, kl, ku, w, p):
     return ab
 
 
+def band_factor(K: np.ndarray, bands, w: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """Banded Cholesky factor U (``A = U' U``) of ``A = K' diag(w) K + diag(p)``.
+
+    ``bands`` is ``(kl, ku)`` of K.  U is in the upper band storage of
+    LAPACK ``pbtrf``, ``(kl + ku + 1) x M``.  Raises SingularSystem when
+    A is not positive definite or the factor is not finite (an infinite
+    diagonal passes Cholesky and yields a finite, meaningless solve).
+    """
+    c, info = dpbtrf(_normal_band(K, bands[0], bands[1], w, p), overwrite_ab=1)
+    if info != 0 or not np.all(np.isfinite(c)):
+        raise SingularSystem(f"banded Cholesky failed: pbtrf info={info}")
+    return c
+
+
+def band_solve(c: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve ``U' U x = rhs`` for the :func:`band_factor` output U."""
+    x, info = dpbtrs(c, rhs)
+    if info != 0 or not np.all(np.isfinite(x)):
+        raise SingularSystem(f"banded SPD solve failed: pbtrs info={info}")
+    return x
+
+
+def band_inverse(c: np.ndarray) -> np.ndarray:
+    """Whole inverse of ``U' U`` from the banded factor, exactly symmetric; O(M^2 u)."""
+    inv = band_solve(c, np.eye(c.shape[1]))
+    return 0.5 * (inv + inv.T)
+
+
+def selected_inverse(c: np.ndarray) -> np.ndarray:
+    """Band of ``Sigma = (U' U)^-1`` from the banded factor U.
+
+    Returns the lower band storage ``S[d, j] = Sigma[j + d, j]``,
+    ``(u + 1) x M``.  This is the recurrence of Takahashi, Fagan & Chin
+    (1973) (Rue & Held, *Gaussian Markov Random Fields*, 2005, sec. 2.3),
+    taken a block of columns J at a time from the last block back.  With
+    L = U', T the columns after J and T0 the first u of them (the only
+    rows of T where L[:, J] is nonzero), X = L[T0, J] L[J, J]^-1 and
+
+        Sigma[T0, J] = -Sigma[T0, T0] X,
+        Sigma[J, J]  = (L[J, J] L[J, J]')^-1 + X' Sigma[T0, T0] X,
+
+    where Sigma[T0, T0] lies in the band already computed.  The blocks
+    are dense and w = max(_SELINV_BLOCK, u) columns wide: O(M w^2) flops
+    in all, with the Python work spread over w columns.  Only the band of
+    each block is kept.
+    """
+    u1, m = c.shape
+    u = u1 - 1
+    if not u:
+        return 1.0 / (c * c)
+    lower = np.zeros((u1, m))                  # lower[d, j] = L[j + d, j]
+    for d in range(u1):
+        lower[d, :m - d] = c[u - d, d:]
+    band = np.zeros((u1, m))
+    width = max(_SELINV_BLOCK, u)
+    sym = np.tri(u, dtype=bool)
+    S00 = None
+    end = m
+    while end > 0:
+        start = max(end - width, 0)
+        b, t = end - start, min(u, m - end)
+        r, col, d = _panel_band(b, t, u)
+        panel = np.zeros((b + t, b))           # L[start:end + t, start:end]
+        panel[r, col] = lower[d, start + col]
+        block = panel[:b]
+        W, info = dpotri(block, lower=1)      # lower triangle of Sigma[J, J]
+        if info != 0:
+            raise SingularSystem(f"selected inversion failed: potri info={info}")
+        if t:
+            Xt, info = dtrtrs(block, panel[b:].T, lower=1, trans=1)
+            SX = S00 @ Xt.T
+            W = np.vstack((W + Xt @ SX, -SX))
+        band[d, start + col] = W[r, col]
+        # Sigma[T0, T0] of the next block; every block but the one at
+        # column 0 is at least u wide, so it holds that u x u corner
+        S00 = np.where(sym, W[:u, :u], W[:u, :u].T) if start else None
+        end = start
+    return band
+
+
+@functools.lru_cache(maxsize=64)
+def _panel_band(b, t, u):
+    """Row, column and diagonal index of the band entries of a (b + t) x b
+    lower panel of half-bandwidth u (read-only, shared between calls)."""
+    r, col = np.nonzero(np.tri(b + t, b, dtype=bool) & ~np.tri(b + t, b, -u - 1, dtype=bool))
+    d = r - col
+    for a in (r, col, d):
+        a.flags.writeable = False
+    return r, col, d
+
+
+def band_quad_diag(K: np.ndarray, bands, S: np.ndarray) -> np.ndarray:
+    """``diag(K Sigma K')`` for a banded K and the band S of a symmetric Sigma.
+
+    ``bands`` is ``(kl, ku)`` of K; S is the lower band storage of
+    Sigma, ``S[d, j] = Sigma[j + d, j]``, with at most ``kl + ku + 1``
+    rows (one row is a diagonal Sigma).  Sigma entries outside the band
+    are never read: row i of K spans columns ``i - kl .. i + ku``.
+    """
+    kl, ku = bands
+    m = K.shape[1]
+    Kb, rows, inside = _band_gather(K, kl, ku)
+    # T[r, j] = sum over k >= j of Sigma[k, j] K[i, k], the terms k > j
+    # doubled, for the row i = j - ku + r; then diag(K Sigma K')[i] is
+    # the sum over j of K[i, j] T[r, j]
+    T = Kb * S[0]
+    for d in range(1, S.shape[0]):
+        T[d:, :m - d] += 2.0 * Kb[:-d, d:] * S[d, :m - d]
+    return np.bincount(rows[inside], weights=(Kb * T)[inside], minlength=K.shape[0])
+
+
+def band_gauss_seidel(K: np.ndarray, bands, w: np.ndarray, p: np.ndarray,
+                      rhs: np.ndarray, x: np.ndarray):
+    """One Gauss-Seidel sweep, coordinates 0..M-1, on ``A x = rhs``.
+
+    ``A = K' diag(w) K + diag(p)`` with K banded, ``bands = (kl, ku)``.
+    The sweep solves ``tril(A) x_new = rhs - triu(A, 1) x`` with one
+    triangular band solve (BLAS ``tbsv`` on the upper band, transposed).
+    Returns ``(x_new, diag(A))``.
+    """
+    ab = _normal_band(K, bands[0], bands[1], w, p)
+    u, m = ab.shape[0] - 1, ab.shape[1]
+    r = np.array(rhs, dtype=float)
+    for d in range(1, u + 1):
+        r[:m - d] -= ab[u - d, d:] * x[d:]
+    return dtbsv(u, ab, r, trans=1, overwrite_x=1), ab[u]
+
+
 def solve_normal(K: np.ndarray, bands, w: np.ndarray, p: np.ndarray,
                  rhs: np.ndarray) -> np.ndarray:
     """Solve ``(K' diag(w) K + diag(p)) x = rhs`` for the weights w, p > 0.
 
     ``bands`` is ``(kl, ku)`` of K (any pair at least as wide as its
-    nonzeros).  A narrow band goes through a banded Cholesky
-    (``solveh_banded``), a wide one through the dense :func:`spd_solve`.
+    nonzeros).  A narrow band goes through :func:`band_factor`, a wide
+    one through the dense :func:`spd_solve`.
     """
-    kl, ku = bands
     if not _banded(bands, K.shape[1]):
         A = normal_matrix(K, w, p)
         _require_finite(A)
         return spd_solve(A, rhs)
-    ab = _normal_band(K, kl, ku, w, p)
-    _require_finite(ab)
-    try:
-        x = scipy.linalg.solveh_banded(ab, rhs, check_finite=False)
-    except (scipy.linalg.LinAlgError, ValueError) as exc:
-        raise SingularSystem(f"banded SPD solve failed: {exc}") from exc
-    if not np.all(np.isfinite(x)):
-        raise SingularSystem("banded SPD solve produced non-finite values")
-    return x
+    return band_solve(band_factor(K, bands, w, p), rhs)
 
 
 def _require_finite(A):
@@ -122,6 +267,12 @@ def spd_inverse(A: np.ndarray) -> np.ndarray:
 
 
 def rel_change(new: np.ndarray, old: np.ndarray) -> float:
-    """Relative iterate change ||new - old|| / max(||new||, tiny)."""
-    denom = max(float(np.linalg.norm(new)), np.finfo(float).tiny)
-    return float(np.linalg.norm(np.asarray(new) - np.asarray(old))) / denom
+    """Relative iterate change ||new - old|| / max(||new||, tiny), a Python float.
+
+    0/0 gives 0.0; a zero iterate after a non-zero one gives inf.
+    """
+    diff = float(np.linalg.norm(np.asarray(new) - np.asarray(old)))
+    if diff == 0.0:
+        return 0.0
+    # Python float division overflows to inf without a warning
+    return diff / max(float(np.linalg.norm(new)), _TINY)

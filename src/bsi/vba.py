@@ -26,17 +26,33 @@ model only); the coordinate mean/variance are
 
 with H^j the j-th column and vt_f_j the f-precision expectancy.
 
-Cost per sweep, for H of size N x M (and D of size M x M):
+Cost per sweep, for H of size N x M (and D of size M x M), with
+u = kl + ku the half-bandwidth of K' W K for a banded operator K:
 
-    partial: O(N M^2 + M^3).  The precision H' Ve H + Vx is formed with
-             one gemm and inverted through its Cholesky factor; the
-             quadratic-form diagonals diag(K Sigma K') are one gemm plus
-             an elementwise row sum each.  The indirect model adds the
-             same for D and Sigma_z.
-    full:    O(N M).  Each coordinate costs one dot and one axpy; the
-             covariance is diagonal and stays a vector, so the eps scale
-             update is (H*H) @ var.  A dense diag(var) is built once, for
-             the returned state only.
+    partial, banded K: O(N M + M w^2), w = max(u, 32).  The precision
+             K' W K + diag(p) is built in band storage and factored once
+             (the banded factor JMAP uses); the mean is one banded
+             solve, the band of Sigma comes from the factor by selected
+             inversion in blocks of w columns, and diag(Sigma) and
+             diag(K Sigma K') read only that band.  The whole Sigma is
+             formed once, at the end of the solve, for the returned
+             state (O(M^2 u)).
+    partial, dense K:  O(N M^2 + M^3).  The precision is formed with one
+             gemm and inverted through its Cholesky factor; each
+             quadratic-form diagonal is one gemm plus a row sum.
+    full, banded H:    O(N M + M u^2).  The coordinate pass j = 0..M-1 is
+             Gauss-Seidel on (H' Ve H + diag(vt_f)) f = H' Ve g, i.e. one
+             triangular band solve; var = 1 / diag of that matrix.
+    full, dense H:     O(N M).  Each coordinate costs one dot and one
+             axpy.
+    In both full cases the covariance is diagonal and stays a vector; a
+    dense diag(var) is built once, for the returned state only.  The
+    O(N M) terms are the dense products H f and H' (Ve g).
+
+Banded or dense is chosen from the operator alone (its M and
+half-bandwidth u), per block: a dense H with D = I runs a dense f block
+and a banded z block.  The rules, :func:`_band_block` and
+:func:`_band_pass`, are measured ones.
 
 Both schemes run in ``jmap.alternate``, the loop JMAP uses too, with
 their own sweep: one partial sweep for both models and the coordinate
@@ -53,7 +69,17 @@ from typing import Optional, Union
 import numpy as np
 from scipy.linalg.blas import daxpy
 
-from ._linalg import normal_matrix, spd_inverse
+from ._linalg import (
+    _banded,
+    band_factor,
+    band_gauss_seidel,
+    band_inverse,
+    band_quad_diag,
+    band_solve,
+    normal_matrix,
+    selected_inverse,
+    spd_inverse,
+)
 from .jmap import _check_limits, alternate, initial_iterates
 from .model import (
     ForwardProblem,
@@ -119,50 +145,122 @@ def ig_inv_expectation(alpha: float, beta: float) -> float:
     return alpha / beta
 
 
+def _f_system(problem, vtilde_eps, vtilde_xi, z_hat):
+    """Weights and right-hand side (w, p, rhs) of q(f)'s normal equations
+    on K = H, with the precisions checked."""
+    vtilde_eps = _check_positive(vtilde_eps, "vtilde_eps")
+    vtilde_xi = _check_positive(vtilde_xi, "vtilde_xi")
+    b = problem.H.T @ (vtilde_eps * problem.g)
+    if z_hat is not None:
+        if problem.is_direct:
+            raise ModelMismatch("z_hat passed for a direct-sparsity problem")
+        b = b + vtilde_xi * (problem.D @ np.asarray(z_hat, dtype=float))
+    return vtilde_eps, vtilde_xi, b
+
+
+def _z_system(problem, vtilde_xi, vtilde_z, f_hat):
+    """(w, p, rhs) of q(z)'s normal equations on K = D; indirect model only."""
+    if problem.is_direct:
+        raise ModelMismatch("z-update requires the indirect model (D present)")
+    vtilde_xi = _check_positive(vtilde_xi, "vtilde_xi")
+    vtilde_z = _check_positive(vtilde_z, "vtilde_z")
+    b = problem.D.T @ (vtilde_xi * np.asarray(f_hat, dtype=float))
+    return vtilde_xi, vtilde_z, b
+
+
+def _dense_gaussian(K, w, p, b):
+    """Mean and dense covariance of a Gaussian block."""
+    Sigma = spd_inverse(normal_matrix(K, w, p))
+    return Sigma @ b, Sigma
+
+
 def vba_update_f(problem, vtilde_eps, vtilde_xi, z_hat=None):
     """Normal factor of f: mean and full covariance.
 
     ``vtilde_*`` are precision expectancies <v^-1>, not variances.  For
     the direct model pass the f-family expectancies as ``vtilde_xi`` and
-    leave z_hat None.  Sigma_f is materialized whole because the scale
-    updates need its diagonal and quadratic forms.
+    leave z_hat None.  Sigma_f is materialized whole, by a dense
+    inverse, whatever the operator.
     """
-    vtilde_eps = _check_positive(vtilde_eps, "vtilde_eps")
-    vtilde_xi = _check_positive(vtilde_xi, "vtilde_xi")
-    H = problem.H
-    Sigma_f = spd_inverse(normal_matrix(H, vtilde_eps, vtilde_xi))
-    b = H.T @ (vtilde_eps * problem.g)
-    if z_hat is not None:
-        if problem.is_direct:
-            raise ModelMismatch("z_hat passed for a direct-sparsity problem")
-        b = b + vtilde_xi * (problem.D @ np.asarray(z_hat, dtype=float))
-    return Sigma_f @ b, Sigma_f
+    return _dense_gaussian(problem.H, *_f_system(problem, vtilde_eps, vtilde_xi, z_hat))
 
 
 def vba_update_z(problem, vtilde_xi, vtilde_z, f_hat):
     """Normal factor of z: mean and full covariance; indirect model only."""
-    if problem.is_direct:
-        raise ModelMismatch("z-update requires the indirect model (D present)")
-    vtilde_xi = _check_positive(vtilde_xi, "vtilde_xi")
-    vtilde_z = _check_positive(vtilde_z, "vtilde_z")
-    D = problem.D
-    Sigma_z = spd_inverse(normal_matrix(D, vtilde_xi, vtilde_z))
-    b = D.T @ (vtilde_xi * np.asarray(f_hat, dtype=float))
-    return Sigma_z @ b, Sigma_z
+    return _dense_gaussian(problem.D, *_z_system(problem, vtilde_xi, vtilde_z, f_hat))
+
+
+def _band_block(bands, m):
+    """Whether a partial-scheme Gaussian block on an M-column K runs banded.
+
+    Measured with one BLAS thread on random banded K (N = M), for the
+    block's mean, diag(Sigma) and diag(K Sigma K'), banded against dense:
+    the banded block costs about 1.5-3 us per column (mostly the
+    selected inversion), so it lost at M = 16-64 for every u >= 1
+    (0.5-0.9x).  It won at M = 96 up to u = 4 (1.1-1.4x) and at M = 128
+    up to u = 8 (1.1-2.3x), and lost at M = 96, u = 8-12 (0.7-0.9x) and
+    M = 128, u = 16-32 (0.5-0.9x).  From M = 160 it won up to u = M / 8
+    (1.3-6x at M = 160-512) and lost from about u = M / 5 (0.8-1.0x).
+    A diagonal block (u = 0) won from M = 16 up and tied below.
+    """
+    u = bands[0] + bands[1]
+    return u == 0 or (m >= 96 and 16 * u <= m) or (m >= 160 and _banded(bands, m))
+
+
+def _band_pass(bands, m):
+    """Whether the full-scheme coordinate pass runs as one banded
+    Gauss-Seidel solve.
+
+    Measured as for :func:`_band_block`: the band won wherever
+    ``_banded`` holds (1.0x at M = 8 up to 30x at M = 1024), except when
+    u^2 outgrows M: at M = 1024 it won at u = 64 (1.5x) and lost at
+    u = 128 (0.4x), where building the band costs O(M u^2) against the
+    O(N M) of the dense pass.
+    """
+    u = bands[0] + bands[1]
+    return _banded(bands, m) and u * u <= 4 * m
+
+
+@dataclass(frozen=True)
+class _BandCov:
+    """Covariance of a Gaussian block on a banded operator, kept in band form.
+
+    ``band`` is the lower band storage ``band[d, j] = Sigma[j + d, j]``
+    that the scale updates read; ``factor`` is the banded Cholesky
+    factor of the precision, from which the whole Sigma is formed once
+    for the returned state.
+    """
+
+    band: np.ndarray
+    factor: np.ndarray
+
+
+def _band_gaussian(K, bands, w, p, b):
+    """Mean and band covariance of a Gaussian block from its banded factor."""
+    c = band_factor(K, bands, w, p)
+    return band_solve(c, b), _BandCov(selected_inverse(c), c)
 
 
 def _cov_diag(Sigma):
     """diag(Sigma); a 1-D Sigma is a diagonal covariance given by its diagonal."""
+    if isinstance(Sigma, _BandCov):
+        return Sigma.band[0]
     Sigma = np.asarray(Sigma, dtype=float)
     return Sigma if Sigma.ndim == 1 else np.diag(Sigma)
 
 
-def _quad_diag(K, Sigma):
-    """diag(K Sigma K') with BLAS: O(NM) for a 1-D (diagonal) Sigma, one gemm otherwise."""
+def _quad_diag(K, bands, Sigma):
+    """diag(K Sigma K'): from the bands when K is banded and Sigma a band or
+    a 1-D diagonal, else with BLAS (O(NM) for a diagonal Sigma, one gemm
+    for a full one)."""
+    if isinstance(Sigma, _BandCov):
+        return band_quad_diag(K, bands, Sigma.band)
     Sigma = np.asarray(Sigma, dtype=float)
-    if Sigma.ndim == 1:
-        return (K * K) @ Sigma
-    return ((K @ Sigma) * K).sum(axis=1)
+    if Sigma.ndim == 2:
+        return ((K @ Sigma) * K).sum(axis=1)
+    if _banded(bands, K.shape[1]):
+        return band_quad_diag(K, bands, Sigma[None])
+    return (K * K) @ Sigma
 
 
 def vba_update_ig(kind, hyper, f_hat, Sigma_f, z_hat=None, Sigma_z=None, *, problem):
@@ -170,7 +268,8 @@ def vba_update_ig(kind, hyper, f_hat, Sigma_f, z_hat=None, Sigma_z=None, *, prob
 
     kind "xi" and "z" require the indirect model, "f" the direct one;
     "eps" applies to both.  ``Sigma_f`` and ``Sigma_z`` are full
-    covariance matrices, or 1-D arrays read as a diagonal covariance.
+    covariance matrices, or 1-D arrays read as a diagonal covariance
+    (the solver also passes its private band covariances).
     """
     if kind not in _IG_KINDS:
         raise ValueError(f"kind must be one of {_IG_KINDS}, got {kind!r}")
@@ -180,12 +279,12 @@ def vba_update_ig(kind, hyper, f_hat, Sigma_f, z_hat=None, Sigma_z=None, *, prob
     f_hat = np.asarray(f_hat, dtype=float)
     if kind == "eps":
         r = problem.g - problem.H @ f_hat
-        spread = r * r + _quad_diag(problem.H, Sigma_f)
+        spread = r * r + _quad_diag(problem.H, problem.H_bands, Sigma_f)
     elif kind == "f":
         spread = f_hat * f_hat + _cov_diag(Sigma_f)
     elif kind == "xi":
         r = f_hat - problem.D @ np.asarray(z_hat, dtype=float)
-        spread = r * r + _cov_diag(Sigma_f) + _quad_diag(problem.D, Sigma_z)
+        spread = r * r + _cov_diag(Sigma_f) + _quad_diag(problem.D, problem.D_bands, Sigma_z)
     else:  # z
         z_hat = np.asarray(z_hat, dtype=float)
         spread = z_hat * z_hat + _cov_diag(Sigma_z)
@@ -235,39 +334,66 @@ def _vba_state(f, z, Sigma_f, Sigma_z, families):
 
 
 def _partial_sweep(problem, hyper, kinds, state):
-    """q(f), then q(z) (indirect model), then the IG families ``kinds``."""
+    """q(f), then q(z) (indirect model), then the IG families ``kinds``.
+
+    A block on a banded operator carries its covariance as a band
+    (:class:`_BandCov`); a dense one runs the public dense update.
+    """
     prior = state.ig_f if problem.is_direct else state.ig_xi
-    f, Sigma_f = vba_update_f(problem, state.ig_eps.inv_expectation(),
-                              prior.inv_expectation(), state.z_hat)
+    args = (state.ig_eps.inv_expectation(), prior.inv_expectation(), state.z_hat)
+    if _band_block(problem.H_bands, problem.n_coef):
+        f, Sigma_f = _band_gaussian(problem.H, problem.H_bands, *_f_system(problem, *args))
+    else:
+        f, Sigma_f = vba_update_f(problem, *args)
     z = Sigma_z = None
     if not problem.is_direct:
-        z, Sigma_z = vba_update_z(problem, state.ig_xi.inv_expectation(),
-                                  state.ig_z.inv_expectation(), f)
+        args = (state.ig_xi.inv_expectation(), state.ig_z.inv_expectation(), f)
+        if _band_block(problem.D_bands, problem.n_coef):
+            z, Sigma_z = _band_gaussian(problem.D, problem.D_bands, *_z_system(problem, *args))
+        else:
+            z, Sigma_z = vba_update_z(problem, *args)
     return _vba_state(f, z, Sigma_f, Sigma_z, {
         kind: vba_update_ig(kind, hyper, f, Sigma_f, z, Sigma_z, problem=problem)
         for kind in kinds})
 
 
-def _full_sweep(problem, hyper, kinds, HT, state):
-    """One pass over the f coordinates, then the IG families ``kinds``.
-
-    Each coordinate costs one dot and one axpy, keeping resid = g - H f;
-    the covariance stays the 1-D vector of coordinate variances.
-    """
-    HTw = HT * state.ig_eps.inv_expectation()
+def _dense_coordinates(HT, problem, w, p, f):
+    """The coordinate pass on a dense H: one dot and one axpy per coordinate,
+    keeping resid = g - H f.  Returns (f, diag of H' W H + diag(p))."""
+    HTw = HT * w
     col_sq = (HTw * HT).sum(axis=1)
-    denom = col_sq + state.ig_f.inv_expectation()
-    resid = problem.g - problem.H @ state.f_hat
-    f_list = state.f_hat.tolist()
+    denom = col_sq + p
+    resid = problem.g - problem.H @ f
+    f_list = f.tolist()
     for j, (c_j, d_j) in enumerate(zip(col_sq.tolist(), denom.tolist())):
         f_j = f_list[j]
         new_fj = (float(HTw[j] @ resid) + c_j * f_j) / d_j
         resid = daxpy(HT[j], resid, a=f_j - new_fj)
         f_list[j] = new_fj
-    f = np.array(f_list)
+    return np.array(f_list), denom
+
+
+def _band_coordinates(problem, w, p, f):
+    """The coordinate pass on a banded H: one Gauss-Seidel sweep."""
+    return band_gauss_seidel(problem.H, problem.H_bands, w, p,
+                             problem.H.T @ (w * problem.g), f)
+
+
+def _full_sweep(problem, hyper, kinds, coordinates, state):
+    """One pass over the f coordinates, then the IG families ``kinds``.
+
+    The covariance stays the 1-D vector of coordinate variances.
+    """
+    f, denom = coordinates(problem, state.ig_eps.inv_expectation(),
+                           state.ig_f.inv_expectation(), state.f_hat)
     var = 1.0 / denom
     return _vba_state(f, None, var, None, {
         kind: vba_update_ig(kind, hyper, f, var, problem=problem) for kind in kinds})
+
+
+def _dense_cov(Sigma):
+    """The returned state's 2-D covariance: a band one formed whole from its factor."""
+    return band_inverse(Sigma.factor) if isinstance(Sigma, _BandCov) else Sigma
 
 
 def solve_vba(problem: ForwardProblem, hyper: HyperParams, config: Optional[VbaConfig] = None):
@@ -294,12 +420,16 @@ def solve_vba(problem: ForwardProblem, hyper: HyperParams, config: Optional[VbaC
         order = ("q_f", "q_z", "ig_xi", "ig_eps", "ig_z")
     # the IG families a sweep updates, in the order the trace records
     kinds = tuple(step[3:] for step in order if step.startswith("ig_"))
-    if full:
-        sweep = partial(_full_sweep, problem, hyper, kinds, np.ascontiguousarray(problem.H.T))
-    else:
+    if not full:
         sweep = partial(_partial_sweep, problem, hyper, kinds)
+    elif _band_pass(problem.H_bands, problem.n_coef):
+        sweep = partial(_full_sweep, problem, hyper, kinds, _band_coordinates)
+    else:
+        HT = np.ascontiguousarray(problem.H.T)
+        sweep = partial(_full_sweep, problem, hyper, kinds, partial(_dense_coordinates, HT))
     state, trace = alternate(problem, hyper, config, order,
                              _vba_state(f, z, None, None, dict(seeded)), sweep)
     if full:
-        state = replace(state, Sigma_f=np.diag(state.Sigma_f))
-    return state, trace
+        return replace(state, Sigma_f=np.diag(state.Sigma_f)), trace
+    return replace(state, Sigma_f=_dense_cov(state.Sigma_f),
+                   Sigma_z=_dense_cov(state.Sigma_z)), trace

@@ -276,7 +276,7 @@ def write_config(tmp_path, name, payload):
     return str(path)
 
 
-def simulate_config(tmp_path, out, seed=1, model="direct", noise=None):
+def simulate_config(tmp_path, out, seed=1, model="direct", noise=None, sparsity=2):
     payload = {
         "mode": "simulate",
         "model": model,
@@ -284,7 +284,7 @@ def simulate_config(tmp_path, out, seed=1, model="direct", noise=None):
         "out_dir": str(out),
         "simulate": {
             "length": 8,
-            "sparsity": 2,
+            "sparsity": sparsity,
             "amplitude": [1.0, 2.0],
             "operator": {"kind": "convolution", "kernel": [0.25, 0.5, 0.25]},
             "noise": noise or {"kind": "nonstationary", "alpha": 3.0, "beta": 2.0},
@@ -330,6 +330,25 @@ class TestCliRuns:
         assert all(b <= a + 1e-10 * abs(a) for a, b in zip(L, L[1:]))
         assert all(r["millis"] == "" for r in rows)  # deterministic by default
         assert all(r["rel_change_z"] == "" for r in rows)  # direct model
+
+    def test_zero_data_trace_cells_are_numbers(self, tmp_path):
+        # g = 0 keeps f at zero, so every relative change is 0/0
+        sim_out = tmp_path / "sim"
+        cfg = simulate_config(tmp_path, sim_out, sparsity=0, noise={"kind": "none"})
+        assert main(["simulate", "--config", cfg]) == EXIT_OK
+        assert not read_matrix(sim_out / "g.csv").any()
+        solve_cfg = write_config(tmp_path, "solve.json", {
+            "mode": "solve", "model": "direct", "method": "jmap",
+            "out_dir": str(tmp_path / "run"), "solver": {"max_iter": 3},
+            "inputs": {"g": str(sim_out / "g.csv"), "H": str(sim_out / "H.csv")},
+        })
+        assert main(["solve", "--config", solve_cfg]) == EXIT_OK
+        rows = read_trace(tmp_path / "run" / "trace.csv")
+        assert len(rows) >= 2 and all(r["rel_change_f"] for r in rows[1:])
+        for row in rows:
+            for cell in row.values():
+                if cell:
+                    float(cell)
 
     def test_solve_indirect_vba(self, tmp_path):
         sim_out = tmp_path / "sim"

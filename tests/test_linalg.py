@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -5,13 +7,25 @@ from hypothesis import assume, given, settings, strategies as st
 
 from bsi import (
     ForwardProblem,
+    HyperParams,
     OperatorSpec,
     SingularSystem,
     generate_operator,
     jmap_update_f,
     jmap_update_z,
+    vba_full_coordinate_update,
 )
-from bsi._linalg import _normal_band, solve_normal, spd_inverse
+from bsi import _linalg
+from bsi._linalg import (
+    _normal_band,
+    band_factor,
+    band_gauss_seidel,
+    band_quad_diag,
+    rel_change,
+    selected_inverse,
+    solve_normal,
+    spd_inverse,
+)
 from bsi.model import bandwidths
 
 
@@ -78,6 +92,11 @@ def rel_err(x, oracle):
     return np.abs(x - oracle).max() / np.abs(oracle).max()
 
 
+def within(x, oracle, rtol):
+    """max |x - oracle| <= rtol max |oracle|; an all-zero oracle needs x == 0."""
+    return np.abs(x - oracle).max() <= rtol * np.abs(oracle).max()
+
+
 @settings(max_examples=150, deadline=None)
 @given(normal_systems())
 def test_solve_normal_matches_dense_oracle(system):
@@ -101,6 +120,61 @@ def test_solve_normal_matches_dense_oracle(system):
                                            rtol=1e-13, atol=1e-13 * np.abs(A).max())
 
 
+@settings(max_examples=150, deadline=None)
+@given(normal_systems())
+def test_band_kernels_match_dense_oracles(system):
+    K, bands, w, p, rhs = system
+    n, m = K.shape
+    u = bands[0] + bands[1]
+    assume(u < m)                               # band storage needs kl + ku < M
+    A, _ = dense_oracle(K, w, p, rhs)
+    # As for solve_normal: errors scale with the condition number of the
+    # diagonally scaled matrix, which p over 16 decades leaves unbounded.
+    d = np.sqrt(np.diag(A))
+    assume(np.linalg.cond(A / np.outer(d, d)) <= 1e3)
+    Sigma = spd_inverse(A)
+    S = selected_inverse(band_factor(K, bands, w, p))
+    assert S.shape == (u + 1, m)
+    for k in range(u + 1):
+        assert within(S[k, :m - k], np.diagonal(Sigma, -k), 1e-10)
+    assert within(band_quad_diag(K, bands, S), np.diag(K @ Sigma @ K.T), 1e-10)
+    v = np.diag(Sigma)                          # a diagonal Sigma is the u = 0 band
+    assert within(band_quad_diag(K, bands, v[None]), np.diag(K @ np.diag(v) @ K.T), 1e-10)
+    # one Gauss-Seidel sweep from rhs is the coordinate update for j = 0..M-1
+    g = np.random.RandomState(m).randn(n)
+    f, diag = band_gauss_seidel(K, bands, w, p, K.T @ (w * g), rhs)
+    problem, loop, var = ForwardProblem(g=g, H=K), rhs.copy(), np.empty(m)
+    for j in range(m):
+        loop[j], var[j] = vba_full_coordinate_update(problem, HyperParams(), loop, w, p, j)
+    assert within(f, loop, 1e-12)
+    assert within(1.0 / diag, var, 1e-12)
+
+
+@pytest.mark.parametrize("bands", [(1, 0), (1, 1), (3, 2), (20, 20)])
+def test_selected_inverse_across_blocks(bands):
+    """Many column blocks, a short first block, and a band wider than a block."""
+    rng = np.random.RandomState(9)
+    m = 170
+    K = banded(rng, m + 3, m, *bands)
+    w, p = rng.uniform(0.5, 2.0, m + 3), rng.uniform(0.5, 2.0, m)
+    Sigma = np.linalg.inv(K.T @ (K * w[:, None]) + np.diag(p))
+    S = selected_inverse(band_factor(K, bands, w, p))
+    for k in range(sum(bands) + 1):
+        assert within(S[k, :m - k], np.diagonal(Sigma, -k), 1e-12)
+
+
+@pytest.mark.parametrize("bands", [(0, 0), (1, 1), (2, 0)])
+def test_solve_normal_keeps_the_solveh_banded_bits(bands):
+    """For kl + ku != 1 the banded factor is what solveh_banded ran (pbsv)."""
+    rng = np.random.RandomState(8)
+    m = 64
+    K = banded(rng, m, m, *bands)
+    w, p, rhs = rng.uniform(0.5, 2.0, m), rng.uniform(0.5, 2.0, m), rng.randn(m)
+    expected = scipy.linalg.solveh_banded(_normal_band(K, *bands, w, p), rhs,
+                                          check_finite=False)
+    np.testing.assert_array_equal(solve_normal(K, bands, w, p, rhs), expected)
+
+
 def test_bandwidths():
     K = np.zeros((5, 8))
     assert bandwidths(K) == (0, 0)
@@ -121,13 +195,16 @@ def test_solve_normal_rejects_non_finite_weights(bands, w_bad):
     w[7] = w_bad
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(SingularSystem):
         solve_normal(K, bands, w, np.ones(m), rng.randn(m))
+    if bands == (1, 1):                         # the factor VBA reads raises too
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(SingularSystem):
+            band_factor(K, bands, w, np.ones(m))
 
 
 def test_banded_path_is_taken_by_structure(monkeypatch):
-    """Convolution operators go through solveh_banded; dense ones never do."""
+    """Convolution operators go through the banded factor; dense ones never do."""
     calls = []
-    real = scipy.linalg.solveh_banded
-    monkeypatch.setattr(scipy.linalg, "solveh_banded",
+    real = _linalg.band_factor
+    monkeypatch.setattr(_linalg, "band_factor",
                         lambda *a, **k: calls.append(1) or real(*a, **k))
     m = 64
     rng = np.random.RandomState(2)
@@ -147,3 +224,14 @@ def test_banded_path_is_taken_by_structure(monkeypatch):
     jmap_update_z(ForwardProblem(g=rng.randn(m), H=dense, D=np.eye(m)),
                   v_eps, v_f, rng.randn(m))
     assert len(calls) == 1                     # D = I is a diagonal solve
+
+
+def test_rel_change_returns_python_floats_without_warnings():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        same = rel_change(np.zeros(3), np.zeros(3))
+        jump = rel_change(np.zeros(3), 10.0 * np.ones(3))
+        step = rel_change(np.array([3.0, 4.0]), np.array([3.0, 3.0]))
+    assert type(same) is float and same == 0.0
+    assert type(jump) is float and jump == np.inf
+    assert type(step) is float and step == 0.2

@@ -4,12 +4,18 @@ import numpy as np
 import pytest
 import scipy.integrate
 
+import bsi.vba
+
 from bsi import (
     ForwardProblem,
     HyperParams,
     IndexOutOfRange,
     ModelMismatch,
+    OperatorSpec,
+    SignalSpec,
     VbaConfig,
+    generate_operator,
+    generate_sparse_signal,
     ig_inv_expectation,
     solve_vba,
     vba_full_coordinate_update,
@@ -448,12 +454,20 @@ def reference_vba(problem, hyper, separability, sweeps, f0, z0):
             b_f = hyper.beta_f + 0.5 * (f * f + var)
         r = g - H @ f
         b_eps = hyper.beta_eps + 0.5 * (r * r + np.einsum("ij,jk,ik->i", H, Sigma_f, H))
-    out = {"f_hat": f, "ig_eps": b_eps, "Sigma_f": np.diag(Sigma_f)}
+    out = {"f_hat": f, "ig_eps": b_eps, "Sigma_f": Sigma_f}
     if D is None:
         out["ig_f"] = b_f
     else:
-        out.update(ig_xi=b_xi, ig_z=b_z, Sigma_z=np.diag(Sigma_z))
+        out.update(ig_xi=b_xi, ig_z=b_z, Sigma_z=Sigma_z)
     return out
+
+
+def assert_matches_reference(state, expected):
+    """Every array of ``reference_vba`` to 1e-12 relative (IG families by scale)."""
+    for name, want in expected.items():
+        value = getattr(state, name)
+        got = value.beta_hat if name.startswith("ig_") else value
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want), name
 
 
 @pytest.mark.parametrize("model,separability,init", [
@@ -474,9 +488,52 @@ def test_solve_vba_matches_reference_iteration(model, separability, init, oracle
         max_iter=5, tol_rel_f=1e-300, separability=separability, init=init))
     assert trace.iterations == 5
     expected = reference_vba(problem, hyper, separability, 5, f0, z0)
-    for name, want in expected.items():
-        value = getattr(state, name)
-        got = value.beta_hat if name.startswith("ig_") else value
-        if name.startswith("Sigma"):
-            got = np.diag(got)
-        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want), name
+    assert_matches_reference(state, expected)
+
+
+def convolution_problem(model, m=96):
+    """5-tap convolution H (kl = ku = 2) and, for the indirect model, D = I."""
+    H = generate_operator(OperatorSpec(kind="convolution", n_rows=m, n_cols=m,
+                                       kernel=(0.1, 0.25, 0.5, 0.25, 0.1)))
+    f_true = generate_sparse_signal(SignalSpec(length=m, sparsity=6,
+                                               amplitude_range=(2.0, 4.0), seed=4))
+    g = H @ f_true + 0.05 * np.random.RandomState(4).randn(m)
+    return ForwardProblem(g=g, H=H, D=np.eye(m) if model == "indirect" else None)
+
+
+@pytest.mark.parametrize("model,separability,init", [
+    pytest.param(model, separability, init, id=f"{model}-{separability}-{init}")
+    for init in INITS
+    for model, separability in (("direct", "partial"), ("indirect", "partial"),
+                                ("direct", "full"))])
+def test_banded_solve_matches_reference_iteration(model, separability, init, oracle_start):
+    """On a convolution H (and D = I) the banded blocks track the dense oracle,
+    down to the whole returned covariance."""
+    problem = convolution_problem(model)
+    assert problem.H_bands == (2, 2)
+    hyper = HyperParams(3.0, 0.05, 1.0, 0.1, 1.0, 0.5, 1.0, 0.5)
+    init, f0, z0 = oracle_start(problem, init)
+    state, _ = solve_vba(problem, hyper, VbaConfig(
+        max_iter=20, tol_rel_f=1e-300, separability=separability, init=init))
+    expected = reference_vba(problem, hyper, separability, 20, f0, z0)
+    assert_matches_reference(state, expected)
+
+
+def test_dense_inverse_only_for_dense_operators(monkeypatch):
+    """Convolution H and D = I never form a dense inverse; a dense H still does."""
+    calls = []
+    real = bsi.vba.spd_inverse
+    monkeypatch.setattr(bsi.vba, "spd_inverse",
+                        lambda A: calls.append(A.shape) or real(A))
+    hyper = HyperParams(3.0, 0.05, 1.0, 0.1, 1.0, 0.5, 1.0, 0.5)
+    for model, separability in (("direct", "partial"), ("indirect", "partial"),
+                                ("direct", "full")):
+        solve_vba(convolution_problem(model), hyper,
+                  VbaConfig(max_iter=3, separability=separability))
+    assert calls == []
+    m = 96
+    H = generate_operator(OperatorSpec(kind="gaussian_random", n_rows=m, n_cols=m, seed=3))
+    g = np.random.RandomState(5).randn(m)
+    solve_vba(ForwardProblem(g=g, H=H, D=np.eye(m)), hyper,
+              VbaConfig(max_iter=3, tol_rel_f=1e-300))
+    assert calls == [(m, m)] * 3                 # the f block; the z block (D = I) is banded

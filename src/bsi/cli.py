@@ -102,19 +102,63 @@ class ShapeError(ValueError):
 _HEADER_RE = re.compile(r"^#\s*rows=(\d+)\s+cols=(\d+)\s*$")
 
 
+# entries formatted per block of rows: a whole-matrix tolist() would hold
+# a Python float per entry, 36 MB more peak memory at 1024 x 1024
+_WRITE_BLOCK = 1 << 14
+
+
 def write_matrix(matrix, path) -> None:
-    """Write a matrix (or column vector) with a rows/cols header line."""
+    """Write a matrix (or column vector) with a rows/cols header line.
+
+    Every entry is written as ``repr`` writes it.  A row that is mostly
+    ``+0.0`` is built from runs of ``"0.0,"`` and the ``repr`` of its
+    other entries only.
+    """
     a = np.asarray(matrix, dtype=float)
     if a.ndim == 1:
         a = a[:, None]
     if a.ndim != 2:
         raise ShapeError(f"can only write 1-D or 2-D arrays, got ndim {a.ndim}")
+    n, m = a.shape
+    zeros = "0.0," * m
+    step = max(1, _WRITE_BLOCK // max(m, 1))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(f"# rows={a.shape[0]} cols={a.shape[1]}\n")
-        # one row at a time: a whole-matrix tolist() holds a Python float
-        # per entry, 36 MB more peak memory at 1024 x 1024
-        for row in a:
-            fh.write(",".join(map(repr, row.tolist())) + "\n")
+        fh.write(f"# rows={n} cols={m}\n")
+        for start in range(0, n, step):
+            fh.write(_format_rows(a[start:start + step], zeros))
+
+
+def _format_rows(block, zeros) -> str:
+    """CSV lines of a block of rows; ``zeros`` is ``"0.0,"`` once per column."""
+    m = block.shape[1]
+    if m == 1:
+        return "\n".join(map(repr, block[:, 0].tolist())) + "\n"
+    # +0.0 is the only double whose bits are all zero; -0.0, nan and inf
+    # are written by repr like any other entry
+    nonzero = np.ascontiguousarray(block).view(np.uint64) != 0
+    counts = np.count_nonzero(nonzero, axis=1)
+    # a row that is half nonzero or more is faster to write entry by entry
+    dense = 2 * counts >= m
+    nonzero[dense] = False
+    rows, cols = np.nonzero(nonzero)  # the entries of the other rows
+    texts = list(map(repr, block[rows, cols].tolist()))
+    cols = cols.tolist()
+    lines = []
+    end = 0
+    for row, is_dense, count in zip(block, dense.tolist(), counts.tolist()):
+        if is_dense:
+            lines.append(",".join(map(repr, row.tolist())))
+            continue
+        parts = []
+        prev = 0
+        for col, text in zip(cols[end:end + count], texts[end:end + count]):
+            parts += (zeros[:4 * (col - prev)], text, ",")
+            prev = col + 1
+        end += count
+        parts.append(zeros[4 * prev:])
+        lines.append("".join(parts)[:-1])
+    lines.append("")  # the last line's newline
+    return "\n".join(lines)
 
 
 # str.splitlines() breaks lines at these characters too; numpy's parser

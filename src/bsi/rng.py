@@ -13,16 +13,31 @@ Marsaglia-Tsang squeeze (shape >= 1, boosted from shape + 1 otherwise)
 and Inverse-Gamma variates are beta / Gamma(alpha, scale=1).  Every draw
 is a pure function of the seed, so runs are bit-reproducible across
 platforms and library versions.
+
+The stream is counter-based (Steele, Lea & Flood, OOPSLA 2014): output
+``i`` after state ``s`` is ``mix(s + i * 0x9E3779B97F4A7C15)``.  So the
+private block draws ``_u64s(n)`` and ``_normals(n)`` compute n draws at
+once in wrapping ``uint64`` arithmetic, in chunks of ``_CHUNK`` draws so
+that temporaries stay small, and leave the generator exactly where n
+scalar calls would: ``_normals`` returns a pending cached normal first
+and caches the odd last value.  They return the scalar methods' bits.
+NumPy does the finalizer, the integer-to-double conversions, the
+products and ``sqrt`` (all exact or correctly rounded); ``log``, ``sin``
+and ``cos`` go through :mod:`math`, because ``np.log`` and ``math.log``
+round differently on some inputs.
 """
 
 from __future__ import annotations
 
 import math
 
+import numpy as np
+
 _MASK = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
+_CHUNK = 1 << 12  # block draws per chunk: 32 KiB per uint64 temporary
 
 
 class SplitMix64:
@@ -67,6 +82,46 @@ class SplitMix64:
         r = math.sqrt(-2.0 * math.log(u1))
         self._cached_normal = r * math.sin(2.0 * math.pi * u2)
         return r * math.cos(2.0 * math.pi * u2)
+
+    def _u64s(self, n: int) -> np.ndarray:
+        """The next n outputs of :meth:`next_u64`, as one ``uint64`` array."""
+        out = np.empty(n, dtype=np.uint64)
+        for start in range(0, n, _CHUNK):
+            count = min(_CHUNK, n - start)
+            z = np.arange(1, count + 1, dtype=np.uint64)
+            z *= np.uint64(_GOLDEN)
+            z += np.uint64(self._state)
+            self._state = (self._state + count * _GOLDEN) & _MASK
+            z ^= z >> np.uint64(30)
+            z *= np.uint64(_MIX1)
+            z ^= z >> np.uint64(27)
+            z *= np.uint64(_MIX2)
+            z ^= z >> np.uint64(31)
+            out[start:start + count] = z
+        return out
+
+    def _normals(self, n: int) -> np.ndarray:
+        """The next n outputs of :meth:`normal`, as one float array."""
+        out = np.empty(n)
+        done = 0
+        if n and self._cached_normal is not None:
+            out[0], self._cached_normal = self._cached_normal, None
+            done = 1
+        while done < n:
+            pairs = min(_CHUNK // 2, (n - done + 1) // 2)
+            bits = self._u64s(2 * pairs) >> np.uint64(11)
+            u1 = (bits[0::2] + np.uint64(1)) * 2.0 ** -53
+            theta = (2.0 * math.pi) * (bits[1::2] * 2.0 ** -53)
+            r = np.sqrt(-2.0 * np.fromiter(map(math.log, u1.tolist()), float, pairs))
+            block = np.empty(2 * pairs)
+            block[0::2] = r * np.fromiter(map(math.cos, theta.tolist()), float, pairs)
+            block[1::2] = r * np.fromiter(map(math.sin, theta.tolist()), float, pairs)
+            take = min(2 * pairs, n - done)
+            out[done:done + take] = block[:take]
+            if take < 2 * pairs:
+                self._cached_normal = float(block[-1])
+            done += take
+        return out
 
     def gamma(self, shape: float) -> float:
         """Gamma(shape, scale=1) via Marsaglia-Tsang rejection."""

@@ -38,8 +38,8 @@ class SignalSpec:
         if not 0 <= self.sparsity <= self.length:
             raise SpecError("sparsity must lie in 0..length")
         low, high = self.amplitude_range
-        if not (0 < low <= high):
-            raise SpecError("amplitude_range must satisfy 0 < low <= high")
+        if not (0 < low <= high < math.inf):  # NaN fails too
+            raise SpecError("amplitude_range must satisfy 0 < low <= high < inf")
 
 
 @dataclass(frozen=True)
@@ -67,6 +67,8 @@ class OperatorSpec:
         if self.kind == "convolution":
             if not self.kernel or len(self.kernel) % 2 == 0:
                 raise SpecError("convolution kernel length must be odd")
+            if not all(math.isfinite(w) for w in self.kernel):
+                raise SpecError("convolution kernel weights must be finite")
 
 
 @dataclass(frozen=True)
@@ -93,10 +95,12 @@ class NoiseSpec:
     def validate(self):
         if self.kind not in ("none", "stationary", "nonstationary"):
             raise SpecError(f"unknown noise kind {self.kind!r}")
-        if self.kind == "stationary" and self.sigma < 0:
-            raise SpecError("sigma must be >= 0")
-        if self.kind == "nonstationary" and (self.ig_alpha <= 0 or self.ig_beta <= 0):
-            raise SpecError("nonstationary noise needs alpha, beta > 0")
+        # the comparisons are written so that NaN fails them
+        if self.kind == "stationary" and not 0 <= self.sigma < math.inf:
+            raise SpecError("sigma must be finite and >= 0")
+        if self.kind == "nonstationary" and not (0 < self.ig_alpha < math.inf
+                                                 and 0 < self.ig_beta < math.inf):
+            raise SpecError("nonstationary noise needs finite alpha, beta > 0")
 
 
 def generate_sparse_signal(spec: SignalSpec) -> np.ndarray:
@@ -126,19 +130,18 @@ def generate_operator(spec: OperatorSpec) -> np.ndarray:
     spec.validate()
     if spec.kind == "identity":
         return np.eye(spec.n_rows)
+    n, m = spec.n_rows, spec.n_cols
     if spec.kind == "convolution":
         half = (len(spec.kernel) - 1) // 2
-        H = np.zeros((spec.n_rows, spec.n_cols))
+        H = np.zeros((n, m))
         for offset, weight in enumerate(spec.kernel):
             diag = half - offset  # kernel center sits on the main diagonal
-            H += weight * np.eye(spec.n_rows, spec.n_cols, k=diag)
+            rows = np.arange(max(0, -diag), min(n, m - diag))
+            H[rows, rows + diag] = weight + 0.0  # a -0.0 weight stores +0.0
         return H
-    rng = SplitMix64(spec.seed)
-    scale = 1.0 / math.sqrt(spec.n_rows)
-    H = np.empty((spec.n_rows, spec.n_cols))
-    for i in range(spec.n_rows):
-        for j in range(spec.n_cols):
-            H[i, j] = rng.normal() * scale
+    # row-major draws, one normal per entry
+    H = SplitMix64(spec.seed)._normals(n * m).reshape(n, m)
+    H *= 1.0 / math.sqrt(n)
     return H
 
 
@@ -165,7 +168,7 @@ def synthesize_observation(H: np.ndarray, f_true: np.ndarray, noise: NoiseSpec,
     else:
         v_true = np.array([rng.inverse_gamma(noise.ig_alpha, noise.ig_beta)
                            for _ in range(n)])
-    eps = np.array([math.sqrt(v_true[i]) * rng.normal() for i in range(n)])
+    eps = np.sqrt(v_true) * rng._normals(n)
     return clean + eps, v_true
 
 

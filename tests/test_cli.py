@@ -1,15 +1,20 @@
 import csv
 import json
+import math
 import os
 import subprocess
 import sys
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import jsonschema
 
 import bsi
+import bsi.cli
+from bsi import NoiseSpec, OperatorSpec, SignalSpec, generate_sparse_signal
 from bsi.cli import (
     ConfigError,
     EXIT_CONFIG,
@@ -174,6 +179,118 @@ class TestBulkMatrixIo:
         expected = f"# rows={a.shape[0]} cols={a.shape[1]}\n" + "".join(
             ",".join(repr(float(v)) for v in row) + "\n" for row in a)
         assert path.read_bytes() == expected.encode("utf-8")
+
+
+_SPECIAL_VALUES = [0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, -5e-324,
+                   1e300, -1e300, 1e-300, -1e-300]
+
+
+@st.composite
+def csv_matrices(draw):
+    """Matrices mixing all-zero, fully dense and sparse rows of edge-case doubles."""
+    n, m = draw(st.one_of(
+        st.tuples(st.integers(0, 9), st.integers(1, 30)),
+        st.tuples(st.integers(0, 40), st.just(1)),
+        st.tuples(st.just(1), st.integers(1, 60)),
+    ))
+    value = st.one_of(st.sampled_from(_SPECIAL_VALUES), st.floats(allow_nan=False))
+    a = np.zeros((n, m))
+    for i in range(n):
+        kind = draw(st.sampled_from(["zero", "dense", "sparse"]))
+        if kind == "dense":
+            a[i] = draw(st.lists(value, min_size=m, max_size=m))
+        elif kind == "sparse":
+            for j, v in draw(st.dictionaries(st.integers(0, m - 1), value)).items():
+                a[i, j] = v
+    return a
+
+
+class TestZeroRunWriter:
+    @settings(max_examples=300, deadline=None)
+    @given(a=csv_matrices(), block=st.sampled_from([1, 7, 64, bsi.cli._WRITE_BLOCK]))
+    def test_bytes_match_per_value_repr(self, tmp_path_factory, scalar_synth, a, block):
+        path = tmp_path_factory.mktemp("w") / "m.csv"
+        with mock.patch.object(bsi.cli, "_WRITE_BLOCK", block):
+            write_matrix(a, path)
+        assert path.read_bytes() == scalar_synth.matrix_text(a).encode("utf-8")
+        back = read_matrix(path)
+        assert back.shape == a.shape
+        assert back.view(np.uint64).tolist() == a.view(np.uint64).tolist()
+
+    def test_many_blocks_of_rows(self, tmp_path, scalar_synth):
+        rng = np.random.RandomState(4)
+        a = rng.randn(700, 200) * (rng.rand(700, 200) < rng.rand(700, 1))
+        a[::50] = 0.0
+        a[1::50] = -0.0
+        path = tmp_path / "m.csv"
+        write_matrix(a, path)                   # 140 000 entries: three blocks
+        assert path.read_bytes() == scalar_synth.matrix_text(a).encode("utf-8")
+
+    def test_transposed_view(self, tmp_path, scalar_synth):
+        a = np.diag([1.0, -0.0, 2.5]) + np.triu(np.ones((3, 3)), 2)
+        path = tmp_path / "m.csv"
+        write_matrix(a.T, path)
+        assert path.read_bytes() == scalar_synth.matrix_text(a.T).encode("utf-8")
+
+
+_SIM_OPERATORS = {
+    "identity": {"kind": "identity"},
+    "convolution": {"kind": "convolution", "kernel": [-0.5, 0.25, 1.0, 0.25, -0.0]},
+    "gaussian_random": {"kind": "gaussian_random", "rows": 13},
+}
+_SIM_NOISES = {
+    "none": ({"kind": "none"}, NoiseSpec.none()),
+    "stationary": ({"kind": "stationary", "sigma": 0.3}, NoiseSpec.stationary(0.3)),
+    "nonstationary": ({"kind": "nonstationary", "alpha": 1.5, "beta": 0.5},
+                      NoiseSpec.nonstationary(1.5, 0.5)),
+}
+
+
+def scalar_simulate(payload, noise, scalar):
+    """The files simulate writes for payload, by the scalar loops and writer."""
+    sim, seed = payload["simulate"], payload["seed"]
+    length = sim["length"]
+
+    def stream(k):  # the documented per-purpose seed derivation
+        return (seed * 1000003 + k) % 2 ** 64
+
+    def operator(section, rows, k):
+        kernel = section.get("kernel")
+        return scalar.operator(OperatorSpec(
+            kind=section["kind"], n_rows=rows, n_cols=length,
+            kernel=tuple(kernel) if kernel else None, seed=stream(k)))
+
+    f_true = generate_sparse_signal(SignalSpec(
+        length=length, sparsity=sim["sparsity"], amplitude_range=tuple(sim["amplitude"]),
+        seed=stream(0)))
+    H = operator(sim["operator"], sim["operator"].get("rows", length), 1)
+    arrays = {"H.csv": H}
+    if payload["model"] == "indirect":
+        arrays["D.csv"] = operator(sim["transform"], length, 3)
+        f_true = arrays["D.csv"] @ f_true
+    g, v_true = scalar.observation(H, f_true, noise, stream(2))
+    arrays.update({"g.csv": g, "f_true.csv": f_true, "v_eps_true.csv": v_true})
+    return {name: scalar.matrix_text(a).encode("utf-8") for name, a in arrays.items()}
+
+
+class TestSimulateParity:
+    @pytest.mark.parametrize("model", ["direct", "indirect"])
+    @pytest.mark.parametrize("noise", sorted(_SIM_NOISES))
+    @pytest.mark.parametrize("operator", sorted(_SIM_OPERATORS))
+    @pytest.mark.parametrize("seed", [5, 2 ** 63])
+    def test_files_match_scalar_reference(self, tmp_path, scalar_synth, model, noise,
+                                          operator, seed):
+        section, spec = _SIM_NOISES[noise]
+        payload = {"mode": "simulate", "model": model, "seed": seed,
+                   "out_dir": str(tmp_path / "out"),
+                   "simulate": {"length": 20, "sparsity": 4, "amplitude": [1.0, 3.0],
+                                "operator": _SIM_OPERATORS[operator], "noise": section}}
+        if model == "indirect":
+            payload["simulate"]["transform"] = {"kind": "gaussian_random"}
+        assert main(["simulate", "--config", write_config(tmp_path, "c.json", payload)]) == 0
+        expected = scalar_simulate(payload, spec, scalar_synth)
+        written = {p.name: p.read_bytes() for p in (tmp_path / "out").iterdir()}
+        assert written == expected
 
 
 class TestConfigParsing:
@@ -494,6 +611,19 @@ class TestExitCodes:
             "inputs": {"g": str(g), "H": str(H)},
         })
         assert main(["solve", "--config", cfg]) == EXIT_IO
+
+    @pytest.mark.parametrize("section", [
+        {"noise": {"kind": "stationary", "sigma": math.nan}},
+        {"noise": {"kind": "nonstationary", "alpha": 3.0, "beta": math.inf}},
+        {"operator": {"kind": "convolution", "kernel": [0.25, math.inf, 0.25]}},
+        {"amplitude": [1.0, math.inf]},
+    ])
+    def test_non_finite_simulate_spec_is_solver_error(self, tmp_path, section):
+        payload = {"mode": "simulate", "out_dir": str(tmp_path / "out"),
+                   "simulate": {"length": 8, "sparsity": 2, **section}}
+        cfg = write_config(tmp_path, "c.json", payload)  # NaN / Infinity JSON literals
+        assert main(["simulate", "--config", cfg]) == EXIT_SOLVER
+        assert not (tmp_path / "out").exists()
 
     def test_nonfinite_operator_is_solver_error(self, tmp_path):
         g = tmp_path / "g.csv"

@@ -1,6 +1,12 @@
+import copy
+import math
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import bsi.rng
 from bsi import (
     ForwardProblem,
     HyperParams,
@@ -56,6 +62,32 @@ class TestSparseSignal:
                                               amplitude_range=(2.0, 1.0), seed=0))
 
 
+def bits(values):
+    return np.asarray(values, dtype=float).view(np.uint64).tolist()
+
+
+def _invalid_specs():
+    """Each spec with one non-finite parameter, as a callable that validates it."""
+    conv = dict(kind="convolution", n_rows=4, n_cols=4)
+    return {
+        "kernel-nan": lambda: OperatorSpec(kernel=(math.nan,), **conv).validate(),
+        "kernel-inf": lambda: OperatorSpec(kernel=(0.25, math.inf, 0.25), **conv).validate(),
+        "sigma-nan": lambda: NoiseSpec.stationary(math.nan).validate(),
+        "sigma-inf": lambda: NoiseSpec.stationary(math.inf).validate(),
+        "alpha-nan": lambda: NoiseSpec.nonstationary(math.nan, 1.0).validate(),
+        "alpha-inf": lambda: NoiseSpec.nonstationary(math.inf, 1.0).validate(),
+        "beta-inf": lambda: NoiseSpec.nonstationary(3.0, math.inf).validate(),
+        "amplitude-inf": lambda: SignalSpec(length=4, sparsity=1,
+                                            amplitude_range=(1.0, math.inf)).validate(),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_invalid_specs()))
+def test_non_finite_spec_rejected(case):
+    with pytest.raises(SpecError):
+        _invalid_specs()[case]()
+
+
 class TestOperator:
     def test_identity(self):
         H = generate_operator(OperatorSpec(kind="identity", n_rows=3, n_cols=3))
@@ -79,6 +111,24 @@ class TestOperator:
         assert np.array_equal(H, generate_operator(spec))
         # entries scaled by 1/sqrt(N): column norms concentrate near 1
         assert np.std(H) * np.sqrt(64) == pytest.approx(1.0, rel=0.1)
+
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 7), (7, 1), (33, 65), (64, 128),
+                                       (128, 128)])
+    @pytest.mark.parametrize("seed", [0, 7, 2 ** 63, 2 ** 64 - 1])
+    def test_gaussian_matches_scalar_loop(self, shape, seed, scalar_synth):
+        spec = OperatorSpec(kind="gaussian_random", n_rows=shape[0], n_cols=shape[1],
+                            seed=seed)
+        assert bits(generate_operator(spec)) == bits(scalar_synth.operator(spec))
+
+    @settings(max_examples=200, deadline=None)
+    @given(n=st.integers(1, 12), m=st.integers(1, 12), data=st.data())
+    def test_convolution_matches_sum_of_eyes(self, n, m, data, scalar_synth):
+        # kernels up to 25 taps, wider than the 12 x 12 operators
+        taps = 2 * data.draw(st.integers(0, 12)) + 1
+        weight = st.one_of(st.just(-0.0), st.floats(allow_nan=False, allow_infinity=False))
+        kernel = tuple(data.draw(st.lists(weight, min_size=taps, max_size=taps)))
+        spec = OperatorSpec(kind="convolution", n_rows=n, n_cols=m, kernel=kernel)
+        assert bits(generate_operator(spec)) == bits(scalar_synth.operator(spec))
 
     def test_spec_errors(self):
         with pytest.raises(SpecError):
@@ -177,6 +227,48 @@ class TestRngMoments:
         # first outputs of the documented splitmix64 stream for seed 0
         rng = SplitMix64(0)
         assert rng.next_u64() == 16294208416658607535
+
+
+_SCALAR_DRAWS = st.one_of(
+    st.tuples(st.sampled_from(["_u64s", "_normals"]), st.integers(0, 300)),
+    st.tuples(st.sampled_from(["uniform", "normal"]), st.none()),
+    st.tuples(st.just("gamma"), st.sampled_from([0.5, 1.0, 3.0])),
+)
+
+
+def _scalar_draw(rng, name, arg):
+    """The draw ``name`` makes, as the scalar calls that define it."""
+    if name == "_u64s":
+        return [rng.next_u64() for _ in range(arg)]
+    if name == "_normals":
+        return bits([rng.normal() for _ in range(arg)])
+    return bits([getattr(rng, name)() if arg is None else getattr(rng, name)(arg)])
+
+
+def _block_draw(rng, name, arg):
+    if name == "_u64s":
+        return rng._u64s(arg).tolist()
+    if name == "_normals":
+        return bits(rng._normals(arg))
+    return bits([getattr(rng, name)() if arg is None else getattr(rng, name)(arg)])
+
+
+class TestBlockDraws:
+    @settings(max_examples=300, deadline=None)
+    @given(seed=st.integers(0, 2 ** 64 - 1), pending=st.booleans(),
+           chunk=st.sampled_from([2, 3, 5, 64, bsi.rng._CHUNK]),
+           draws=st.lists(_SCALAR_DRAWS, min_size=1, max_size=8))
+    def test_block_draws_follow_the_scalar_stream(self, seed, pending, chunk, draws):
+        block, scalar = SplitMix64(seed), SplitMix64(seed)
+        if pending:  # one normal() leaves the other of its pair cached
+            assert bits([block.normal()]) == bits([scalar.normal()])
+        with mock.patch.object(bsi.rng, "_CHUNK", chunk):
+            for name, arg in draws:
+                assert _block_draw(block, name, arg) == _scalar_draw(scalar, name, arg)
+                ahead, scalar_ahead = copy.copy(block), copy.copy(scalar)
+                assert (bits([ahead.normal(), ahead.uniform(), ahead.normal()])
+                        == bits([scalar_ahead.normal(), scalar_ahead.uniform(),
+                                 scalar_ahead.normal()]))
 
 
 class TestNoiselessRecovery:

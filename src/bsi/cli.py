@@ -33,7 +33,7 @@ import os
 import re
 import sys
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -244,81 +244,106 @@ def _read_vector(path) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # configuration
 
-_MODES = ("simulate", "solve", "verify-priors")
-_MODELS = ("direct", "indirect")
-_METHODS = ("jmap", "vba-partial", "vba-full")
-_PRIORS_FLOATS = ("grid_lo", "grid_hi", "grid_step", "nu", "b")
+def _library_section(cls, **kinds):
+    """A config section whose defaults are the library class's own."""
+    return {key: (kind, getattr(cls, key)) for key, kind in kinds.items()}
+
+
+# Every config key, once: key -> (kind, default), or a nested section.  A
+# kind is a JSON scalar type (str, int, float, bool), a tuple of the
+# allowed strings, or [float] for an array of numbers.  A default of None
+# leaves an absent key None.
+_CONFIG = {
+    "mode": (("simulate", "solve", "verify-priors"), None),
+    "model": (("direct", "indirect"), "direct"),
+    "method": (("jmap", "vba-partial", "vba-full"), "jmap"),
+    "out_dir": (str, "."),
+    "seed": (int, 0),
+    "emit_timing": (bool, False),
+    "hyper": {name: (float, value) for name, value in HyperParams().as_dict().items()},
+    # solver.init names are checked by the solvers' own limit check
+    "solver": _library_section(JmapConfig, max_iter=int, tol_rel_f=float,
+                               tol_rel_L=float, init=str),
+    "inputs": {"g": (str, None), "H": (str, None), "D": (str, None),
+               "f_true": (str, None)},
+    "simulate": {
+        "length": (int, None),
+        "sparsity": (int, None),
+        "amplitude": ([float], SignalSpec.amplitude_range),
+        # an unknown operator kind is a spec error, raised by the generator
+        "operator": {"kind": (str, "identity"), "rows": (int, None),
+                     "kernel": ([float], None)},
+        "transform": {"kind": (str, "identity"), "kernel": ([float], None)},
+        "noise": {"kind": (("none", "stationary", "nonstationary"), "none"),
+                  "sigma": (float, 0.0), "alpha": (float, 3.0), "beta": (float, 2.0)},
+    },
+    "priors": _library_section(PriorsSettings, levels=[float], grid_lo=float,
+                               grid_hi=float, grid_step=float, nu=float, b=float,
+                               mixture_draws=int),
+}
 
 
 @dataclass
 class RunConfig:
-    """One CLI run: mode, model/method, hyperparameters, limits, paths, seed."""
+    """One CLI run, typed: the root keys, the solver limits, the hyper and
+    priors sections as library objects, the other sections as dicts."""
 
     mode: str
-    model: str = "direct"
-    method: str = "jmap"
-    hyper: HyperParams = field(default_factory=HyperParams)
-    max_iter: int = 100
-    tol_rel_f: float = 1e-8
-    tol_rel_L: float = 1e-8
-    init: str = "zeros"
-    inputs: dict = field(default_factory=dict)
-    out_dir: str = "."
-    seed: int = 0
-    emit_timing: bool = False
-    simulate: dict = field(default_factory=dict)
-    priors: dict = field(default_factory=dict)
+    model: str
+    method: str
+    out_dir: str
+    seed: int
+    emit_timing: bool
+    hyper: HyperParams
+    max_iter: int
+    tol_rel_f: float
+    tol_rel_L: float
+    init: str
+    inputs: dict
+    simulate: dict
+    priors: PriorsSettings
 
 
-def _check_keys(section: dict, allowed, where: str):
-    unknown = sorted(set(section) - set(allowed))
-    if unknown:
-        raise ConfigError(f"unknown key(s) {unknown} in {where}")
-
-
-# JSON value types each field kind accepts: an int field takes no float,
+# JSON value types each scalar kind accepts: an int field takes no float,
 # a float field takes an int, and no numeric field takes a bool (which
 # Python counts as an int)
 _JSON_TYPES = {str: (str,), int: (int,), float: (int, float), bool: (bool,)}
 
 
-def _typed(value, kind, key, where):
-    if (not isinstance(value, _JSON_TYPES[kind])
-            or (isinstance(value, bool) and kind is not bool)):
-        raise ConfigError(f"bad value for {key!r} in {where}: {value!r} "
-                          f"(expected {kind.__name__})")
-    try:
-        return kind(value)
-    except OverflowError as exc:
-        raise ConfigError(f"bad value for {key!r} in {where}: {value!r}") from exc
+def _parse(raw, table, where):
+    """Type a JSON object against a config table; absent keys take their defaults."""
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{where} must be a JSON object, got {raw!r}")
+    unknown = sorted(set(raw) - set(table))
+    if unknown:
+        raise ConfigError(f"unknown key(s) {unknown} in {where}")
+    out = {}
+    for key, spec in table.items():
+        if isinstance(spec, dict):
+            out[key] = _parse(raw.get(key, {}), spec, f"{where}.{key}")
+        else:
+            out[key] = _typed(raw[key], spec[0], f"{where}.{key}") if key in raw else spec[1]
+    return out
 
 
-def _take(section, key, kind, where, default=None, required=False):
-    if key not in section:
-        if required:
-            raise ConfigError(f"missing required key {key!r} in {where}")
-        return default
-    return _typed(section[key], kind, key, where)
-
-
-def _take_floats(section, key, where, default=None):
-    """A JSON array of numbers, as a tuple of floats."""
-    if key not in section:
-        return default
-    values = section[key]
-    if not isinstance(values, list):
-        raise ConfigError(f"bad value for {key!r} in {where}: {values!r} "
-                          "(expected a list of numbers)")
-    return tuple(_typed(v, float, key, where) for v in values)
-
-
-def _take_section(section, key, where, default=None):
-    """A JSON object, as a dict (``default``, or empty, when absent)."""
-    value = section.get(key, {} if default is None else default)
-    if not isinstance(value, dict):
-        raise ConfigError(f"bad value for {key!r} in {where}: {value!r} "
-                          "(expected an object)")
-    return value
+def _typed(value, kind, name):
+    if isinstance(kind, list):
+        if isinstance(value, list):
+            return tuple(_typed(v, kind[0], name) for v in value)
+        expected = "an array of numbers"
+    elif isinstance(kind, tuple):
+        if isinstance(value, str) and value in kind:
+            return value
+        expected = f"one of {kind}"
+    else:
+        if (isinstance(value, _JSON_TYPES[kind])
+                and (kind is bool or not isinstance(value, bool))):
+            try:
+                return kind(value)
+            except OverflowError:  # an integer beyond the float range
+                pass
+        expected = kind.__name__
+    raise ConfigError(f"bad value for {name}: {value!r} (expected {expected})")
 
 
 def load_config(path) -> RunConfig:
@@ -330,76 +355,38 @@ def load_config(path) -> RunConfig:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
-    if not isinstance(raw, dict):
-        raise ConfigError("config root must be a JSON object")
     return parse_config(raw)
 
 
 def parse_config(raw: dict) -> RunConfig:
-    _check_keys(raw, ("mode", "model", "method", "hyper", "solver", "inputs",
-                      "out_dir", "seed", "emit_timing", "simulate", "priors"),
-                "config root")
-    mode = _take(raw, "mode", str, "config root", required=True)
-    if mode not in _MODES:
-        raise ConfigError(f"mode must be one of {_MODES}, got {mode!r}")
-    cfg = RunConfig(mode=mode)
-    cfg.model = _take(raw, "model", str, "config root", default="direct")
-    if cfg.model not in _MODELS:
-        raise ConfigError(f"model must be one of {_MODELS}, got {cfg.model!r}")
-    cfg.method = _take(raw, "method", str, "config root", default="jmap")
-    if cfg.method not in _METHODS:
-        raise ConfigError(f"method must be one of {_METHODS}, got {cfg.method!r}")
-    if cfg.method == "vba-full" and cfg.model != "direct":
+    """Type every section in every mode, then check what spans several keys."""
+    c = _parse(raw, _CONFIG, "config")
+    mode, model, inputs, sim = c["mode"], c["model"], c["inputs"], c["simulate"]
+    if mode is None:
+        raise ConfigError("missing required key 'mode' in config")
+    if c["method"] == "vba-full" and model != "direct":
         raise ConfigError("vba-full requires model=direct")
-    cfg.out_dir = _take(raw, "out_dir", str, "config root", default=".")
-    cfg.seed = _take(raw, "seed", int, "config root", default=0)
-    if cfg.seed < 0:
+    if c["seed"] < 0:
         raise ConfigError("seed must be a nonnegative integer")
-    cfg.emit_timing = _take(raw, "emit_timing", bool, "config root", default=False)
-
-    hyper_raw = _take_section(raw, "hyper", "config root")
-    _check_keys(hyper_raw, HyperParams().as_dict().keys(), "hyper")
-    values = {k: _take(hyper_raw, k, float, "hyper") for k in hyper_raw}
-    try:
-        cfg.hyper = HyperParams(**values)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad hyper section: {exc}") from exc
-
-    solver_raw = _take_section(raw, "solver", "config root")
-    _check_keys(solver_raw, ("max_iter", "tol_rel_f", "tol_rel_L", "init"), "solver")
-    cfg.max_iter = _take(solver_raw, "max_iter", int, "solver", default=100)
-    cfg.tol_rel_f = _take(solver_raw, "tol_rel_f", float, "solver", default=1e-8)
-    cfg.tol_rel_L = _take(solver_raw, "tol_rel_L", float, "solver", default=1e-8)
-    cfg.init = _take(solver_raw, "init", str, "solver", default="zeros")
-    if cfg.init not in ("zeros", "least-squares"):
-        raise ConfigError("solver.init must be 'zeros' or 'least-squares'")
-    if cfg.max_iter < 1 or not cfg.tol_rel_f > 0 or not cfg.tol_rel_L > 0:  # NaN too
-        raise ConfigError("solver limits must be positive")
-
-    inputs_raw = _take_section(raw, "inputs", "config root")
-    _check_keys(inputs_raw, ("g", "H", "D", "f_true"), "inputs")
-    cfg.inputs = {k: _take(inputs_raw, k, str, "inputs") for k in inputs_raw}
-
-    simulate_raw = _take_section(raw, "simulate", "config root")
-    _check_keys(simulate_raw, ("length", "sparsity", "amplitude", "operator",
-                               "noise", "transform"), "simulate")
-    cfg.simulate = dict(simulate_raw)
-
-    priors_raw = _take_section(raw, "priors", "config root")
-    _check_keys(priors_raw, _PRIORS_FLOATS + ("levels", "mixture_draws"), "priors")
-    cfg.priors = dict(priors_raw)
-
-    if mode == "solve":
-        if "g" not in cfg.inputs or "H" not in cfg.inputs:
-            raise ConfigError("solve mode requires inputs.g and inputs.H")
-        if cfg.model == "indirect" and "D" not in cfg.inputs:
-            raise ConfigError("indirect model requires inputs.D (a path or 'identity')")
-        if cfg.model == "direct" and "D" in cfg.inputs:
-            raise ConfigError("inputs.D is only valid for the indirect model")
-    if mode == "simulate" and ("length" not in cfg.simulate
-                               or "sparsity" not in cfg.simulate):
+    if len(sim["amplitude"]) != 2:
+        raise ConfigError("simulate.amplitude must be [low, high]")
+    if mode == "simulate" and (sim["length"] is None or sim["sparsity"] is None):
         raise ConfigError("simulate mode requires simulate.length and simulate.sparsity")
-    return cfg
+    if mode == "solve":
+        if inputs["g"] is None or inputs["H"] is None:
+            raise ConfigError("solve mode requires inputs.g and inputs.H")
+        if model == "indirect" and inputs["D"] is None:
+            raise ConfigError("indirect model requires inputs.D (a path or 'identity')")
+        if model == "direct" and inputs["D"] is not None:
+            raise ConfigError("inputs.D is only valid for the indirect model")
+    solver = c.pop("solver")
+    try:
+        JmapConfig(**solver)  # the solver limits, checked as the solvers check them
+        c["priors"] = PriorsSettings(**c["priors"])
+    except ValueError as exc:
+        raise ConfigError(f"bad value in config: {exc}") from exc
+    c["hyper"] = HyperParams(**c["hyper"])
+    return RunConfig(**c, **solver)
 
 
 # ---------------------------------------------------------------------------
@@ -411,58 +398,31 @@ def _sub_seed(seed: int, stream: int) -> int:
     return (seed * 1000003 + stream) & ((1 << 64) - 1)
 
 
-def _operator_from_section(section, n_rows, n_cols, seed, where):
-    _check_keys(section, ("kind", "rows", "kernel"), where)
-    spec = OperatorSpec(
-        kind=_take(section, "kind", str, where, default="identity"),
-        n_rows=n_rows, n_cols=n_cols,
-        kernel=_take_floats(section, "kernel", where) or None,
-        seed=seed,
-    )
-    return generate_operator(spec)
-
-
-def _noise_from_section(section):
-    where = "simulate.noise"
-    _check_keys(section, ("kind", "sigma", "alpha", "beta"), where)
-    kind = _take(section, "kind", str, where, default="none")
-    if kind == "none":
-        return NoiseSpec.none()
-    if kind == "stationary":
-        return NoiseSpec.stationary(_take(section, "sigma", float, where, default=0.0))
-    if kind == "nonstationary":
-        return NoiseSpec.nonstationary(_take(section, "alpha", float, where, default=3.0),
-                                       _take(section, "beta", float, where, default=2.0))
-    raise ConfigError(f"unknown noise kind {kind!r}")
+def _operator_from_section(section, n_rows, n_cols, seed):
+    return generate_operator(OperatorSpec(kind=section["kind"], n_rows=n_rows,
+                                          n_cols=n_cols, kernel=section["kernel"],
+                                          seed=seed))
 
 
 def run_simulate(cfg: RunConfig) -> None:
     sim = cfg.simulate
-    length = _take(sim, "length", int, "simulate", required=True)
-    sparsity = _take(sim, "sparsity", int, "simulate", required=True)
-    amplitude = _take_floats(sim, "amplitude", "simulate", default=(1.0, 2.0))
-    if len(amplitude) != 2:
-        raise ConfigError("simulate.amplitude must be [low, high]")
-    op_section = _take_section(sim, "operator", "simulate", {"kind": "identity"})
-    n_rows = _take(op_section, "rows", int, "simulate.operator", default=length)
-
+    op, noise, length = sim["operator"], sim["noise"], sim["length"]
     signal = generate_sparse_signal(SignalSpec(
-        length=length, sparsity=sparsity, amplitude_range=amplitude,
+        length=length, sparsity=sim["sparsity"], amplitude_range=sim["amplitude"],
         seed=_sub_seed(cfg.seed, 0)))
-    H = _operator_from_section(op_section, n_rows, length,
-                               _sub_seed(cfg.seed, 1), "simulate.operator")
+    n_rows = length if op["rows"] is None else op["rows"]
+    H = _operator_from_section(op, n_rows, length, _sub_seed(cfg.seed, 1))
     outputs = {"H.csv": H}
     if cfg.model == "indirect":
-        D = _operator_from_section(_take_section(sim, "transform", "simulate",
-                                                 {"kind": "identity"}),
-                                   length, length, _sub_seed(cfg.seed, 3),
-                                   "simulate.transform")
+        D = _operator_from_section(sim["transform"], length, length, _sub_seed(cfg.seed, 3))
         f_true = D @ signal
         outputs["D.csv"] = D
     else:
         f_true = signal
-    noise = _noise_from_section(_take_section(sim, "noise", "simulate", {"kind": "none"}))
-    g, v_true = synthesize_observation(H, f_true, noise, seed=_sub_seed(cfg.seed, 2))
+    # each noise kind reads only its own parameters
+    spec = NoiseSpec(kind=noise["kind"], sigma=noise["sigma"],
+                     ig_alpha=noise["alpha"], ig_beta=noise["beta"])
+    g, v_true = synthesize_observation(H, f_true, spec, seed=_sub_seed(cfg.seed, 2))
     outputs["g.csv"] = g
     outputs["f_true.csv"] = f_true
     outputs["v_eps_true.csv"] = v_true
@@ -506,24 +466,18 @@ def _write_trace_csv(trace, path, direct: bool, emit_timing: bool) -> None:
 
 
 def _state_summary(state) -> dict:
-    out = {"f_hat": state.f_hat.tolist()}
-    out["z_hat"] = state.z_hat.tolist() if state.z_hat is not None else None
-    variances = {"eps": state.v_eps.tolist()}
-    if state.v_f is not None:
-        variances["f"] = state.v_f.tolist()
-    if state.v_xi is not None:
-        variances["xi"] = state.v_xi.tolist()
-    if state.v_z is not None:
-        variances["z"] = state.v_z.tolist()
-    out["variances"] = variances
-    families = {}
+    variances, families = {}, {}
     for name in ("eps", "xi", "z", "f"):
+        v = getattr(state, f"v_{name}")
+        if v is not None:
+            variances[name] = v.tolist()
         fam = getattr(state, f"ig_{name}")
         if fam is not None:
             families[name] = {"alpha_hat": fam.alpha_hat.tolist(),
                               "beta_hat": fam.beta_hat.tolist()}
-    out["ig"] = families or None
-    return out
+    return {"f_hat": state.f_hat.tolist(),
+            "z_hat": state.z_hat.tolist() if state.z_hat is not None else None,
+            "variances": variances, "ig": families or None}
 
 
 def run_solve(cfg: RunConfig) -> None:
@@ -541,7 +495,7 @@ def run_solve(cfg: RunConfig) -> None:
         "criterion_final": trace.records[-1].criterion,
     }
     result.update(_state_summary(state))
-    if "f_true" in cfg.inputs:
+    if cfg.inputs["f_true"] is not None:
         f_true = _read_vector(cfg.inputs["f_true"])
         result["metrics"] = reconstruction_metrics(state.f_hat, f_true).as_dict()
     else:
@@ -556,18 +510,8 @@ def run_solve(cfg: RunConfig) -> None:
     log.info("wrote result.json and trace.csv (converged=%s)", trace.converged)
 
 
-def _priors_settings(section) -> PriorsSettings:
-    """The priors section; absent keys keep the PriorsSettings defaults."""
-    values = {k: _take(section, k, float, "priors") for k in _PRIORS_FLOATS if k in section}
-    if "mixture_draws" in section:
-        values["mixture_draws"] = _take(section, "mixture_draws", int, "priors")
-    if "levels" in section:
-        values["levels"] = _take_floats(section, "levels", "priors")
-    return PriorsSettings(**values)
-
-
 def run_verify_priors(cfg: RunConfig) -> None:
-    report = priors_report(_priors_settings(cfg.priors), _sub_seed(cfg.seed, 4))
+    report = priors_report(cfg.priors, _sub_seed(cfg.seed, 4))
     os.makedirs(cfg.out_dir, exist_ok=True)
     with open(os.path.join(cfg.out_dir, "priors_report.json"), "w",
               encoding="utf-8") as fh:
@@ -603,7 +547,7 @@ def _build_parser():
         description="Sparse Bayesian reconstruction: simulate, solve, verify-priors",
     )
     sub = parser.add_subparsers(dest="mode", required=True)
-    for name in _MODES:
+    for name in _CONFIG["mode"][0]:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="path to the JSON run config")
         p.add_argument("--out", help="output directory (overrides config out_dir)")
@@ -631,9 +575,6 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
     try:
         return run_config(cfg)
-    except ConfigError as exc:
-        print(f"bsi: config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
     except (ParseError, ShapeError, OSError) as exc:
         print(f"bsi: i/o error: {exc}", file=sys.stderr)
         return EXIT_IO

@@ -381,6 +381,13 @@ def gh_marginal_quadrature(x: float, mu: float, beta: float, gig: GigParams,
 _LIMIT_CASES = ("student_t_alpha", "laplace_delta")
 
 
+def _check_levels(levels):
+    """Raises ValueError unless levels are finite, positive, strictly decreasing."""
+    if (not all(0 < v < math.inf for v in levels)  # NaN fails too
+            or any(a <= b for a, b in zip(levels, levels[1:]))):
+        raise ValueError("levels must be strictly decreasing finite positive values")
+
+
 def limit_deviation(limit_case: str, levels, grid, nu: float = 1.0, b: float = 1.0):
     """Sup-norm gap between the GH density and a limiting member.
 
@@ -394,8 +401,7 @@ def limit_deviation(limit_case: str, levels, grid, nu: float = 1.0, b: float = 1
     if limit_case not in _LIMIT_CASES:
         raise ValueError(f"limit_case must be one of {_LIMIT_CASES}, got {limit_case!r}")
     levels = [float(v) for v in levels]
-    if any(v <= 0 for v in levels) or any(a <= b_ for a, b_ in zip(levels, levels[1:])):
-        raise ValueError("levels must be strictly decreasing positive values")
+    _check_levels(levels)
     grid = np.asarray(grid, dtype=float)
 
     if limit_case == "student_t_alpha":
@@ -414,7 +420,12 @@ def limit_deviation(limit_case: str, levels, grid, nu: float = 1.0, b: float = 1
 
 @dataclass(frozen=True)
 class PriorsSettings:
-    """Grid, limit levels and draw count of :func:`priors_report`."""
+    """Grid, limit levels and draw count of :func:`priors_report`.
+
+    Raises ValueError unless the grid bounds are finite with grid_lo <
+    grid_hi, grid_step, nu and b are finite and positive, mixture_draws
+    is >= 0 and the levels are finite, positive and strictly decreasing.
+    """
 
     levels: tuple = (1.0, 0.1, 0.01, 0.001)
     grid_lo: float = -10.0
@@ -423,6 +434,18 @@ class PriorsSettings:
     nu: float = 1.0
     b: float = 1.0
     mixture_draws: int = 10
+
+    def __post_init__(self):
+        # the comparisons are written so that NaN fails them
+        if not -math.inf < self.grid_lo < self.grid_hi < math.inf:
+            raise ValueError("grid_lo < grid_hi must hold, both finite")
+        if not 0 < self.grid_step < math.inf:
+            raise ValueError("grid_step must be finite and > 0")
+        if not (0 < self.nu < math.inf and 0 < self.b < math.inf):
+            raise ValueError("nu and b must be finite and > 0")
+        if self.mixture_draws < 0:
+            raise ValueError("mixture_draws must be >= 0")
+        _check_levels(self.levels)
 
 
 def priors_report(settings: PriorsSettings, seed: int) -> dict:

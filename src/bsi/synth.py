@@ -151,7 +151,8 @@ def synthesize_observation(H: np.ndarray, f_true: np.ndarray, noise: NoiseSpec,
 
     Returns (g, v_eps_true); the per-sample ground-truth variances are
     zero-filled for noiseless data so downstream evaluation can tell the
-    cases apart.
+    cases apart.  Noise whose variances overflow, or underflow to zero,
+    raises SpecError.
     """
     noise.validate()
     H = np.asarray(H, dtype=float)
@@ -163,11 +164,16 @@ def synthesize_observation(H: np.ndarray, f_true: np.ndarray, noise: NoiseSpec,
     if noise.kind == "none" or (noise.kind == "stationary" and noise.sigma == 0.0):
         return clean, np.zeros(n)
     rng = SplitMix64(seed)
-    if noise.kind == "stationary":
-        v_true = np.full(n, noise.sigma ** 2)
-    else:
-        v_true = np.array([rng.inverse_gamma(noise.ig_alpha, noise.ig_beta)
-                           for _ in range(n)])
+    try:
+        if noise.kind == "stationary":
+            v_true = np.full(n, noise.sigma ** 2)
+        else:
+            v_true = np.array([rng.inverse_gamma(noise.ig_alpha, noise.ig_beta)
+                               for _ in range(n)])
+    except (OverflowError, ZeroDivisionError) as exc:  # sigma**2, beta / Gamma draw
+        raise SpecError(f"noise variances out of the float range: {exc}") from exc
+    if not np.all((v_true > 0) & (v_true < math.inf)):
+        raise SpecError("noise variances must be finite and > 0")
     eps = np.sqrt(v_true) * rng._normals(n)
     return clean + eps, v_true
 

@@ -393,6 +393,113 @@ def write_config(tmp_path, name, payload):
     return str(path)
 
 
+def set_key(payload, dotted, value):
+    """payload with ``value`` at the dotted key path, sections made as needed."""
+    *sections, key = dotted.split(".")
+    for name in sections:
+        payload = payload.setdefault(name, {})
+    payload[key] = value
+
+
+# One wrong-typed value per key path the README documents, each placed in a
+# mode that does not read that section.
+_UNREAD_IN_SOLVE = [
+    ("simulate", 5),
+    ("simulate.length", "8"),
+    ("simulate.sparsity", 1.5),
+    ("simulate.amplitude", [1.0, "2"]),
+    ("simulate.operator", "identity"),
+    ("simulate.operator.kind", 5),
+    ("simulate.operator.rows", 8.0),
+    ("simulate.operator.kernel", "0.5"),
+    ("simulate.transform.kind", None),
+    ("simulate.transform.kernel", [0.5, True]),
+    ("simulate.noise", "none"),
+    ("simulate.noise.kind", 1),
+    ("simulate.noise.sigma", "0.1"),
+    ("simulate.noise.alpha", True),
+    ("simulate.noise.beta", [2.0]),
+    ("priors", []),
+    ("priors.levels", [1.0, "0.1"]),
+    ("priors.grid_lo", "-10"),
+    ("priors.grid_hi", False),
+    ("priors.grid_step", None),
+    ("priors.nu", "bad"),
+    ("priors.b", {}),
+    ("priors.mixture_draws", 2.5),
+]
+_UNREAD_IN_VERIFY_PRIORS = [
+    ("solver.max_iter", 2.9),
+    ("solver.tol_rel_f", "1e-8"),
+    ("solver.tol_rel_L", False),
+    ("solver.init", 0),
+    ("hyper.alpha_eps", "2"),
+    ("hyper.beta_eps", None),
+    ("hyper.alpha_xi", True),
+    ("hyper.beta_xi", [1.0]),
+    ("hyper.alpha_z", "1"),
+    ("hyper.beta_z", {}),
+    ("hyper.alpha_f", False),
+    ("hyper.beta_f", "0.5"),
+    ("inputs.g", 5),
+    ("inputs.H", ["H.csv"]),
+    ("inputs.D", True),
+    ("inputs.f_true", 1.0),
+]
+
+
+class TestEveryModeTyped:
+    @pytest.mark.parametrize("key, value", _UNREAD_IN_SOLVE)
+    def test_solve_types_simulate_and_priors(self, tmp_path, key, value):
+        g, H = tmp_path / "g.csv", tmp_path / "H.csv"
+        write_matrix(np.ones(3), g)
+        write_matrix(np.eye(3), H)
+        payload = {"mode": "solve", "out_dir": str(tmp_path / "run"),
+                   "solver": {"max_iter": 2}, "inputs": {"g": str(g), "H": str(H)}}
+        set_key(payload, key, value)
+        assert main(["solve", "--config", write_config(tmp_path, "c.json", payload)]) \
+            == EXIT_CONFIG
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("key, value", _UNREAD_IN_VERIFY_PRIORS)
+    def test_verify_priors_types_solver_hyper_inputs(self, tmp_path, key, value):
+        payload = {"mode": "verify-priors", "out_dir": str(tmp_path / "rep"),
+                   "priors": {"grid_step": 0.5, "mixture_draws": 1}}
+        set_key(payload, key, value)
+        path = write_config(tmp_path, "c.json", payload)
+        assert main(["verify-priors", "--config", path]) == EXIT_CONFIG
+        assert not (tmp_path / "rep").exists()
+
+    @pytest.mark.parametrize("rows", [8, "abc"])
+    def test_transform_rows_rejected(self, tmp_path, rows):
+        payload = {"mode": "simulate", "model": "indirect", "out_dir": str(tmp_path / "out"),
+                   "simulate": {"length": 8, "sparsity": 2,
+                                "transform": {"kind": "identity", "rows": rows}}}
+        path = write_config(tmp_path, "c.json", payload)
+        assert main(["simulate", "--config", path]) == EXIT_CONFIG
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("priors", [
+        '{"grid_step": 0}',
+        '{"grid_step": -0.1}',
+        '{"grid_lo": 5, "grid_hi": -5}',
+        '{"grid_hi": 1e400}',
+        '{"nu": 0}',
+        '{"b": -1}',
+        '{"mixture_draws": -1}',
+        '{"levels": [0.1, 1.0]}',
+        '{"levels": [1, 0]}',
+        '{"levels": [NaN]}',
+    ])
+    def test_degenerate_priors_are_config_errors(self, tmp_path, priors):
+        out = tmp_path / "rep"
+        path = tmp_path / "c.json"
+        path.write_text('{"mode": "verify-priors", "out_dir": %s, "priors": %s}'
+                        % (json.dumps(str(out)), priors))
+        assert main(["verify-priors", "--config", str(path)]) == EXIT_CONFIG
+        assert not out.exists()
+
+
 def simulate_config(tmp_path, out, seed=1, model="direct", noise=None, sparsity=2):
     payload = {
         "mode": "simulate",
@@ -623,6 +730,18 @@ class TestExitCodes:
                    "simulate": {"length": 8, "sparsity": 2, **section}}
         cfg = write_config(tmp_path, "c.json", payload)  # NaN / Infinity JSON literals
         assert main(["simulate", "--config", cfg]) == EXIT_SOLVER
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("noise", [
+        {"kind": "stationary", "sigma": 1e200},
+        {"kind": "nonstationary", "alpha": 1.0, "beta": 1e308},
+        {"kind": "nonstationary", "alpha": 1e-300, "beta": 1.0},
+    ])
+    def test_overflowing_noise_is_solver_error(self, tmp_path, noise):
+        payload = {"mode": "simulate", "out_dir": str(tmp_path / "out"),
+                   "simulate": {"length": 8, "sparsity": 2, "noise": noise}}
+        assert main(["simulate", "--config", write_config(tmp_path, "c.json", payload)]) \
+            == EXIT_SOLVER
         assert not (tmp_path / "out").exists()
 
     def test_nonfinite_operator_is_solver_error(self, tmp_path):

@@ -10,6 +10,7 @@ from bsi import (
     DomainError,
     GhParams,
     GigParams,
+    PriorsSettings,
     QuadratureFailure,
     SingularDensity,
     bessel_k,
@@ -449,3 +450,21 @@ class TestLimitDeviation:
             limit_deviation("student_t_alpha", (0.1, 1.0), np.linspace(-1, 1, 5))
         with pytest.raises(ValueError):
             limit_deviation("bogus", (1.0, 0.1), np.linspace(-1, 1, 5))
+
+
+class TestPriorsSettings:
+    @pytest.mark.parametrize("values", [
+        {"grid_step": 0.0}, {"grid_step": -0.1}, {"grid_step": math.inf},
+        {"grid_lo": 5.0, "grid_hi": -5.0}, {"grid_lo": 1.0, "grid_hi": 1.0},
+        {"grid_hi": math.inf}, {"grid_lo": math.nan},
+        {"nu": 0.0}, {"nu": math.inf}, {"b": -1.0}, {"b": math.nan},
+        {"mixture_draws": -1},
+        {"levels": (0.1, 1.0)}, {"levels": (1.0, 0.0)}, {"levels": (math.inf, 1.0)},
+        {"levels": (math.nan,)},
+    ])
+    def test_degenerate_settings_rejected(self, values):
+        with pytest.raises(ValueError):
+            PriorsSettings(**values)
+
+    def test_edge_settings_accepted(self):
+        PriorsSettings(levels=(), grid_lo=0.0, grid_hi=1e-9, grid_step=1.0, mixture_draws=0)

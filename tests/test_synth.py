@@ -179,6 +179,17 @@ class TestObservation:
         assert not np.array_equal(g0, g2)
 
 
+    @pytest.mark.parametrize("noise", [
+        NoiseSpec.stationary(1e200),           # sigma ** 2 overflows
+        NoiseSpec.stationary(1e-200),          # sigma ** 2 underflows to zero
+        NoiseSpec.nonstationary(1.0, 1e308),   # beta / Gamma draw is inf
+        NoiseSpec.nonstationary(1e-300, 1.0),  # the Gamma draw underflows to zero
+    ])
+    def test_unrepresentable_variances_rejected(self, noise):
+        with pytest.raises(SpecError):
+            synthesize_observation(np.eye(3), np.zeros(3), noise, seed=1)
+
+
 class TestMetrics:
     def test_perfect_reconstruction(self):
         m = reconstruction_metrics([1.0, 0.0, 2.0], [1.0, 0.0, 2.0])

@@ -8,9 +8,10 @@ and is built and factored in band storage, in O(M (kl + ku)^2) instead
 of O(N M^2 + M^3 / 3).  :func:`band_factor` is that one banded factor.
 JMAP solves with it; VBA also takes from it the band of the covariance
 (:func:`selected_inverse`), which gives ``diag(K Sigma K')``
-(:func:`band_quad_diag`), and the dense covariance returned at the end
-of a solve (:func:`band_inverse`).  :func:`band_gauss_seidel` is the
-VBA coordinate pass on the same band storage.
+(:func:`band_quad_diag`); :func:`band_inverse` forms the whole
+covariance from the factor, only when a caller converts a returned
+band covariance to an array.  :func:`band_gauss_seidel` is the VBA
+coordinate pass on the same band storage.
 
 Explicit dense inversion is confined to :func:`spd_inverse`, which the
 variational updates need on dense operators because downstream scale

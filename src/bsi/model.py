@@ -35,6 +35,8 @@ from typing import TYPE_CHECKING, Optional
 import numpy as np
 
 if TYPE_CHECKING:  # pragma: no cover
+    from numpy.typing import ArrayLike
+
     from .vba import IgFamily
 
 
@@ -161,6 +163,11 @@ class SolverState:
     additionally carries the Normal covariances and the Inverse-Gamma
     family parameters, with v_* holding the point values 1/<v^-1> =
     beta_hat/alpha_hat actually used by the updates.
+
+    VBA keeps each covariance in the form its block produced: a dense
+    block gives a plain array, a banded block its band and factor, the
+    full scheme a diagonal.  ``np.asarray(state.Sigma_f)`` gives the
+    whole matrix, formed again on each conversion.
     """
 
     f_hat: np.ndarray
@@ -169,8 +176,8 @@ class SolverState:
     v_xi: Optional[np.ndarray] = None
     v_f: Optional[np.ndarray] = None
     v_z: Optional[np.ndarray] = None
-    Sigma_f: Optional[np.ndarray] = None
-    Sigma_z: Optional[np.ndarray] = None
+    Sigma_f: Optional["ArrayLike"] = None   # np.asarray gives the whole matrix
+    Sigma_z: Optional["ArrayLike"] = None
     ig_eps: Optional["IgFamily"] = None
     ig_xi: Optional["IgFamily"] = None
     ig_z: Optional["IgFamily"] = None

@@ -379,6 +379,8 @@ def gh_marginal_quadrature(x: float, mu: float, beta: float, gig: GigParams,
 
 
 _LIMIT_CASES = ("student_t_alpha", "laplace_delta")
+# grid points a report may evaluate: the default grid has 2001
+_MAX_GRID_POINTS = 10 ** 6
 
 
 def _check_levels(levels):
@@ -423,8 +425,9 @@ class PriorsSettings:
     """Grid, limit levels and draw count of :func:`priors_report`.
 
     Raises ValueError unless the grid bounds are finite with grid_lo <
-    grid_hi, grid_step, nu and b are finite and positive, mixture_draws
-    is >= 0 and the levels are finite, positive and strictly decreasing.
+    grid_hi, grid_step, nu and b are finite and positive, the grid has
+    at most ``_MAX_GRID_POINTS`` points, mixture_draws is >= 0 and the
+    levels are finite, positive and strictly decreasing.
     """
 
     levels: tuple = (1.0, 0.1, 0.01, 0.001)
@@ -441,6 +444,9 @@ class PriorsSettings:
             raise ValueError("grid_lo < grid_hi must hold, both finite")
         if not 0 < self.grid_step < math.inf:
             raise ValueError("grid_step must be finite and > 0")
+        # an overflowing span is inf and fails too
+        if not (self.grid_hi - self.grid_lo) / self.grid_step < _MAX_GRID_POINTS:
+            raise ValueError(f"the grid must have at most {_MAX_GRID_POINTS} points")
         if not (0 < self.nu < math.inf and 0 < self.b < math.inf):
             raise ValueError("nu and b must be finite and > 0")
         if self.mixture_draws < 0:

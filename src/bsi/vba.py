@@ -35,8 +35,9 @@ u = kl + ku the half-bandwidth of K' W K for a banded operator K:
              solve, the band of Sigma comes from the factor by selected
              inversion in blocks of w columns, and diag(Sigma) and
              diag(K Sigma K') read only that band.  The whole Sigma is
-             formed once, at the end of the solve, for the returned
-             state (O(M^2 u)).
+             never formed in a solve: the returned state keeps the band
+             and the factor, and ``np.asarray`` forms the matrix from the
+             factor (O(M^2 u)) on each conversion.
     partial, dense K:  O(N M^2 + M^3).  The precision is formed with one
              gemm and inverted through its Cholesky factor; each
              quadratic-form diagonal is one gemm plus a row sum.
@@ -45,9 +46,13 @@ u = kl + ku the half-bandwidth of K' W K for a banded operator K:
              triangular band solve; var = 1 / diag of that matrix.
     full, dense H:     O(N M).  Each coordinate costs one dot and one
              axpy.
-    In both full cases the covariance is diagonal and stays a vector; a
-    dense diag(var) is built once, for the returned state only.  The
-    O(N M) terms are the dense products H f and H' (Ve g).
+    In both full cases the covariance is diagonal and stays a vector, in
+    the returned state too.  The O(N M) terms are the dense products H f
+    and H' (Ve g).
+
+Every block's covariance is a :class:`_Covariance` in the form the block
+produced (dense, band or diagonal); the scale updates read only its
+diagonal and quadratic-form diagonal.
 
 Banded or dense is chosen from the operator alone (its M and
 half-bandwidth u), per block: a dense H with D = I runs a dense f block
@@ -62,7 +67,7 @@ the variance-family table ``model._variance_families``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import partial
 from typing import Optional, Union
 
@@ -222,45 +227,56 @@ def _band_pass(bands, m):
 
 
 @dataclass(frozen=True)
-class _BandCov:
-    """Covariance of a Gaussian block on a banded operator, kept in band form.
+class _Covariance:
+    """Covariance of a Gaussian block, kept in the form its block produced.
 
-    ``band`` is the lower band storage ``band[d, j] = Sigma[j + d, j]``
-    that the scale updates read; ``factor`` is the banded Cholesky
-    factor of the precision, from which the whole Sigma is formed once
-    for the returned state.
+    A dense block gives ``dense``, the whole matrix.  A banded block gives
+    ``band``, the lower band storage ``band[d, j] = Sigma[j + d, j]``, and
+    ``factor``, the banded Cholesky factor of the precision.  A diagonal
+    covariance is a ``band`` of one row with no factor.  The scale
+    updates read only :meth:`diag` and :meth:`quad_diag`; the whole
+    matrix is formed only by ``np.asarray``.
     """
 
-    band: np.ndarray
-    factor: np.ndarray
+    dense: Optional[np.ndarray] = None
+    band: Optional[np.ndarray] = None
+    factor: Optional[np.ndarray] = None
+
+    @classmethod
+    def of(cls, Sigma):
+        """``Sigma`` as this type: a 2-D array is dense, a 1-D one a diagonal."""
+        if Sigma is None or isinstance(Sigma, cls):
+            return Sigma
+        Sigma = np.asarray(Sigma, dtype=float)
+        return cls(dense=Sigma) if Sigma.ndim == 2 else cls(band=Sigma[None])
+
+    def diag(self):
+        """diag(Sigma)."""
+        return self.band[0] if self.dense is None else np.diag(self.dense)
+
+    def quad_diag(self, K, bands):
+        """diag(K Sigma K'): one gemm for a dense Sigma, else from the bands
+        when K is banded, else O(NM) for a diagonal Sigma."""
+        if self.dense is not None:
+            return ((K @ self.dense) * K).sum(axis=1)
+        if _banded(bands, K.shape[1]):
+            return band_quad_diag(K, bands, self.band)
+        return (K * K) @ self.band[0]
+
+    def __array__(self, dtype=None, copy=None):
+        """The whole Sigma: the dense matrix itself, else formed anew on each
+        call, from the factor for a band (O(M^2 u)) and by np.diag for a
+        diagonal."""
+        if self.dense is None:
+            return np.asarray(np.diag(self.band[0]) if self.factor is None
+                              else band_inverse(self.factor), dtype=dtype)
+        return np.array(self.dense, dtype=dtype, copy=copy)
 
 
 def _band_gaussian(K, bands, w, p, b):
     """Mean and band covariance of a Gaussian block from its banded factor."""
     c = band_factor(K, bands, w, p)
-    return band_solve(c, b), _BandCov(selected_inverse(c), c)
-
-
-def _cov_diag(Sigma):
-    """diag(Sigma); a 1-D Sigma is a diagonal covariance given by its diagonal."""
-    if isinstance(Sigma, _BandCov):
-        return Sigma.band[0]
-    Sigma = np.asarray(Sigma, dtype=float)
-    return Sigma if Sigma.ndim == 1 else np.diag(Sigma)
-
-
-def _quad_diag(K, bands, Sigma):
-    """diag(K Sigma K'): from the bands when K is banded and Sigma a band or
-    a 1-D diagonal, else with BLAS (O(NM) for a diagonal Sigma, one gemm
-    for a full one)."""
-    if isinstance(Sigma, _BandCov):
-        return band_quad_diag(K, bands, Sigma.band)
-    Sigma = np.asarray(Sigma, dtype=float)
-    if Sigma.ndim == 2:
-        return ((K @ Sigma) * K).sum(axis=1)
-    if _banded(bands, K.shape[1]):
-        return band_quad_diag(K, bands, Sigma[None])
-    return (K * K) @ Sigma
+    return band_solve(c, b), _Covariance(band=selected_inverse(c), factor=c)
 
 
 def vba_update_ig(kind, hyper, f_hat, Sigma_f, z_hat=None, Sigma_z=None, *, problem):
@@ -269,7 +285,7 @@ def vba_update_ig(kind, hyper, f_hat, Sigma_f, z_hat=None, Sigma_z=None, *, prob
     kind "xi" and "z" require the indirect model, "f" the direct one;
     "eps" applies to both.  ``Sigma_f`` and ``Sigma_z`` are full
     covariance matrices, or 1-D arrays read as a diagonal covariance
-    (the solver also passes its private band covariances).
+    (the solver also passes the covariances it keeps in band form).
     """
     if kind not in _IG_KINDS:
         raise ValueError(f"kind must be one of {_IG_KINDS}, got {kind!r}")
@@ -277,17 +293,18 @@ def vba_update_ig(kind, hyper, f_hat, Sigma_f, z_hat=None, Sigma_z=None, *, prob
         model = "direct" if kind == "f" else "indirect"
         raise ModelMismatch(f"{kind}-family update requires the {model} model")
     f_hat = np.asarray(f_hat, dtype=float)
+    Sigma_f, Sigma_z = _Covariance.of(Sigma_f), _Covariance.of(Sigma_z)
     if kind == "eps":
         r = problem.g - problem.H @ f_hat
-        spread = r * r + _quad_diag(problem.H, problem.H_bands, Sigma_f)
+        spread = r * r + Sigma_f.quad_diag(problem.H, problem.H_bands)
     elif kind == "f":
-        spread = f_hat * f_hat + _cov_diag(Sigma_f)
+        spread = f_hat * f_hat + Sigma_f.diag()
     elif kind == "xi":
         r = f_hat - problem.D @ np.asarray(z_hat, dtype=float)
-        spread = r * r + _cov_diag(Sigma_f) + _quad_diag(problem.D, problem.D_bands, Sigma_z)
+        spread = r * r + Sigma_f.diag() + Sigma_z.quad_diag(problem.D, problem.D_bands)
     else:  # z
         z_hat = np.asarray(z_hat, dtype=float)
-        spread = z_hat * z_hat + _cov_diag(Sigma_z)
+        spread = z_hat * z_hat + Sigma_z.diag()
     alpha, beta = getattr(hyper, "alpha_" + kind), getattr(hyper, "beta_" + kind)
     return IgFamily(np.full(spread.size, alpha + 0.5), beta + 0.5 * spread)
 
@@ -326,8 +343,14 @@ def _seed_families(problem, hyper, f0, z0):
     return (*seeded, None)[:3]
 
 
-def _vba_state(f, z, Sigma_f, Sigma_z, families):
-    """SolverState of the factors; v_<kind> is the point variance 1/<v^-1>."""
+def _vba_state(problem, hyper, kinds, f, z, Sigma_f, Sigma_z, families=None):
+    """SolverState of the factors; v_<kind> is the point variance 1/<v^-1>.
+
+    Without ``families`` this is the IG step of a sweep: the families
+    ``kinds`` are updated, in that order, from the Normal factors.
+    """
+    families = families or {kind: vba_update_ig(kind, hyper, f, Sigma_f, z, Sigma_z,
+                                                problem=problem) for kind in kinds}
     return SolverState(f_hat=f, z_hat=z, Sigma_f=Sigma_f, Sigma_z=Sigma_z,
                        **{"v_" + kind: fam.point_variance() for kind, fam in families.items()},
                        **{"ig_" + kind: fam for kind, fam in families.items()})
@@ -336,8 +359,8 @@ def _vba_state(f, z, Sigma_f, Sigma_z, families):
 def _partial_sweep(problem, hyper, kinds, state):
     """q(f), then q(z) (indirect model), then the IG families ``kinds``.
 
-    A block on a banded operator carries its covariance as a band
-    (:class:`_BandCov`); a dense one runs the public dense update.
+    A block on a banded operator carries its covariance as a band; a
+    dense one runs the public dense update and keeps its plain array.
     """
     prior = state.ig_f if problem.is_direct else state.ig_xi
     args = (state.ig_eps.inv_expectation(), prior.inv_expectation(), state.z_hat)
@@ -352,9 +375,7 @@ def _partial_sweep(problem, hyper, kinds, state):
             z, Sigma_z = _band_gaussian(problem.D, problem.D_bands, *_z_system(problem, *args))
         else:
             z, Sigma_z = vba_update_z(problem, *args)
-    return _vba_state(f, z, Sigma_f, Sigma_z, {
-        kind: vba_update_ig(kind, hyper, f, Sigma_f, z, Sigma_z, problem=problem)
-        for kind in kinds})
+    return _vba_state(problem, hyper, kinds, f, z, Sigma_f, Sigma_z)
 
 
 def _dense_coordinates(HT, problem, w, p, f):
@@ -382,18 +403,12 @@ def _band_coordinates(problem, w, p, f):
 def _full_sweep(problem, hyper, kinds, coordinates, state):
     """One pass over the f coordinates, then the IG families ``kinds``.
 
-    The covariance stays the 1-D vector of coordinate variances.
+    The covariance stays the vector of coordinate variances, a diagonal.
     """
     f, denom = coordinates(problem, state.ig_eps.inv_expectation(),
                            state.ig_f.inv_expectation(), state.f_hat)
-    var = 1.0 / denom
-    return _vba_state(f, None, var, None, {
-        kind: vba_update_ig(kind, hyper, f, var, problem=problem) for kind in kinds})
-
-
-def _dense_cov(Sigma):
-    """The returned state's 2-D covariance: a band one formed whole from its factor."""
-    return band_inverse(Sigma.factor) if isinstance(Sigma, _BandCov) else Sigma
+    return _vba_state(problem, hyper, kinds, f, None,
+                      _Covariance(band=(1.0 / denom)[None]), None)
 
 
 def solve_vba(problem: ForwardProblem, hyper: HyperParams, config: Optional[VbaConfig] = None):
@@ -405,6 +420,8 @@ def solve_vba(problem: ForwardProblem, hyper: HyperParams, config: Optional[VbaC
     f-change tolerance or max_iter.  The trace's criterion column records
     the negative-log-posterior at the point estimates (variances set to
     1/<v^-1>); VBA does not minimize it, the column is informational.
+    The returned Sigma_f and Sigma_z keep the form their last block
+    produced; ``np.asarray`` gives the whole matrix.
     """
     config = config or VbaConfig()
     validate_problem(problem, hyper)
@@ -427,9 +444,5 @@ def solve_vba(problem: ForwardProblem, hyper: HyperParams, config: Optional[VbaC
     else:
         HT = np.ascontiguousarray(problem.H.T)
         sweep = partial(_full_sweep, problem, hyper, kinds, partial(_dense_coordinates, HT))
-    state, trace = alternate(problem, hyper, config, order,
-                             _vba_state(f, z, None, None, dict(seeded)), sweep)
-    if full:
-        return replace(state, Sigma_f=np.diag(state.Sigma_f)), trace
-    return replace(state, Sigma_f=_dense_cov(state.Sigma_f),
-                   Sigma_z=_dense_cov(state.Sigma_z)), trace
+    return alternate(problem, hyper, config, order,
+                     _vba_state(problem, hyper, kinds, f, z, None, None, dict(seeded)), sweep)

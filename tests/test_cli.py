@@ -490,6 +490,9 @@ class TestEveryModeTyped:
         '{"levels": [0.1, 1.0]}',
         '{"levels": [1, 0]}',
         '{"levels": [NaN]}',
+        '{"grid_lo": -1e300, "grid_hi": 1e300, "grid_step": 1}',
+        '{"grid_lo": -1.7e308, "grid_hi": 1.7e308}',
+        '{"grid_step": 1e-9}',
     ])
     def test_degenerate_priors_are_config_errors(self, tmp_path, priors):
         out = tmp_path / "rep"

@@ -461,6 +461,8 @@ class TestPriorsSettings:
         {"mixture_draws": -1},
         {"levels": (0.1, 1.0)}, {"levels": (1.0, 0.0)}, {"levels": (math.inf, 1.0)},
         {"levels": (math.nan,)},
+        {"grid_lo": -1e300, "grid_hi": 1e300, "grid_step": 1.0},
+        {"grid_lo": -1.7e308, "grid_hi": 1.7e308}, {"grid_step": 1e-9},
     ])
     def test_degenerate_settings_rejected(self, values):
         with pytest.raises(ValueError):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -537,3 +538,44 @@ def test_dense_inverse_only_for_dense_operators(monkeypatch):
     solve_vba(ForwardProblem(g=g, H=H, D=np.eye(m)), hyper,
               VbaConfig(max_iter=3, tol_rel_f=1e-300))
     assert calls == [(m, m)] * 3                 # the f block; the z block (D = I) is banded
+
+
+PATHS = (("direct", "partial"), ("indirect", "partial"), ("direct", "full"))
+
+
+def test_solve_never_forms_the_banded_covariance(monkeypatch):
+    """The returned state keeps the band and the factor: no whole Sigma is
+    formed in a solve on a convolution H (and D = I)."""
+    calls = []
+    real = bsi.vba.band_inverse
+    monkeypatch.setattr(bsi.vba, "band_inverse",
+                        lambda c: calls.append(c.shape) or real(c))
+    hyper = HyperParams(3.0, 0.05, 1.0, 0.1, 1.0, 0.5, 1.0, 0.5)
+    for model, separability in PATHS:
+        solve_vba(convolution_problem(model), hyper,
+                  VbaConfig(max_iter=3, separability=separability))
+    assert calls == []
+
+
+@pytest.mark.parametrize("model,separability", PATHS)
+def test_banded_solve_allocates_no_whole_covariance(model, separability):
+    """A 10-sweep solve on a 3-tap H at M = 1024 peaks far below one M x M
+    array (8 MiB)."""
+    m = 1024
+    H = generate_operator(OperatorSpec(kind="convolution", n_rows=m, n_cols=m,
+                                       kernel=(0.25, 0.5, 0.25)))
+    g = H @ generate_sparse_signal(SignalSpec(length=m, sparsity=20, seed=4))
+    problem = ForwardProblem(g=g, H=H, D=np.eye(m) if model == "indirect" else None)
+    # the cached bandwidths scan the whole operator: find them before tracing
+    _ = problem.H_bands if problem.is_direct else (problem.H_bands, problem.D_bands)
+    hyper = HyperParams(3.0, 0.05, 1.0, 0.1, 1.0, 0.5, 1.0, 0.5)
+    tracemalloc.start()
+    try:
+        state, _ = solve_vba(problem, hyper, VbaConfig(
+            max_iter=10, tol_rel_f=1e-300, separability=separability))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2 ** 20
+    # the whole matrix is still there on demand
+    assert np.asarray(state.Sigma_f).shape == (m, m)

@@ -37,10 +37,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .jmap import JmapConfig, solve_jmap
 from .model import (
     ForwardProblem,
     HyperParams,
+    JmapConfig,
     ModelMismatch,
     NonFinite,
     NonPositiveHyper,
@@ -59,7 +59,6 @@ from .synth import (
     reconstruction_metrics,
     synthesize_observation,
 )
-from .vba import VbaConfig, solve_vba
 
 log = logging.getLogger("bsi.cli")
 
@@ -67,6 +66,8 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_IO = 3
 EXIT_SOLVER = 4
+
+_SEED_MAX = (1 << 64) - 1
 
 _SOLVER_ERRORS = (
     SingularSystem, NonPositiveVariance, NonPositiveHyper,
@@ -358,6 +359,13 @@ def load_config(path) -> RunConfig:
     return parse_config(raw)
 
 
+def _check_seed(seed: int) -> int:
+    """The seed if it is a u64; a larger one would alias a smaller one's streams."""
+    if not 0 <= seed <= _SEED_MAX:
+        raise ConfigError(f"seed must be an integer in [0, 2**64 - 1], got {seed}")
+    return seed
+
+
 def parse_config(raw: dict) -> RunConfig:
     """Type every section in every mode, then check what spans several keys."""
     c = _parse(raw, _CONFIG, "config")
@@ -366,8 +374,7 @@ def parse_config(raw: dict) -> RunConfig:
         raise ConfigError("missing required key 'mode' in config")
     if c["method"] == "vba-full" and model != "direct":
         raise ConfigError("vba-full requires model=direct")
-    if c["seed"] < 0:
-        raise ConfigError("seed must be a nonnegative integer")
+    _check_seed(c["seed"])
     if len(sim["amplitude"]) != 2:
         raise ConfigError("simulate.amplitude must be [low, high]")
     if mode == "simulate" and (sim["length"] is None or sim["sparsity"] is None):
@@ -395,7 +402,7 @@ def parse_config(raw: dict) -> RunConfig:
 def _sub_seed(seed: int, stream: int) -> int:
     """Derived per-purpose seed; streams: 0 signal, 1 operator, 2 noise,
     3 transform, 4 prior-verification draws."""
-    return (seed * 1000003 + stream) & ((1 << 64) - 1)
+    return (seed * 1000003 + stream) & _SEED_MAX
 
 
 def _operator_from_section(section, n_rows, n_cols, seed):
@@ -444,10 +451,15 @@ def _load_problem(cfg: RunConfig) -> ForwardProblem:
 
 
 def _run_solver(cfg: RunConfig, problem: ForwardProblem):
+    # the solvers load scipy.linalg; the other modes never need it
     if cfg.method == "jmap":
+        from .jmap import solve_jmap
+
         config = JmapConfig(max_iter=cfg.max_iter, tol_rel_f=cfg.tol_rel_f,
                             tol_rel_L=cfg.tol_rel_L, init=cfg.init)
         return solve_jmap(problem, cfg.hyper, config)
+    from .vba import VbaConfig, solve_vba
+
     separability = "full" if cfg.method == "vba-full" else "partial"
     config = VbaConfig(max_iter=cfg.max_iter, tol_rel_f=cfg.tol_rel_f,
                        separability=separability, init=cfg.init)
@@ -566,9 +578,7 @@ def main(argv=None) -> int:
         if args.out is not None:
             cfg.out_dir = args.out
         if args.seed is not None:
-            if args.seed < 0:
-                raise ConfigError("seed must be a nonnegative integer")
-            cfg.seed = args.seed
+            cfg.seed = _check_seed(args.seed)
     except ConfigError as exc:
         log.error("%s", exc)
         print(f"bsi: config error: {exc}", file=sys.stderr)

@@ -23,11 +23,9 @@ for a zero residual, whatever the init.
 
 from __future__ import annotations
 
-import numbers
 import time
-from dataclasses import dataclass
 from functools import partial
-from typing import Optional, Union
+from typing import Optional
 
 import numpy as np
 
@@ -35,6 +33,7 @@ from ._linalg import rel_change, solve_normal
 from .model import (
     ForwardProblem,
     HyperParams,
+    JmapConfig,
     ModelMismatch,
     RunTrace,
     SingularSystem,
@@ -46,46 +45,6 @@ from .model import (
 )
 
 _VARIANCE_KINDS = ("eps", "xi", "z", "f_direct")
-
-
-@dataclass(frozen=True)
-class JmapConfig:
-    """Iteration limits, stopping tolerances and initialization.
-
-    ``init`` is "zeros", "least-squares", or an explicit starting vector
-    for f.  The run stops when the relative change of f AND the relative
-    decrease of L both fall below their tolerances, or at max_iter.
-    """
-
-    max_iter: int = 100
-    tol_rel_f: float = 1e-8
-    tol_rel_L: float = 1e-8
-    init: Union[str, np.ndarray] = "zeros"
-
-    def __post_init__(self):
-        _check_limits(self.max_iter, self.init, tol_rel_f=self.tol_rel_f,
-                      tol_rel_L=self.tol_rel_L)
-
-
-def _check_limits(max_iter, init, **tolerances):
-    """Checks shared by JmapConfig and VbaConfig; raises ValueError.
-
-    max_iter must be an integer >= 1 (numpy integers too, bool not),
-    every tolerance strictly positive (NaN is not), a string init known
-    and a vector init finite.
-    """
-    if isinstance(max_iter, bool) or not isinstance(max_iter, numbers.Integral):
-        raise ValueError(f"max_iter must be an integer, got {max_iter!r}")
-    if max_iter < 1:
-        raise ValueError("max_iter must be >= 1")
-    for name, tol in tolerances.items():
-        if not tol > 0:
-            raise ValueError(f"{name} must be strictly positive, got {tol!r}")
-    if isinstance(init, str):
-        if init not in ("zeros", "least-squares"):
-            raise ValueError(f"unknown init {init!r}")
-    elif not np.all(np.isfinite(np.asarray(init, dtype=float))):
-        raise ValueError("init vector must be finite")
 
 
 def jmap_update_f(problem, v_eps, v_xi, z=None) -> np.ndarray:

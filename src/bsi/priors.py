@@ -28,8 +28,9 @@ delta -> 0), Variance-Gamma (delta -> 0, lambda > 0) and NIG
 never symbolically.
 
 :func:`priors_report` runs all of these checks on seeded random draws;
-it is the body of the ``verify-priors`` command.  ``scipy.integrate``
-is imported only by the functions that integrate.
+it is the body of the ``verify-priors`` command.  ``scipy.special`` and
+``scipy.integrate`` are imported only by the functions that call them,
+so the settings and error types load with numpy alone.
 """
 
 from __future__ import annotations
@@ -39,7 +40,6 @@ from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
-import scipy.special
 
 from .rng import SplitMix64
 
@@ -112,6 +112,8 @@ def bessel_k(lam: float, x: float) -> float:
     large |lambda| the value exceeds the double range and +inf is
     returned.
     """
+    import scipy.special
+
     if not (x > 0 and math.isfinite(x)):
         raise DomainError(f"bessel_k needs x > 0, got {x}")
     if abs(lam) < _TINY_ORDER:
@@ -126,6 +128,8 @@ def log_bessel_k(lam, x):
     Gamma(|lambda|) 2^{|lambda|-1} x^{-|lambda|} when the scaled Bessel
     value overflows.
     """
+    import scipy.special
+
     if abs(lam) < _TINY_ORDER:
         lam = 0.0
     x = np.asarray(x, dtype=float)
@@ -150,6 +154,8 @@ def _gig_log_norm(params: GigParams) -> float:
     delta^2 = 0 is the Gamma(lambda, rate gamma^2/2) reduction (lambda > 0),
     gamma^2 = 0 the Inverse Gamma(-lambda, delta^2/2) one (lambda < 0).
     """
+    import scipy.special
+
     params.validate()
     lam = params.lam
     if params.delta_sq == 0.0:
@@ -225,6 +231,8 @@ def reference_pdf(family: str, params: Mapping, x):
     scalar = x_arr.ndim == 0
 
     if family == "student_t":
+        import scipy.special
+
         nu = _require_positive(_param(params, "nu"), "nu")
         mu = _param(params, "mu", 0.0)
         lognorm = scipy.special.gammaln(0.5 * (nu + 1.0)) - scipy.special.gammaln(0.5 * nu) \
@@ -294,6 +302,8 @@ def _nig_pdf(params, x):
 def _variance_gamma_pdf(params, x):
     """Variance-Gamma density; K_{lam-1/2}(alpha |x-mu|) diverges at x = mu
     for lam <= 1/2, where only lam > 1/2 admits a finite analytic limit."""
+    import scipy.special
+
     alpha, beta, mu, gamma = _gh_like_params(params)
     lam = _require_positive(_param(params, "lam"), "lam")
     ax = np.abs(x - mu)

@@ -85,13 +85,14 @@ from ._linalg import (
     selected_inverse,
     spd_inverse,
 )
-from .jmap import _check_limits, alternate, initial_iterates
+from .jmap import alternate, initial_iterates
 from .model import (
     ForwardProblem,
     HyperParams,
     ModelMismatch,
     SolverState,
     validate_problem,
+    _check_limits,
     _check_positive,
     _variance_families,
 )

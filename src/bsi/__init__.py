@@ -15,15 +15,15 @@ import importlib
 
 # public name -> the submodule that defines it
 _MODULE_OF = {name: module for module, names in (
-    ("model", ("DimensionMismatch", "ForwardProblem", "HyperParams", "IterationRecord",
-               "ModelMismatch", "NonFinite", "NonPositiveHyper", "NonPositiveVariance",
-               "RunTrace", "SingularSystem", "SolverState", "neg_log_posterior",
-               "validate_problem")),
+    ("model", ("DimensionMismatch", "ForwardProblem", "HyperParams", "IgFamily",
+               "IterationRecord", "ModelMismatch", "NonFinite", "NonPositiveHyper",
+               "NonPositiveVariance", "RunTrace", "SingularSystem", "SolverState",
+               "neg_log_posterior", "validate_problem")),
     ("jmap", ("JmapConfig", "jmap_update_f", "jmap_update_variance", "jmap_update_z",
               "solve_jmap")),
-    ("vba", ("IgFamily", "IndexOutOfRange", "VbaConfig", "ig_inv_expectation",
-             "solve_vba", "vba_full_coordinate_update", "vba_update_f",
-             "vba_update_ig", "vba_update_z")),
+    ("vba", ("IndexOutOfRange", "VbaConfig", "ig_inv_expectation", "solve_vba",
+             "vba_full_coordinate_update", "vba_update_f", "vba_update_ig",
+             "vba_update_z")),
     ("priors", ("DomainError", "GhParams", "GigParams", "PriorsSettings",
                 "QuadratureFailure", "SingularDensity", "bessel_k",
                 "gh_marginal_quadrature", "gh_pdf", "gig_pdf", "limit_deviation",

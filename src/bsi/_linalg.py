@@ -1,8 +1,9 @@
 """SPD solve/inverse helpers shared by the solvers.
 
 Every Gaussian block solves normal equations ``(K' diag(w) K + diag(p))
-x = rhs``; :func:`solve_normal` forms and solves them once for both
-JMAP blocks.  When K is banded with ``kl`` sub- and ``ku``
+x = rhs``.  ``model._normal_system`` gives each block its ``(K, bands,
+w, p, rhs)``, in the argument order of :func:`solve_normal` (both JMAP
+blocks) and :func:`band_gauss_seidel`.  When K is banded with ``kl`` sub- and ``ku``
 super-diagonals, the matrix is banded with half-bandwidth ``kl + ku``
 and is built and factored in band storage, in O(M (kl + ku)^2) instead
 of O(N M^2 + M^3 / 3).  :func:`band_factor` is that one banded factor.

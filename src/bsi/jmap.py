@@ -12,6 +12,10 @@ Direct model: the xi-block becomes the f-prior block (V_f, residual f_j)
 and there is no z.  Update order is f, z, v_xi, v_eps, v_z for the
 indirect model and v_f, v_eps, f for the direct one.
 
+Both Gaussian blocks solve the normal equations that
+``model._normal_system`` forms, the system VBA's blocks use too, with
+the precisions 1/v in place of VBA's <v^-1>.
+
 JMAP and VBA share one loop, :func:`alternate`: it applies a solver's
 sweep (one update of every block, state in, state out), records L and
 the iterate changes, and applies the stop test.  The variance families
@@ -34,13 +38,14 @@ from .model import (
     ForwardProblem,
     HyperParams,
     JmapConfig,
-    ModelMismatch,
     RunTrace,
     SingularSystem,
     SolverState,
     neg_log_posterior,
     validate_problem,
+    _check_ig,
     _check_positive,
+    _normal_system,
     _variance_families,
 )
 
@@ -53,39 +58,28 @@ def jmap_update_f(problem, v_eps, v_xi, z=None) -> np.ndarray:
     For the direct model pass v_f as ``v_xi`` and leave z as None (the
     D z coupling term is absent).
     """
-    v_eps = _check_positive(v_eps, "v_eps")
-    v_xi = _check_positive(v_xi, "v_xi")
-    w = 1.0 / v_eps                            # Veps^-1
-    b = problem.H.T @ (w * problem.g)
-    if z is not None:
-        if problem.is_direct:
-            raise ModelMismatch("z passed for a direct-sparsity problem")
-        b = b + (problem.D @ np.asarray(z, dtype=float)) / v_xi
-    return solve_normal(problem.H, problem.H_bands, w, 1.0 / v_xi, b)
+    w, p = 1.0 / _check_positive(v_eps, "v_eps"), 1.0 / _check_positive(v_xi, "v_xi")
+    return solve_normal(*_normal_system(problem, "f", w, p, z))
 
 
 def jmap_update_z(problem, v_xi, v_z, f) -> np.ndarray:
     """Exact minimizer of L over z; indirect model only."""
-    if problem.is_direct:
-        raise ModelMismatch("z-update requires the indirect model (D present)")
-    v_xi = _check_positive(v_xi, "v_xi")
-    v_z = _check_positive(v_z, "v_z")
-    w = 1.0 / v_xi                             # Vxi^-1
-    b = problem.D.T @ (w * np.asarray(f, dtype=float))
-    return solve_normal(problem.D, problem.D_bands, w, 1.0 / v_z, b)
+    w, p = 1.0 / _check_positive(v_xi, "v_xi"), 1.0 / _check_positive(v_z, "v_z")
+    return solve_normal(*_normal_system(problem, "z", w, p, f))
 
 
 def jmap_update_variance(kind, alpha, beta, residual):
     """Closed-form variance block minimizer (beta + r^2/2) / (alpha + 3/2).
 
     ``residual`` is g_i - H_i f (eps), f_j - D_j z (xi), z_j (z) or f_j
-    (f_direct); scalar or vector.  Equals the mode of IG(alpha + 1/2,
-    beta + r^2/2).
+    (f_direct); scalar or vector.  This is the mode of the family's
+    posterior ``model.IgFamily.posterior(alpha, beta, r^2)``, i.e. of
+    IG(alpha + 1/2, beta + r^2/2), whose mean VBA uses instead.  alpha
+    and beta must be finite and > 0 (ValueError).
     """
     if kind not in _VARIANCE_KINDS:
         raise ValueError(f"kind must be one of {_VARIANCE_KINDS}, got {kind!r}")
-    if alpha <= 0 or beta <= 0:
-        raise ValueError("alpha and beta must be strictly positive")
+    _check_ig(alpha, beta)
     r = np.asarray(residual, dtype=float)
     out = (beta + 0.5 * r * r) / (alpha + 1.5)
     if not np.all(np.isfinite(out)):

@@ -38,8 +38,6 @@ import numpy as np
 if TYPE_CHECKING:  # pragma: no cover
     from numpy.typing import ArrayLike
 
-    from .vba import IgFamily
-
 
 class DimensionMismatch(ValueError):
     """Shapes of g, H, D or state vectors are mutually inconsistent."""
@@ -197,6 +195,37 @@ def _check_limits(max_iter, init, **tolerances):
 
 
 @dataclass(frozen=True)
+class IgFamily:
+    """Inverse-Gamma factor parameters, one (shape, scale) per component."""
+
+    alpha_hat: np.ndarray
+    beta_hat: np.ndarray
+
+    def __post_init__(self):
+        object.__setattr__(self, "alpha_hat", np.asarray(self.alpha_hat, dtype=float))
+        object.__setattr__(self, "beta_hat", np.asarray(self.beta_hat, dtype=float))
+
+    @classmethod
+    def posterior(cls, alpha, beta, spread):
+        """IG(alpha + 1/2, beta + spread / 2) per component, the factor of a
+        family with prior IG(alpha, beta) and per-component ``spread`` (the
+        squared residual, plus its covariance terms under VBA).
+
+        Its mode (beta + spread / 2) / (alpha + 3/2) is the JMAP variance
+        block; VBA keeps the whole factor.
+        """
+        return cls(np.full(spread.size, alpha + 0.5), beta + 0.5 * spread)
+
+    def inv_expectation(self) -> np.ndarray:
+        """Per-component <v^-1> = alpha_hat / beta_hat."""
+        return self.alpha_hat / self.beta_hat
+
+    def point_variance(self) -> np.ndarray:
+        """1 / <v^-1>, the variance value the updates effectively use."""
+        return self.beta_hat / self.alpha_hat
+
+
+@dataclass(frozen=True)
 class SolverState:
     """Current iterates of either solver.
 
@@ -219,10 +248,10 @@ class SolverState:
     v_z: Optional[np.ndarray] = None
     Sigma_f: Optional["ArrayLike"] = None   # np.asarray gives the whole matrix
     Sigma_z: Optional["ArrayLike"] = None
-    ig_eps: Optional["IgFamily"] = None
-    ig_xi: Optional["IgFamily"] = None
-    ig_z: Optional["IgFamily"] = None
-    ig_f: Optional["IgFamily"] = None
+    ig_eps: Optional[IgFamily] = None
+    ig_xi: Optional[IgFamily] = None
+    ig_z: Optional[IgFamily] = None
+    ig_f: Optional[IgFamily] = None
 
 
 @dataclass
@@ -302,6 +331,41 @@ def _check_positive(v: np.ndarray, name: str) -> np.ndarray:
     if v.size and (not np.all(np.isfinite(v)) or np.any(v <= 0.0)):
         raise NonPositiveVariance(f"{name} must be strictly positive and finite")
     return v
+
+
+def _check_ig(alpha, beta):
+    """Raise ValueError unless an IG shape and scale are finite and > 0."""
+    if not (0 < alpha < np.inf and 0 < beta < np.inf):
+        raise ValueError(f"alpha and beta must be finite and strictly positive, "
+                         f"got {alpha!r} and {beta!r}")
+
+
+def _normal_system(problem: ForwardProblem, block: str, w, p, other=None) -> tuple:
+    """The normal equations ``(K' diag(w) K + diag(p)) x = rhs`` of a Gaussian block.
+
+    Returns ``(K, bands, w, p, rhs)``, in the argument order of the
+    solvers in ``_linalg``.  ``w`` and ``p`` are the block's precisions,
+    checked by the caller.  The f block has K = H and rhs = H'(w g), plus
+    the coupling p * (D z) when ``other`` is z (indirect model); the z
+    block has K = D and rhs = D'(w f) with ``other`` = f.  JMAP and VBA
+    differ only in the precisions they pass: 1/v or <v^-1>.
+    """
+    if problem.is_direct and (block == "z" or other is not None):
+        raise ModelMismatch("z and its block require the indirect model (D present)")
+    other = None if other is None else np.asarray(other, dtype=float)
+    K, bands, data = ((problem.H, problem.H_bands, problem.g) if block == "f"
+                      else (problem.D, problem.D_bands, other))
+    m = problem.n_coef
+    if (np.shape(w) != K.shape[:1] or np.shape(p) != (m,)
+            or (other is not None and other.shape != (m,))):
+        raise DimensionMismatch(
+            f"{block} block: w, p and the other block have lengths {np.size(w)}, "
+            f"{np.size(p)}, {'-' if other is None else other.size}; "
+            f"expected {K.shape[0]}, {m}, {m}")
+    rhs = K.T @ (w * data)
+    if block == "f" and other is not None:
+        rhs = rhs + p * (problem.D @ other)
+    return K, bands, w, p, rhs
 
 
 def _ig_block(v, alpha, beta, residual):

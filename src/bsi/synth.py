@@ -200,16 +200,19 @@ def reconstruction_metrics(f_hat, f_true, support_threshold: float = 0.01) -> Re
     (default 1 percent of the peak).  Empty sets resolve to: precision 1
     when nothing is predicted and nothing is true, 0 when predictions
     are missing against a nonempty truth; recall 1 for an empty truth.
+    Vectors of unequal or zero length raise SpecError.
     """
     f_hat = np.asarray(f_hat, dtype=float).reshape(-1)
     f_true = np.asarray(f_true, dtype=float).reshape(-1)
     if f_hat.shape != f_true.shape:
         raise SpecError("f_hat and f_true must have equal lengths")
+    if not f_true.size:
+        raise SpecError("f_hat and f_true must not be empty")
     diff = f_hat - f_true
     denom = max(float(np.linalg.norm(f_true)), np.finfo(float).tiny)
     rel_l2 = float(np.linalg.norm(diff)) / denom
     mse = float(diff @ diff) / f_true.size
-    cut = support_threshold * float(np.max(np.abs(f_true))) if f_true.size else 0.0
+    cut = support_threshold * float(np.max(np.abs(f_true)))
     predicted = np.abs(f_hat) > cut
     actual = np.abs(f_true) > cut
     tp = int(np.sum(predicted & actual))

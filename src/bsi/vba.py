@@ -50,6 +50,12 @@ u = kl + ku the half-bandwidth of K' W K for a banded operator K:
     the returned state too.  The O(N M) terms are the dense products H f
     and H' (Ve g).
 
+Every Gaussian block, partial or full, solves the normal equations
+``(K' W K + diag(p)) x = rhs`` that ``model._normal_system`` forms for
+JMAP too, with the expectancies <v^-1> where JMAP has 1/v.  Every IG
+factor is ``model.IgFamily.posterior``, whose mode is JMAP's variance
+block.
+
 Every block's covariance is a :class:`_Covariance` in the form the block
 produced (dense, band or diagonal); the scale updates read only its
 diagonal and quadratic-form diagonal.
@@ -89,11 +95,14 @@ from .jmap import alternate, initial_iterates
 from .model import (
     ForwardProblem,
     HyperParams,
+    IgFamily,
     ModelMismatch,
     SolverState,
     validate_problem,
+    _check_ig,
     _check_limits,
     _check_positive,
+    _normal_system,
     _variance_families,
 )
 
@@ -102,26 +111,6 @@ _IG_KINDS = ("xi", "eps", "z", "f")
 
 class IndexOutOfRange(IndexError):
     """Coordinate index outside 0..M-1."""
-
-
-@dataclass(frozen=True)
-class IgFamily:
-    """Inverse-Gamma factor parameters, one (shape, scale) per component."""
-
-    alpha_hat: np.ndarray
-    beta_hat: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "alpha_hat", np.asarray(self.alpha_hat, dtype=float))
-        object.__setattr__(self, "beta_hat", np.asarray(self.beta_hat, dtype=float))
-
-    def inv_expectation(self) -> np.ndarray:
-        """Per-component <v^-1> = alpha_hat / beta_hat."""
-        return self.alpha_hat / self.beta_hat
-
-    def point_variance(self) -> np.ndarray:
-        """1 / <v^-1>, the variance value the updates effectively use."""
-        return self.beta_hat / self.alpha_hat
 
 
 @dataclass(frozen=True)
@@ -145,39 +134,29 @@ class VbaConfig:
 
 
 def ig_inv_expectation(alpha: float, beta: float) -> float:
-    """<x^-1> under IG(alpha, beta), which is exactly alpha / beta."""
-    if alpha <= 0 or beta <= 0:
-        raise ValueError("alpha and beta must be strictly positive")
+    """<x^-1> under IG(alpha, beta), which is exactly alpha / beta.
+
+    alpha and beta must be finite and > 0 (ValueError).
+    """
+    _check_ig(alpha, beta)
     return alpha / beta
 
 
-def _f_system(problem, vtilde_eps, vtilde_xi, z_hat):
-    """Weights and right-hand side (w, p, rhs) of q(f)'s normal equations
-    on K = H, with the precisions checked."""
-    vtilde_eps = _check_positive(vtilde_eps, "vtilde_eps")
-    vtilde_xi = _check_positive(vtilde_xi, "vtilde_xi")
-    b = problem.H.T @ (vtilde_eps * problem.g)
-    if z_hat is not None:
-        if problem.is_direct:
-            raise ModelMismatch("z_hat passed for a direct-sparsity problem")
-        b = b + vtilde_xi * (problem.D @ np.asarray(z_hat, dtype=float))
-    return vtilde_eps, vtilde_xi, b
+# the names the precisions of each Gaussian block are checked under
+_PRECISIONS = {"f": ("vtilde_eps", "vtilde_xi"), "z": ("vtilde_xi", "vtilde_z")}
 
 
-def _z_system(problem, vtilde_xi, vtilde_z, f_hat):
-    """(w, p, rhs) of q(z)'s normal equations on K = D; indirect model only."""
-    if problem.is_direct:
-        raise ModelMismatch("z-update requires the indirect model (D present)")
-    vtilde_xi = _check_positive(vtilde_xi, "vtilde_xi")
-    vtilde_z = _check_positive(vtilde_z, "vtilde_z")
-    b = problem.D.T @ (vtilde_xi * np.asarray(f_hat, dtype=float))
-    return vtilde_xi, vtilde_z, b
+def _system(problem, block, w, p, other):
+    """``model._normal_system`` of a block, its precisions checked positive."""
+    w_name, p_name = _PRECISIONS[block]
+    return _normal_system(problem, block, _check_positive(w, w_name),
+                          _check_positive(p, p_name), other)
 
 
-def _dense_gaussian(K, w, p, b):
+def _dense_gaussian(K, bands, w, p, rhs):
     """Mean and dense covariance of a Gaussian block."""
     Sigma = spd_inverse(normal_matrix(K, w, p))
-    return Sigma @ b, Sigma
+    return Sigma @ rhs, Sigma
 
 
 def vba_update_f(problem, vtilde_eps, vtilde_xi, z_hat=None):
@@ -188,12 +167,12 @@ def vba_update_f(problem, vtilde_eps, vtilde_xi, z_hat=None):
     leave z_hat None.  Sigma_f is materialized whole, by a dense
     inverse, whatever the operator.
     """
-    return _dense_gaussian(problem.H, *_f_system(problem, vtilde_eps, vtilde_xi, z_hat))
+    return _dense_gaussian(*_system(problem, "f", vtilde_eps, vtilde_xi, z_hat))
 
 
 def vba_update_z(problem, vtilde_xi, vtilde_z, f_hat):
     """Normal factor of z: mean and full covariance; indirect model only."""
-    return _dense_gaussian(problem.D, *_z_system(problem, vtilde_xi, vtilde_z, f_hat))
+    return _dense_gaussian(*_system(problem, "z", vtilde_xi, vtilde_z, f_hat))
 
 
 def _band_block(bands, m):
@@ -274,12 +253,6 @@ class _Covariance:
         return np.array(self.dense, dtype=dtype, copy=copy)
 
 
-def _band_gaussian(K, bands, w, p, b):
-    """Mean and band covariance of a Gaussian block from its banded factor."""
-    c = band_factor(K, bands, w, p)
-    return band_solve(c, b), _Covariance(band=selected_inverse(c), factor=c)
-
-
 def vba_update_ig(kind, hyper, f_hat, Sigma_f, z_hat=None, Sigma_z=None, *, problem):
     """Inverse-Gamma factor update: shape alpha + 1/2, residual-driven scale.
 
@@ -306,8 +279,8 @@ def vba_update_ig(kind, hyper, f_hat, Sigma_f, z_hat=None, Sigma_z=None, *, prob
     else:  # z
         z_hat = np.asarray(z_hat, dtype=float)
         spread = z_hat * z_hat + Sigma_z.diag()
-    alpha, beta = getattr(hyper, "alpha_" + kind), getattr(hyper, "beta_" + kind)
-    return IgFamily(np.full(spread.size, alpha + 0.5), beta + 0.5 * spread)
+    return IgFamily.posterior(getattr(hyper, "alpha_" + kind), getattr(hyper, "beta_" + kind),
+                              spread)
 
 
 def vba_full_coordinate_update(problem, hyper, f_hat, vtilde_eps, vtilde_f, j):
@@ -339,7 +312,7 @@ def _seed_families(problem, hyper, f0, z0):
     Returns (eps, f, None) for the direct model and (eps, xi, z) for the
     indirect one.
     """
-    seeded = [IgFamily(np.full(residual.size, alpha + 0.5), beta + 0.5 * residual * residual)
+    seeded = [IgFamily.posterior(alpha, beta, residual * residual)
               for _, alpha, beta, residual in _variance_families(problem, hyper, f0, z0)]
     return (*seeded, None)[:3]
 
@@ -357,25 +330,30 @@ def _vba_state(problem, hyper, kinds, f, z, Sigma_f, Sigma_z, families=None):
                        **{"ig_" + kind: fam for kind, fam in families.items()})
 
 
-def _partial_sweep(problem, hyper, kinds, state):
-    """q(f), then q(z) (indirect model), then the IG families ``kinds``.
+def _gaussian(problem, block, ig_w, ig_p, other):
+    """One Gaussian block of the partial sweep: its mean and covariance.
 
-    A block on a banded operator carries its covariance as a band; a
-    dense one runs the public dense update and keeps its plain array.
+    ``ig_w`` and ``ig_p`` are the IG families whose expectancies weight
+    the block.  A block on a banded operator carries its covariance as
+    a band; a dense one runs the public dense update and keeps its plain
+    array.
     """
+    w, p = ig_w.inv_expectation(), ig_p.inv_expectation()
+    if not _band_block(problem.H_bands if block == "f" else problem.D_bands,
+                       problem.n_coef):
+        return (vba_update_f if block == "f" else vba_update_z)(problem, w, p, other)
+    K, bands, w, p, rhs = _system(problem, block, w, p, other)
+    c = band_factor(K, bands, w, p)
+    return band_solve(c, rhs), _Covariance(band=selected_inverse(c), factor=c)
+
+
+def _partial_sweep(problem, hyper, kinds, state):
+    """q(f), then q(z) (indirect model), then the IG families ``kinds``."""
     prior = state.ig_f if problem.is_direct else state.ig_xi
-    args = (state.ig_eps.inv_expectation(), prior.inv_expectation(), state.z_hat)
-    if _band_block(problem.H_bands, problem.n_coef):
-        f, Sigma_f = _band_gaussian(problem.H, problem.H_bands, *_f_system(problem, *args))
-    else:
-        f, Sigma_f = vba_update_f(problem, *args)
+    f, Sigma_f = _gaussian(problem, "f", state.ig_eps, prior, state.z_hat)
     z = Sigma_z = None
     if not problem.is_direct:
-        args = (state.ig_xi.inv_expectation(), state.ig_z.inv_expectation(), f)
-        if _band_block(problem.D_bands, problem.n_coef):
-            z, Sigma_z = _band_gaussian(problem.D, problem.D_bands, *_z_system(problem, *args))
-        else:
-            z, Sigma_z = vba_update_z(problem, *args)
+        z, Sigma_z = _gaussian(problem, "z", state.ig_xi, state.ig_z, f)
     return _vba_state(problem, hyper, kinds, f, z, Sigma_f, Sigma_z)
 
 
@@ -397,8 +375,7 @@ def _dense_coordinates(HT, problem, w, p, f):
 
 def _band_coordinates(problem, w, p, f):
     """The coordinate pass on a banded H: one Gauss-Seidel sweep."""
-    return band_gauss_seidel(problem.H, problem.H_bands, w, p,
-                             problem.H.T @ (w * problem.g), f)
+    return band_gauss_seidel(*_normal_system(problem, "f", w, p), f)
 
 
 def _full_sweep(problem, hyper, kinds, coordinates, state):

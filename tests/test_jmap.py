@@ -113,6 +113,12 @@ class TestUpdateVariance:
         with pytest.raises(ValueError):
             jmap_update_variance("nope", 1.0, 1.0, 0.0)
 
+    @pytest.mark.parametrize("alpha, beta", [
+        (0.0, 1.0), (1.0, -1.0), (np.nan, 1.0), (1.0, np.nan), (np.inf, 1.0), (1.0, np.inf)])
+    def test_rejects_bad_parameters(self, alpha, beta):
+        with pytest.raises(ValueError, match="finite and strictly positive"):
+            jmap_update_variance("eps", alpha, beta, 0.0)
+
 
 def random_jmap_state(rng, problem, hyper):
     m, n = problem.n_coef, problem.n_obs

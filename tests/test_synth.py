@@ -214,6 +214,10 @@ class TestMetrics:
         with pytest.raises(SpecError):
             reconstruction_metrics([1.0], [1.0, 2.0])
 
+    def test_empty_rejected(self):
+        with pytest.raises(SpecError):
+            reconstruction_metrics([], [])
+
 
 class TestRngMoments:
     def test_uniform_range_and_mean(self):

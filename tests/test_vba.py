@@ -39,6 +39,12 @@ class TestIgInvExpectation:
     def test_identity_case(self):
         assert ig_inv_expectation(1.0, 1.0) == pytest.approx(1.0)
 
+    @pytest.mark.parametrize("alpha, beta", [
+        (0.0, 1.0), (1.0, -1.0), (np.nan, 1.0), (1.0, np.nan), (np.inf, 1.0), (1.0, np.inf)])
+    def test_rejects_bad_parameters(self, alpha, beta):
+        with pytest.raises(ValueError, match="finite and strictly positive"):
+            ig_inv_expectation(alpha, beta)
+
     def test_matches_quadrature(self):
         alpha, beta = 3.7, 2.2
         val, _ = scipy.integrate.quad(lambda x: ig_pdf(x, alpha, beta) / x,

@@ -149,9 +149,6 @@ def selected_inverse(c: np.ndarray) -> np.ndarray:
     u = u1 - 1
     if not u:
         return 1.0 / (c * c)
-    lower = np.zeros((u1, m))                  # lower[d, j] = L[j + d, j]
-    for d in range(u1):
-        lower[d, :m - d] = c[u - d, d:]
     band = np.zeros((u1, m))
     width = max(_SELINV_BLOCK, u)
     sym = np.tri(u, dtype=bool)
@@ -162,7 +159,7 @@ def selected_inverse(c: np.ndarray) -> np.ndarray:
         b, t = end - start, min(u, m - end)
         r, col, d = _panel_band(b, t, u)
         panel = np.zeros((b + t, b))           # L[start:end + t, start:end]
-        panel[r, col] = lower[d, start + col]
+        panel[r, col] = c[u - d, start + r]     # L[i, j] = U[j, i] = c[u + j - i, i]
         block = panel[:b]
         W, info = dpotri(block, lower=1)      # lower triangle of Sigma[J, J]
         if info != 0:

@@ -63,10 +63,12 @@ class ModelMismatch(ValueError):
     """Operation requires the other sparsity model (direct vs indirect)."""
 
 
-def _as_vector(x, name: str) -> np.ndarray:
+def _as_vector(x, name: str, size=None) -> np.ndarray:
+    """x as a float vector; DimensionMismatch unless 1-D and, when given, of ``size``."""
     a = np.asarray(x, dtype=float)
-    if a.ndim != 1:
-        raise DimensionMismatch(f"{name} must be one-dimensional, got shape {a.shape}")
+    if a.ndim != 1 or size not in (None, a.size):
+        length = "" if size is None else f" of length {size}"
+        raise DimensionMismatch(f"{name} must be one-dimensional{length}, got shape {a.shape}")
     return a
 
 
@@ -173,6 +175,11 @@ class JmapConfig:
                       tol_rel_L=self.tol_rel_L)
 
 
+def _is_integer(value) -> bool:
+    """Whether value is an integer: a Python or numpy integer, not a bool."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 def _check_limits(max_iter, init, **tolerances):
     """Checks shared by JmapConfig and VbaConfig; raises ValueError.
 
@@ -180,7 +187,7 @@ def _check_limits(max_iter, init, **tolerances):
     every tolerance strictly positive (NaN is not), a string init known
     and a vector init finite.
     """
-    if isinstance(max_iter, bool) or not isinstance(max_iter, numbers.Integral):
+    if not _is_integer(max_iter):
         raise ValueError(f"max_iter must be an integer, got {max_iter!r}")
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
@@ -326,8 +333,8 @@ def validate_problem(problem: ForwardProblem, hyper: HyperParams) -> None:
             raise NonPositiveHyper(f"hyperparameter {name} must be finite and > 0, got {value}")
 
 
-def _check_positive(v: np.ndarray, name: str) -> np.ndarray:
-    v = _as_vector(v, name)
+def _check_positive(v: np.ndarray, name: str, size=None) -> np.ndarray:
+    v = _as_vector(v, name, size)
     if v.size and (not np.all(np.isfinite(v)) or np.any(v <= 0.0)):
         raise NonPositiveVariance(f"{name} must be strictly positive and finite")
     return v

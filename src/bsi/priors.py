@@ -27,6 +27,14 @@ delta -> 0), Variance-Gamma (delta -> 0, lambda > 0) and NIG
 (lambda=-1/2).  Limits are exercised at small finite surrogate values,
 never symbolically.
 
+Each reference density is a function of x and its parameters by name;
+:func:`reference_pdf` looks the family up in one table and checks the
+parameter names against the function's own, so a missing, unknown or
+non-numeric parameter raises DomainError.  The GH parameter rule
+(alpha > 0 and finite, |beta| < alpha) is written once, in the helper
+that returns gamma for :meth:`GhParams.validate` and the GH-type
+references.
+
 :func:`priors_report` runs all of these checks on seeded random draws;
 it is the body of the ``verify-priors`` command.  ``scipy.special`` and
 ``scipy.integrate`` are imported only by the functions that call them,
@@ -35,6 +43,7 @@ so the settings and error types load with numpy alone.
 
 from __future__ import annotations
 
+import inspect
 import math
 from dataclasses import dataclass
 from typing import Mapping
@@ -58,6 +67,20 @@ class QuadratureFailure(RuntimeError):
     """Adaptive quadrature could not reach the requested tolerance."""
 
 
+def _require_positive(value, name):
+    if not (value > 0 and math.isfinite(value)):
+        raise DomainError(f"{name} must be positive and finite, got {value}")
+
+
+def _gh_gamma(alpha, beta):
+    """gamma = sqrt(alpha^2 - beta^2) of GH parameters, after checking that
+    alpha is positive and finite and |beta| < alpha."""
+    _require_positive(alpha, "alpha")
+    if abs(beta) >= alpha:
+        raise DomainError(f"|beta| must be < alpha, got beta={beta}, alpha={alpha}")
+    return math.sqrt(alpha * alpha - beta * beta)
+
+
 @dataclass(frozen=True)
 class GhParams:
     """(lambda, alpha, beta, delta, mu) of the Generalized Hyperbolic density."""
@@ -77,12 +100,8 @@ class GhParams:
         return math.sqrt(s)
 
     def validate(self):
-        if not (self.alpha > 0 and math.isfinite(self.alpha)):
-            raise DomainError(f"alpha must be positive and finite, got {self.alpha}")
-        if abs(self.beta) >= self.alpha:
-            raise DomainError(f"|beta| must be < alpha, got {self}")
-        if not (self.delta > 0 and math.isfinite(self.delta)):
-            raise DomainError(f"delta must be positive for the GH density, got {self.delta}")
+        _gh_gamma(self.alpha, self.beta)
+        _require_positive(self.delta, "delta")
 
 
 @dataclass(frozen=True)
@@ -135,7 +154,7 @@ def log_bessel_k(lam, x):
     x = np.asarray(x, dtype=float)
     out = np.log(scipy.special.kve(lam, x)) - x
     bad = ~np.isfinite(out)
-    if np.any(bad):
+    if bad.any():
         out = np.array(out)  # writable, also for a 0-d x
         a = abs(lam)
         if a > 0:
@@ -205,107 +224,42 @@ def gh_pdf(x, params: GhParams):
     return out if x_arr.ndim else float(out)
 
 
-def _param(params: Mapping, key: str, default=None):
-    if default is None and key not in params:
-        raise DomainError(f"missing required parameter {key!r}")
-    return float(params.get(key, default) if default is not None else params[key])
+def _student_t(x, nu, mu=0.0):
+    import scipy.special
+
+    lognorm = scipy.special.gammaln(0.5 * (nu + 1.0)) - scipy.special.gammaln(0.5 * nu) \
+        - 0.5 * math.log(math.pi * nu)
+    return np.exp(lognorm - 0.5 * (nu + 1.0) * np.log1p((x - mu) ** 2 / nu))
 
 
-def _require_positive(value, name):
-    if not (value > 0 and math.isfinite(value)):
-        raise DomainError(f"{name} must be positive and finite, got {value}")
-    return value
+def _cauchy(x, mu=0.0):
+    return 1.0 / (math.pi * (1.0 + (x - mu) ** 2))
 
 
-def reference_pdf(family: str, params: Mapping, x):
-    """Closed-form reference density of one named family at x.
-
-    Families: student_t(nu, mu), cauchy(mu), laplace(mu, b),
-    hyperbolic(alpha, beta, delta, mu), variance_gamma(alpha, beta, lam,
-    mu), nig(alpha, beta, delta, mu), gen_gaussian(mu, alpha, beta),
-    sym_weibull(k, b), sym_rayleigh(sigma).  All integrate to one; the
-    symmetric Weibull/Rayleigh forms carry the 1/2 two-sided
-    normalization.
-    """
-    x_arr = np.asarray(x, dtype=float)
-    scalar = x_arr.ndim == 0
-
-    if family == "student_t":
-        import scipy.special
-
-        nu = _require_positive(_param(params, "nu"), "nu")
-        mu = _param(params, "mu", 0.0)
-        lognorm = scipy.special.gammaln(0.5 * (nu + 1.0)) - scipy.special.gammaln(0.5 * nu) \
-            - 0.5 * math.log(math.pi * nu)
-        out = np.exp(lognorm - 0.5 * (nu + 1.0) * np.log1p((x_arr - mu) ** 2 / nu))
-    elif family == "cauchy":
-        mu = _param(params, "mu", 0.0)
-        out = 1.0 / (math.pi * (1.0 + (x_arr - mu) ** 2))
-    elif family == "laplace":
-        b = _require_positive(_param(params, "b"), "b")
-        mu = _param(params, "mu", 0.0)
-        out = np.exp(-np.abs(x_arr - mu) / b) / (2.0 * b)
-    elif family == "hyperbolic":
-        out = _hyperbolic_pdf(params, x_arr)
-    elif family == "variance_gamma":
-        out = _variance_gamma_pdf(params, x_arr)
-    elif family == "nig":
-        out = _nig_pdf(params, x_arr)
-    elif family == "gen_gaussian":
-        alpha = _require_positive(_param(params, "alpha"), "alpha")
-        beta = _require_positive(_param(params, "beta"), "beta")
-        mu = _param(params, "mu", 0.0)
-        norm = beta / (2.0 * alpha * math.gamma(1.0 / beta))
-        out = norm * np.exp(-((np.abs(x_arr - mu) / alpha) ** beta))
-    elif family == "sym_weibull":
-        k = _require_positive(_param(params, "k"), "k")
-        b = _require_positive(_param(params, "b"), "b")
-        ax = np.abs(x_arr)
-        with np.errstate(divide="ignore"):
-            out = 0.5 * b * k * ax ** (k - 1.0) * np.exp(-b * ax ** k)
-        if k == 1.0:
-            out = np.where(ax == 0.0, 0.5 * b, out)
-    elif family == "sym_rayleigh":
-        sigma = _require_positive(_param(params, "sigma"), "sigma")
-        s2 = sigma * sigma
-        out = np.abs(x_arr) / (2.0 * s2) * np.exp(-x_arr * x_arr / (2.0 * s2))
-    else:
-        raise ValueError(f"unknown density family {family!r}")
-    return float(out) if scalar else out
+def _laplace(x, b, mu=0.0):
+    return np.exp(-np.abs(x - mu) / b) / (2.0 * b)
 
 
-def _gh_like_params(params):
-    alpha = _require_positive(_param(params, "alpha"), "alpha")
-    beta = _param(params, "beta", 0.0)
-    if abs(beta) >= alpha:
-        raise DomainError(f"|beta| must be < alpha, got beta={beta}, alpha={alpha}")
-    mu = _param(params, "mu", 0.0)
-    return alpha, beta, mu, math.sqrt(alpha * alpha - beta * beta)
-
-
-def _hyperbolic_pdf(params, x):
-    alpha, beta, mu, gamma = _gh_like_params(params)
-    delta = _require_positive(_param(params, "delta"), "delta")
+def _hyperbolic(x, alpha, delta, beta=0.0, mu=0.0):
+    gamma = _gh_gamma(alpha, beta)
     q = np.sqrt(delta * delta + (x - mu) ** 2)
     norm = gamma / (2.0 * alpha * delta)
     return norm * np.exp(-log_bessel_k(1.0, delta * gamma) - alpha * q + beta * (x - mu))
 
 
-def _nig_pdf(params, x):
-    alpha, beta, mu, gamma = _gh_like_params(params)
-    delta = _require_positive(_param(params, "delta"), "delta")
+def _nig(x, alpha, delta, beta=0.0, mu=0.0):
+    gamma = _gh_gamma(alpha, beta)
     q = np.sqrt(delta * delta + (x - mu) ** 2)
     return alpha * delta / (math.pi * q) \
         * np.exp(log_bessel_k(1.0, alpha * q) + gamma * delta + beta * (x - mu))
 
 
-def _variance_gamma_pdf(params, x):
+def _variance_gamma(x, alpha, lam, beta=0.0, mu=0.0):
     """Variance-Gamma density; K_{lam-1/2}(alpha |x-mu|) diverges at x = mu
     for lam <= 1/2, where only lam > 1/2 admits a finite analytic limit."""
     import scipy.special
 
-    alpha, beta, mu, gamma = _gh_like_params(params)
-    lam = _require_positive(_param(params, "lam"), "lam")
+    gamma = _gh_gamma(alpha, beta)
     ax = np.abs(x - mu)
     at_mu = ax == 0.0
     if np.any(at_mu) and lam <= 0.5:
@@ -324,6 +278,75 @@ def _variance_gamma_pdf(params, x):
         )
         out = np.where(at_mu, limit, out)
     return out
+
+
+def _gen_gaussian(x, alpha, beta, mu=0.0):
+    norm = beta / (2.0 * alpha * math.gamma(1.0 / beta))
+    return norm * np.exp(-((np.abs(x - mu) / alpha) ** beta))
+
+
+def _sym_weibull(x, k, b):
+    ax = np.abs(x)
+    with np.errstate(divide="ignore"):
+        out = 0.5 * b * k * ax ** (k - 1.0) * np.exp(-b * ax ** k)
+    if k == 1.0:
+        out = np.where(ax == 0.0, 0.5 * b, out)
+    return out
+
+
+def _sym_rayleigh(x, sigma):
+    s2 = sigma * sigma
+    return np.abs(x) / (2.0 * s2) * np.exp(-x * x / (2.0 * s2))
+
+
+def _keywords(density):
+    """The parameter names of ``density(x, ...)`` as a set, and the required
+    ones as a tuple in signature order."""
+    params = list(inspect.signature(density).parameters.values())[1:]
+    return {p.name for p in params}, tuple(p.name for p in params if p.default is p.empty)
+
+
+# family -> (density, its parameter names, the required ones), read once.
+# A density takes x and its parameters by name; the ones without a
+# default are scales and shapes, which reference_pdf checks are positive.
+_FAMILIES = {family: (density, *_keywords(density)) for family, density in {
+    "student_t": _student_t, "cauchy": _cauchy, "laplace": _laplace,
+    "hyperbolic": _hyperbolic, "variance_gamma": _variance_gamma, "nig": _nig,
+    "gen_gaussian": _gen_gaussian, "sym_weibull": _sym_weibull,
+    "sym_rayleigh": _sym_rayleigh}.items()}
+
+
+def reference_pdf(family: str, params: Mapping, x):
+    """Closed-form reference density of one named family at x.
+
+    Families and their parameters, by name (defaults in brackets):
+    student_t(nu, mu [0]), cauchy(mu [0]), laplace(b, mu [0]),
+    hyperbolic(alpha, delta, beta [0], mu [0]), variance_gamma(alpha,
+    lam, beta [0], mu [0]), nig(alpha, delta, beta [0], mu [0]),
+    gen_gaussian(alpha, beta, mu [0]), sym_weibull(k, b),
+    sym_rayleigh(sigma).  Each value goes through ``float()``; a missing,
+    unknown or non-numeric parameter raises DomainError, an unknown
+    family ValueError.  The parameters without a default are scales and
+    shapes, and DomainError is raised unless they are positive and
+    finite.  All integrate to one; the symmetric Weibull/Rayleigh forms
+    carry the 1/2 two-sided normalization.
+    """
+    if family not in _FAMILIES:
+        raise ValueError(f"unknown density family {family!r}")
+    density, names, required = _FAMILIES[family]
+    keys = set(params)
+    if not (keys.issuperset(required) and keys <= names):
+        raise DomainError(f"{family} takes parameters {sorted(names)}, of which "
+                          f"{sorted(required)} are required; got {list(params)}")
+    try:
+        values = {name: float(value) for name, value in params.items()}
+    except (TypeError, ValueError):
+        raise DomainError(f"{family} parameters must be numbers, got {dict(params)}") from None
+    for name in required:
+        _require_positive(values[name], name)
+    x_arr = np.asarray(x, dtype=float)
+    out = density(x_arr, **values)
+    return out if x_arr.ndim else float(out)
 
 
 def _mixture_integrand(x: float, mu: float, beta: float, gig: GigParams):

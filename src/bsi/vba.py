@@ -93,15 +93,18 @@ from ._linalg import (
 )
 from .jmap import alternate, initial_iterates
 from .model import (
+    DimensionMismatch,
     ForwardProblem,
     HyperParams,
     IgFamily,
     ModelMismatch,
     SolverState,
     validate_problem,
+    _as_vector,
     _check_ig,
     _check_limits,
     _check_positive,
+    _is_integer,
     _normal_system,
     _variance_families,
 )
@@ -223,11 +226,17 @@ class _Covariance:
     factor: Optional[np.ndarray] = None
 
     @classmethod
-    def of(cls, Sigma):
-        """``Sigma`` as this type: a 2-D array is dense, a 1-D one a diagonal."""
+    def of(cls, Sigma, m, name):
+        """``Sigma`` as this type: a 2-D array is dense, a 1-D one a diagonal.
+
+        Raises DimensionMismatch unless the array is M x M or of length M.
+        """
         if Sigma is None or isinstance(Sigma, cls):
             return Sigma
         Sigma = np.asarray(Sigma, dtype=float)
+        if Sigma.shape not in ((m,), (m, m)):
+            raise DimensionMismatch(f"{name} must be {m} x {m} or a diagonal of length {m}, "
+                                    f"got shape {Sigma.shape}")
         return cls(dense=Sigma) if Sigma.ndim == 2 else cls(band=Sigma[None])
 
     def diag(self):
@@ -260,24 +269,28 @@ def vba_update_ig(kind, hyper, f_hat, Sigma_f, z_hat=None, Sigma_z=None, *, prob
     "eps" applies to both.  ``Sigma_f`` and ``Sigma_z`` are full
     covariance matrices, or 1-D arrays read as a diagonal covariance
     (the solver also passes the covariances it keeps in band form).
+    Raises DimensionMismatch unless ``f_hat``, ``z_hat`` (xi and z) and
+    the covariance arrays match the M coefficients.
     """
     if kind not in _IG_KINDS:
         raise ValueError(f"kind must be one of {_IG_KINDS}, got {kind!r}")
     if kind != "eps" and (kind == "f") != problem.is_direct:
         model = "direct" if kind == "f" else "indirect"
         raise ModelMismatch(f"{kind}-family update requires the {model} model")
-    f_hat = np.asarray(f_hat, dtype=float)
-    Sigma_f, Sigma_z = _Covariance.of(Sigma_f), _Covariance.of(Sigma_z)
+    m = problem.n_coef
+    f_hat = _as_vector(f_hat, "f_hat", m)
+    if kind in ("xi", "z"):
+        z_hat = _as_vector(z_hat, "z_hat", m)
+    Sigma_f, Sigma_z = _Covariance.of(Sigma_f, m, "Sigma_f"), _Covariance.of(Sigma_z, m, "Sigma_z")
     if kind == "eps":
         r = problem.g - problem.H @ f_hat
         spread = r * r + Sigma_f.quad_diag(problem.H, problem.H_bands)
     elif kind == "f":
         spread = f_hat * f_hat + Sigma_f.diag()
     elif kind == "xi":
-        r = f_hat - problem.D @ np.asarray(z_hat, dtype=float)
+        r = f_hat - problem.D @ z_hat
         spread = r * r + Sigma_f.diag() + Sigma_z.quad_diag(problem.D, problem.D_bands)
     else:  # z
-        z_hat = np.asarray(z_hat, dtype=float)
         spread = z_hat * z_hat + Sigma_z.diag()
     return IgFamily.posterior(getattr(hyper, "alpha_" + kind), getattr(hyper, "beta_" + kind),
                               spread)
@@ -289,16 +302,19 @@ def vba_full_coordinate_update(problem, hyper, f_hat, vtilde_eps, vtilde_f, j):
     Returns (f_hat_j, var_j).  ``vtilde_*`` are precision expectancies;
     vtilde_f enters the denominator directly as a precision.  ``hyper``
     is part of the update signature for symmetry with the other updates
-    but the closed form depends only on the expectancies.
+    but the closed form depends only on the expectancies.  Raises
+    IndexOutOfRange unless j is an integer (numpy integers too, bool
+    not) in 0..M-1, and DimensionMismatch unless f_hat and vtilde_f have
+    length M and vtilde_eps length N.
     """
     if not problem.is_direct:
         raise ModelMismatch("coordinate update is defined for the direct model")
-    f_hat = np.asarray(f_hat, dtype=float)
     m = problem.n_coef
-    if not 0 <= j < m:
-        raise IndexOutOfRange(f"coordinate {j} outside 0..{m - 1}")
-    vtilde_eps = _check_positive(vtilde_eps, "vtilde_eps")
-    vtilde_f = _check_positive(vtilde_f, "vtilde_f")
+    f_hat = _as_vector(f_hat, "f_hat", m)
+    if not (_is_integer(j) and 0 <= j < m):
+        raise IndexOutOfRange(f"coordinate {j!r} is not an integer in 0..{m - 1}")
+    vtilde_eps = _check_positive(vtilde_eps, "vtilde_eps", problem.n_obs)
+    vtilde_f = _check_positive(vtilde_f, "vtilde_f", m)
     col = problem.H[:, j]
     partial_resid = problem.g - problem.H @ f_hat + col * f_hat[j]
     denom = float(col @ (vtilde_eps * col)) + vtilde_f[j]

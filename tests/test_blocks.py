@@ -13,11 +13,14 @@ import bsi.vba
 from bsi import (
     DimensionMismatch,
     ForwardProblem,
+    HyperParams,
     IgFamily,
     NonPositiveVariance,
     jmap_update_f,
     jmap_update_z,
+    vba_full_coordinate_update,
     vba_update_f,
+    vba_update_ig,
     vba_update_z,
 )
 
@@ -80,6 +83,15 @@ def test_block_means_solve_the_normal_equations(case):
 
 
 ONES, ONES3, ONE = [1.0, 1.0], [1.0, 1.0, 1.0], [1.0]
+HYPER, EYE, EYE3, WIDE = HyperParams(), np.eye(2), np.eye(3), np.ones((2, 3))
+
+
+def update_ig(problem, *args):
+    return vba_update_ig(*args, problem=problem)
+
+
+def coordinate(problem, *args):
+    return vba_full_coordinate_update(problem, HYPER, *args)
 
 
 @pytest.mark.parametrize("K", [np.eye(2), np.array([[1.0, 0.5], [0.5, 1.0]])],
@@ -97,6 +109,13 @@ ONES, ONES3, ONE = [1.0, 1.0], [1.0, 1.0, 1.0], [1.0]
     (vba_update_z, (ONES3, ONES, ONES)),
     (vba_update_z, (ONES, ONES3, ONES)),
     (vba_update_z, (ONES, ONES, ONES3)),
+    (update_ig, ("eps", HYPER, ONE, None)),             # f_hat of length 1
+    (update_ig, ("eps", HYPER, ONES, EYE3)),            # Sigma_f 3 x 3
+    (update_ig, ("eps", HYPER, ONES, WIDE)),            # Sigma_f 2 x 3
+    (update_ig, ("xi", HYPER, ONES, EYE, ONE, EYE)),    # z_hat of length 1
+    (update_ig, ("xi", HYPER, ONES, EYE, ONES, ONE)),   # diagonal Sigma_z of length 1
+    (update_ig, ("z", HYPER, ONES, EYE, ONES3, EYE)),
+    (update_ig, ("z", HYPER, ONES, EYE, ONES, EYE3)),
 ])
 def test_wrong_lengths_are_dimension_mismatch(K, update, args):
     problem = ForwardProblem(g=[1.0, 2.0], H=K, D=K)
@@ -108,6 +127,12 @@ def test_wrong_lengths_are_dimension_mismatch(K, update, args):
                          ids=["banded", "dense"])
 @pytest.mark.parametrize("update, args", [
     (jmap_update_f, (ONE, ONES)), (vba_update_f, (ONES3, ONES)),
+    (coordinate, (ONES, ONE, ONES, 0)),                 # vtilde_eps of length 1
+    (coordinate, (ONES, ONES, ONE, 0)),                 # vtilde_f of length 1
+    (coordinate, (ONES3, ONES, ONES, 0)),               # f_hat of length 3
+    (update_ig, ("f", HYPER, ONES, ONE)),               # diagonal Sigma_f of length 1
+    (update_ig, ("f", HYPER, ONES3, EYE)),
+    (update_ig, ("eps", HYPER, ONES, EYE3)),
 ])
 def test_wrong_lengths_direct_model(K, update, args):
     with pytest.raises(DimensionMismatch):

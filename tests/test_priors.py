@@ -288,12 +288,53 @@ class TestReferencePdf:
         assert at_mu == pytest.approx(near, rel=1e-3)
 
     def test_domain_errors(self):
-        with pytest.raises(DomainError):
-            reference_pdf("student_t", {"nu": -1.0}, 0.0)
-        with pytest.raises(DomainError):
-            reference_pdf("laplace", {"b": 0.0}, 0.0)
+        for family, params in [
+            ("student_t", {"nu": -1.0}),
+            ("laplace", {"b": 0.0}),
+            ("student_t", {"nu": 3.0, "loc": 1.0}),     # an unknown key
+            ("laplace", {"b": 1.0, "scale": 2.0}),
+            ("hyperbolic", {"alpha": 1.0, "mu": 0.0}),  # delta missing
+            ("student_t", {}),
+            ("student_t", {"nu": None}),                # not a number
+            ("laplace", {"b": "wide"}),
+        ]:
+            with pytest.raises(DomainError):
+                reference_pdf(family, params, 0.0)
         with pytest.raises(ValueError):
             reference_pdf("not_a_family", {}, 0.0)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_scalar_is_the_vector_point(self, data):
+        positive = st.floats(0.1, 5.0)
+        ratio = st.floats(-0.95, 0.95)
+        family, params = data.draw(st.sampled_from([
+            ("student_t", {"nu": positive, "mu": st.floats(-3.0, 3.0)}),
+            ("cauchy", {"mu": st.floats(-3.0, 3.0)}),
+            ("laplace", {"b": positive, "mu": st.floats(-3.0, 3.0)}),
+            ("hyperbolic", {"alpha": positive, "beta": ratio, "delta": positive,
+                            "mu": st.floats(-3.0, 3.0)}),
+            ("variance_gamma", {"alpha": positive, "beta": ratio, "lam": st.floats(0.6, 5.0),
+                                "mu": st.floats(-3.0, 3.0)}),
+            ("nig", {"alpha": positive, "beta": ratio, "delta": positive,
+                     "mu": st.floats(-3.0, 3.0)}),
+            ("gen_gaussian", {"alpha": positive, "beta": st.floats(0.3, 5.0),
+                              "mu": st.floats(-3.0, 3.0)}),
+            ("sym_weibull", {"k": st.floats(0.3, 5.0), "b": positive}),
+            ("sym_rayleigh", {"sigma": positive}),
+        ]))
+        params = {name: data.draw(strategy) for name, strategy in params.items()}
+        if "beta" in params and family != "gen_gaussian":
+            params["beta"] *= params["alpha"]           # |beta| < alpha
+        xs = np.array(data.draw(st.lists(st.floats(-10.0, 10.0), min_size=1, max_size=20)))
+        vector = reference_pdf(family, params, xs)
+        for x, expected in zip(xs, vector):
+            value = reference_pdf(family, params, x)
+            assert type(value) is float
+            # not bit for bit: a scalar x runs numpy scalar arithmetic, whose
+            # ** can round differently from the array loop's, and exp scales
+            # that last-bit gap by its exponent (up to 1e-13 relative seen)
+            assert value == pytest.approx(expected, rel=1e-12, abs=1e-300)
 
 
 class TestMarginalQuadrature:

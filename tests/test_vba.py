@@ -226,10 +226,14 @@ class TestCoordinateUpdate:
         assert var == pytest.approx(0.5)
 
     def test_index_out_of_range(self):
-        p = ForwardProblem(g=[0.0], H=[[1.0]])
-        with pytest.raises(IndexOutOfRange):
-            vba_full_coordinate_update(p, HyperParams(), np.zeros(1),
-                                       [1.0], [1.0], 1)
+        p = ForwardProblem(g=[0.0, 0.0], H=np.eye(2))
+        for j in (2, -1, 1.5, True, np.float64(0.0)):  # an integer in 0..M-1, not a bool
+            with pytest.raises(IndexOutOfRange):
+                vba_full_coordinate_update(p, HyperParams(), np.zeros(2),
+                                           [1.0, 1.0], [1.0, 1.0], j)
+        fj, _ = vba_full_coordinate_update(p, HyperParams(), np.zeros(2),
+                                           [1.0, 1.0], [1.0, 1.0], np.int64(1))
+        assert fj == 0.0
 
     def test_indirect_rejected(self):
         p = ForwardProblem(g=[0.0], H=[[1.0]], D=[[1.0]])

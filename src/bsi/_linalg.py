@@ -14,12 +14,22 @@ covariance from the factor, only when a caller converts a returned
 band covariance to an array.  :func:`band_gauss_seidel` is the VBA
 coordinate pass on the same band storage.
 
+Each factorization is one direct LAPACK call: ``posv`` for the dense
+solve (:func:`spd_solve`, JMAP), ``potrf`` then ``potri`` for the dense
+inverse (:func:`spd_inverse`, VBA), ``pbtrf`` for the banded factor and
+``pbtrs`` for its solves.  Every one follows one failure rule: it
+raises SingularSystem unless LAPACK's ``info`` is 0 and both the factor
+and the result are finite.  An infinite diagonal entry passes Cholesky
+with ``info`` 0 and yields a finite, meaningless result; the factor
+holds the infinity, so the rule catches it.  The coordinate pass has no
+factor; its caller applies the rule to the precision diagonal it
+returns, in the factor's place.
+
 Explicit dense inversion is confined to :func:`spd_inverse`, which the
 variational updates need on dense operators because downstream scale
-updates consume the covariance diagonal and quadratic forms.  It
-factors once with Cholesky and forms the inverse from the factor with
-LAPACK ``potri``: about M^3 flops in all, against 7/3 M^3 for solving
-against the identity.
+updates consume the covariance diagonal and quadratic forms.  Forming
+the inverse from the factor with ``potri`` costs about M^3 flops in
+all, against 7/3 M^3 for solving against the identity.
 """
 
 from __future__ import annotations
@@ -27,9 +37,8 @@ from __future__ import annotations
 import functools
 
 import numpy as np
-import scipy.linalg
 from scipy.linalg.blas import dtbsv
-from scipy.linalg.lapack import dpbtrf, dpbtrs, dpotri, dtrtrs
+from scipy.linalg.lapack import dpbtrf, dpbtrs, dposv, dpotrf, dpotri, dtrtrs
 
 from .model import SingularSystem
 
@@ -41,14 +50,14 @@ _SELINV_BLOCK = 32
 
 
 def spd_solve(A: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve A x = b for symmetric positive-definite A via Cholesky."""
-    try:
-        c, low = scipy.linalg.cho_factor(A, check_finite=False)
-        x = scipy.linalg.cho_solve((c, low), b, check_finite=False)
-    except (scipy.linalg.LinAlgError, ValueError) as exc:
-        raise SingularSystem(f"SPD solve failed: {exc}") from exc
-    if not np.all(np.isfinite(x)):
-        raise SingularSystem("SPD solve produced non-finite values")
+    """Solve A x = b for symmetric positive-definite A: one LAPACK ``posv``.
+
+    Raises SingularSystem unless ``info`` is 0 and both the factor (with
+    A's other triangle, which ``posv`` leaves as is) and x are finite.
+    """
+    c, x, info = dposv(A, b)
+    if info != 0 or not (np.all(np.isfinite(c)) and np.all(np.isfinite(x))):
+        raise SingularSystem(f"SPD solve failed: posv info={info}")
     return x
 
 
@@ -233,26 +242,21 @@ def solve_normal(K: np.ndarray, bands, w: np.ndarray, p: np.ndarray,
     one through the dense :func:`spd_solve`.
     """
     if not _banded(bands, K.shape[1]):
-        A = normal_matrix(K, w, p)
-        _require_finite(A)
-        return spd_solve(A, rhs)
+        return spd_solve(normal_matrix(K, w, p), rhs)
     return band_solve(band_factor(K, bands, w, p), rhs)
 
 
-def _require_finite(A):
-    # an infinite diagonal passes Cholesky and yields a finite, meaningless x
-    if not np.all(np.isfinite(A)):
-        raise SingularSystem("normal-equation matrix has non-finite entries")
-
-
 def spd_inverse(A: np.ndarray) -> np.ndarray:
-    """Full inverse of a symmetric positive-definite matrix, exactly symmetric."""
-    try:
-        L = scipy.linalg.cholesky(A, lower=True, check_finite=False)
-    except (scipy.linalg.LinAlgError, ValueError) as exc:
-        raise SingularSystem(f"SPD inverse failed: {exc}") from exc
-    potri, = scipy.linalg.get_lapack_funcs(("potri",), (L,))
-    low, info = potri(L, lower=1, overwrite_c=1)
+    """Full inverse of a symmetric positive-definite matrix, exactly symmetric.
+
+    One LAPACK ``potrf`` factor, then ``potri``.  Raises SingularSystem
+    unless each ``info`` is 0 and both the factor and the inverse are
+    finite.
+    """
+    L, info = dpotrf(A, lower=1)
+    if info != 0 or not np.all(np.isfinite(L)):
+        raise SingularSystem(f"SPD inverse failed: potrf info={info}")
+    low, info = dpotri(L, lower=1, overwrite_c=1)
     if info != 0:
         raise SingularSystem(f"SPD inverse failed: potri info={info}")
     # potri writes the lower triangle and leaves the factor's zero upper

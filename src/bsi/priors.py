@@ -29,11 +29,11 @@ never symbolically.
 
 Each reference density is a function of x and its parameters by name;
 :func:`reference_pdf` looks the family up in one table and checks the
-parameter names against the function's own, so a missing, unknown or
-non-numeric parameter raises DomainError.  The GH parameter rule
-(alpha > 0 and finite, |beta| < alpha) is written once, in the helper
-that returns gamma for :meth:`GhParams.validate` and the GH-type
-references.
+parameter names against the function's own, so a missing, unknown,
+non-numeric or non-finite parameter raises DomainError.  The GH
+parameter rule (alpha > 0 and finite, |beta| < alpha) is written once,
+in the helper that returns gamma for :meth:`GhParams.validate` and the
+GH-type references.
 
 :func:`priors_report` runs all of these checks on seeded random draws;
 it is the body of the ``verify-priors`` command.  ``scipy.special`` and
@@ -45,7 +45,7 @@ from __future__ import annotations
 
 import inspect
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Mapping
 
 import numpy as np
@@ -74,9 +74,9 @@ def _require_positive(value, name):
 
 def _gh_gamma(alpha, beta):
     """gamma = sqrt(alpha^2 - beta^2) of GH parameters, after checking that
-    alpha is positive and finite and |beta| < alpha."""
+    alpha is positive and finite and |beta| < alpha (NaN fails the test)."""
     _require_positive(alpha, "alpha")
-    if abs(beta) >= alpha:
+    if not abs(beta) < alpha:
         raise DomainError(f"|beta| must be < alpha, got beta={beta}, alpha={alpha}")
     return math.sqrt(alpha * alpha - beta * beta)
 
@@ -102,6 +102,8 @@ class GhParams:
     def validate(self):
         _gh_gamma(self.alpha, self.beta)
         _require_positive(self.delta, "delta")
+        if not (math.isfinite(self.lam) and math.isfinite(self.mu)):
+            raise DomainError(f"lam and mu must be finite, got {self}")
 
 
 @dataclass(frozen=True)
@@ -325,10 +327,10 @@ def reference_pdf(family: str, params: Mapping, x):
     lam, beta [0], mu [0]), nig(alpha, delta, beta [0], mu [0]),
     gen_gaussian(alpha, beta, mu [0]), sym_weibull(k, b),
     sym_rayleigh(sigma).  Each value goes through ``float()``; a missing,
-    unknown or non-numeric parameter raises DomainError, an unknown
-    family ValueError.  The parameters without a default are scales and
-    shapes, and DomainError is raised unless they are positive and
-    finite.  All integrate to one; the symmetric Weibull/Rayleigh forms
+    unknown, non-numeric or non-finite parameter raises DomainError, an
+    unknown family ValueError.  The parameters without a default are
+    scales and shapes, and DomainError is raised unless they are
+    positive.  All integrate to one; the symmetric Weibull/Rayleigh forms
     carry the 1/2 two-sided normalization.
     """
     if family not in _FAMILIES:
@@ -342,6 +344,8 @@ def reference_pdf(family: str, params: Mapping, x):
         values = {name: float(value) for name, value in params.items()}
     except (TypeError, ValueError):
         raise DomainError(f"{family} parameters must be numbers, got {dict(params)}") from None
+    if not all(math.isfinite(value) for value in values.values()):
+        raise DomainError(f"{family} parameters must be finite, got {values}")
     for name in required:
         _require_positive(values[name], name)
     x_arr = np.asarray(x, dtype=float)
@@ -521,25 +525,18 @@ def priors_report(settings: PriorsSettings, seed: int) -> dict:
         return GhParams(lam=lam, alpha=alpha, beta=beta, delta=delta, mu=mu)
 
     ident_grid = np.linspace(-8.0, 8.0, 201)
-    hyp_max = 0.0
-    nig_max = 0.0
+    ident_max = {"hyperbolic": 0.0, "nig": 0.0}
     for _ in range(5):
         params = draw_gh()
         ref = {"alpha": params.alpha, "beta": params.beta,
                "delta": params.delta, "mu": params.mu}
-        hyp = reference_pdf("hyperbolic", ref, ident_grid)
-        got = gh_pdf(ident_grid, GhParams(lam=1.0, alpha=params.alpha,
-                                          beta=params.beta, delta=params.delta,
-                                          mu=params.mu))
-        hyp_max = max(hyp_max, float(np.max(np.abs(got - hyp))))
-        nig = reference_pdf("nig", ref, ident_grid)
-        got = gh_pdf(ident_grid, GhParams(lam=-0.5, alpha=params.alpha,
-                                          beta=params.beta, delta=params.delta,
-                                          mu=params.mu))
-        nig_max = max(nig_max, float(np.max(np.abs(got - nig))))
+        for family, lam in (("hyperbolic", 1.0), ("nig", -0.5)):
+            gap = gh_pdf(ident_grid, replace(params, lam=lam)) \
+                - reference_pdf(family, ref, ident_grid)
+            ident_max[family] = max(ident_max[family], float(np.max(np.abs(gap))))
 
-    student_devs = limit_deviation("student_t_alpha", levels, grid, nu=settings.nu)
-    laplace_devs = limit_deviation("laplace_delta", levels, grid, b=settings.b)
+    deviations = {case: limit_deviation(case, levels, grid, nu=settings.nu, b=settings.b)
+                  for case in _LIMIT_CASES}
 
     mix_max = 0.0
     for _ in range(settings.mixture_draws):
@@ -564,31 +561,18 @@ def priors_report(settings: PriorsSettings, seed: int) -> dict:
             0.0, np.inf, epsabs=1e-12, epsrel=1e-12, limit=300)
         ig_max = max(ig_max, abs(val - alpha / beta))
 
-    def strictly_decreasing(seq):
-        return all(a > b_ for a, b_ in zip(seq, seq[1:]))
-
     return {
         "bessel": {
             "half_order_abs_error": half_order,
             "symmetry_max_rel": sym_max,
             "recurrence_max_rel": rec_max,
         },
-        "identities": {
-            "hyperbolic_max_abs": hyp_max,
-            "nig_max_abs": nig_max,
-        },
-        "limits": {
-            "student_t_alpha": {
-                "levels": levels,
-                "sup_deviation": student_devs,
-                "strictly_decreasing": strictly_decreasing(student_devs),
-            },
-            "laplace_delta": {
-                "levels": levels,
-                "sup_deviation": laplace_devs,
-                "strictly_decreasing": strictly_decreasing(laplace_devs),
-            },
-        },
+        "identities": {family + "_max_abs": gap for family, gap in ident_max.items()},
+        "limits": {case: {
+            "levels": levels,
+            "sup_deviation": devs,
+            "strictly_decreasing": all(a > b for a, b in zip(devs, devs[1:])),
+        } for case, devs in deviations.items()},
         "scale_mixture": {
             "draws": settings.mixture_draws,
             "grid_points": 21,

@@ -31,16 +31,17 @@ u = kl + ku the half-bandwidth of K' W K for a banded operator K:
 
     partial, banded K: O(N M + M w^2), w = max(u, 32).  The precision
              K' W K + diag(p) is built in band storage and factored once
-             (the banded factor JMAP uses); the mean is one banded
-             solve, the band of Sigma comes from the factor by selected
-             inversion in blocks of w columns, and diag(Sigma) and
+             by LAPACK pbtrf (the banded factor JMAP uses); the mean is
+             one pbtrs solve, the band of Sigma comes from the factor by
+             selected inversion in blocks of w columns, and diag(Sigma) and
              diag(K Sigma K') read only that band.  The whole Sigma is
              never formed in a solve: the returned state keeps the band
              and the factor, and ``np.asarray`` forms the matrix from the
              factor (O(M^2 u)) on each conversion.
     partial, dense K:  O(N M^2 + M^3).  The precision is formed with one
-             gemm and inverted through its Cholesky factor; each
-             quadratic-form diagonal is one gemm plus a row sum.
+             gemm and inverted through its Cholesky factor (LAPACK potrf,
+             then potri); each quadratic-form diagonal is one gemm plus a
+             row sum.
     full, banded H:    O(N M + M u^2).  The coordinate pass j = 0..M-1 is
              Gauss-Seidel on (H' Ve H + diag(vt_f)) f = H' Ve g, i.e. one
              triangular band solve; var = 1 / diag of that matrix.
@@ -48,7 +49,15 @@ u = kl + ku the half-bandwidth of K' W K for a banded operator K:
              axpy.
     In both full cases the covariance is diagonal and stays a vector, in
     the returned state too.  The O(N M) terms are the dense products H f
-    and H' (Ve g).
+    and H' (Ve g).  The full scheme picks its pass once per solve, from
+    H's M and u (:func:`_band_pass`).
+
+Every Gaussian block follows the failure rule of ``_linalg``: it raises
+SingularSystem unless LAPACK's ``info`` is 0 and both the factor and the
+result are finite.  A coordinate pass has no factor, so its precision
+diagonal takes the factor's place: the pass, and
+:func:`vba_full_coordinate_update`, raise SingularSystem unless that
+diagonal (the denominator) and the new f are finite.
 
 Every Gaussian block, partial or full, solves the normal equations
 ``(K' W K + diag(p)) x = rhs`` that ``model._normal_system`` forms for
@@ -98,6 +107,7 @@ from .model import (
     HyperParams,
     IgFamily,
     ModelMismatch,
+    SingularSystem,
     SolverState,
     validate_problem,
     _as_vector,
@@ -270,7 +280,9 @@ def vba_update_ig(kind, hyper, f_hat, Sigma_f, z_hat=None, Sigma_z=None, *, prob
     covariance matrices, or 1-D arrays read as a diagonal covariance
     (the solver also passes the covariances it keeps in band form).
     Raises DimensionMismatch unless ``f_hat``, ``z_hat`` (xi and z) and
-    the covariance arrays match the M coefficients.
+    the covariance arrays match the M coefficients, or when a covariance
+    the kind reads is None (``Sigma_f`` for eps, f and xi, ``Sigma_z``
+    for xi and z); one the kind does not read may be None.
     """
     if kind not in _IG_KINDS:
         raise ValueError(f"kind must be one of {_IG_KINDS}, got {kind!r}")
@@ -282,6 +294,8 @@ def vba_update_ig(kind, hyper, f_hat, Sigma_f, z_hat=None, Sigma_z=None, *, prob
     if kind in ("xi", "z"):
         z_hat = _as_vector(z_hat, "z_hat", m)
     Sigma_f, Sigma_z = _Covariance.of(Sigma_f, m, "Sigma_f"), _Covariance.of(Sigma_z, m, "Sigma_z")
+    if (Sigma_f is None and kind != "z") or (Sigma_z is None and kind in ("xi", "z")):
+        raise DimensionMismatch(f"the {kind} update reads a covariance that is None")
     if kind == "eps":
         r = problem.g - problem.H @ f_hat
         spread = r * r + Sigma_f.quad_diag(problem.H, problem.H_bands)
@@ -304,8 +318,9 @@ def vba_full_coordinate_update(problem, hyper, f_hat, vtilde_eps, vtilde_f, j):
     is part of the update signature for symmetry with the other updates
     but the closed form depends only on the expectancies.  Raises
     IndexOutOfRange unless j is an integer (numpy integers too, bool
-    not) in 0..M-1, and DimensionMismatch unless f_hat and vtilde_f have
-    length M and vtilde_eps length N.
+    not) in 0..M-1, DimensionMismatch unless f_hat and vtilde_f have
+    length M and vtilde_eps length N, and SingularSystem unless the
+    denominator and f_hat_j are finite.
     """
     if not problem.is_direct:
         raise ModelMismatch("coordinate update is defined for the direct model")
@@ -318,8 +333,10 @@ def vba_full_coordinate_update(problem, hyper, f_hat, vtilde_eps, vtilde_f, j):
     col = problem.H[:, j]
     partial_resid = problem.g - problem.H @ f_hat + col * f_hat[j]
     denom = float(col @ (vtilde_eps * col)) + vtilde_f[j]
-    numer = float(col @ (vtilde_eps * partial_resid))
-    return numer / denom, 1.0 / denom
+    f_j = float(col @ (vtilde_eps * partial_resid)) / denom
+    if not (np.isfinite(denom) and np.isfinite(f_j)):
+        raise SingularSystem(f"coordinate {j} update produced non-finite values")
+    return f_j, 1.0 / denom
 
 
 def _seed_families(problem, hyper, f0, z0):
@@ -389,18 +406,19 @@ def _dense_coordinates(HT, problem, w, p, f):
     return np.array(f_list), denom
 
 
-def _band_coordinates(problem, w, p, f):
-    """The coordinate pass on a banded H: one Gauss-Seidel sweep."""
-    return band_gauss_seidel(*_normal_system(problem, "f", w, p), f)
-
-
-def _full_sweep(problem, hyper, kinds, coordinates, state):
+def _full_sweep(problem, hyper, kinds, HT, state):
     """One pass over the f coordinates, then the IG families ``kinds``.
 
-    The covariance stays the vector of coordinate variances, a diagonal.
+    ``HT`` is the contiguous H' of the dense pass, or None for the banded
+    Gauss-Seidel pass.  Raises SingularSystem unless the precision
+    diagonal and the new f are finite.  The covariance stays the vector
+    of coordinate variances, a diagonal.
     """
-    f, denom = coordinates(problem, state.ig_eps.inv_expectation(),
-                           state.ig_f.inv_expectation(), state.f_hat)
+    w, p = state.ig_eps.inv_expectation(), state.ig_f.inv_expectation()
+    f, denom = (band_gauss_seidel(*_normal_system(problem, "f", w, p), state.f_hat)
+                if HT is None else _dense_coordinates(HT, problem, w, p, state.f_hat))
+    if not (np.all(np.isfinite(denom)) and np.all(np.isfinite(f))):
+        raise SingularSystem("coordinate pass produced non-finite values")
     return _vba_state(problem, hyper, kinds, f, None,
                       _Covariance(band=(1.0 / denom)[None]), None)
 
@@ -433,10 +451,9 @@ def solve_vba(problem: ForwardProblem, hyper: HyperParams, config: Optional[VbaC
     kinds = tuple(step[3:] for step in order if step.startswith("ig_"))
     if not full:
         sweep = partial(_partial_sweep, problem, hyper, kinds)
-    elif _band_pass(problem.H_bands, problem.n_coef):
-        sweep = partial(_full_sweep, problem, hyper, kinds, _band_coordinates)
     else:
-        HT = np.ascontiguousarray(problem.H.T)
-        sweep = partial(_full_sweep, problem, hyper, kinds, partial(_dense_coordinates, HT))
+        banded = _band_pass(problem.H_bands, problem.n_coef)
+        sweep = partial(_full_sweep, problem, hyper, kinds,
+                        None if banded else np.ascontiguousarray(problem.H.T))
     return alternate(problem, hyper, config, order,
                      _vba_state(problem, hyper, kinds, f, z, None, None, dict(seeded)), sweep)

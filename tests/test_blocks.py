@@ -16,8 +16,11 @@ from bsi import (
     HyperParams,
     IgFamily,
     NonPositiveVariance,
+    SingularSystem,
+    VbaConfig,
     jmap_update_f,
     jmap_update_z,
+    solve_vba,
     vba_full_coordinate_update,
     vba_update_f,
     vba_update_ig,
@@ -116,6 +119,10 @@ def coordinate(problem, *args):
     (update_ig, ("xi", HYPER, ONES, EYE, ONES, ONE)),   # diagonal Sigma_z of length 1
     (update_ig, ("z", HYPER, ONES, EYE, ONES3, EYE)),
     (update_ig, ("z", HYPER, ONES, EYE, ONES, EYE3)),
+    (update_ig, ("eps", HYPER, ONES, None)),            # a covariance it reads is None
+    (update_ig, ("xi", HYPER, ONES, None, ONES, EYE)),
+    (update_ig, ("xi", HYPER, ONES, EYE, ONES, None)),
+    (update_ig, ("z", HYPER, ONES, EYE, ONES, None)),
 ])
 def test_wrong_lengths_are_dimension_mismatch(K, update, args):
     problem = ForwardProblem(g=[1.0, 2.0], H=K, D=K)
@@ -133,10 +140,54 @@ def test_wrong_lengths_are_dimension_mismatch(K, update, args):
     (update_ig, ("f", HYPER, ONES, ONE)),               # diagonal Sigma_f of length 1
     (update_ig, ("f", HYPER, ONES3, EYE)),
     (update_ig, ("eps", HYPER, ONES, EYE3)),
+    (update_ig, ("f", HYPER, ONES, None)),              # the Sigma_f it reads is None
 ])
 def test_wrong_lengths_direct_model(K, update, args):
     with pytest.raises(DimensionMismatch):
         update(ForwardProblem(g=[1.0, 2.0], H=K), *args)
+
+
+def test_covariance_the_kind_does_not_read_may_be_none():
+    problem = ForwardProblem(g=[1.0, 2.0], H=EYE, D=EYE)
+    expected = vba_update_ig("z", HYPER, ONES, EYE, ONES, EYE, problem=problem)
+    got = vba_update_ig("z", HYPER, ONES, None, ONES, EYE, problem=problem)
+    np.testing.assert_array_equal(got.beta_hat, expected.beta_hat)
+
+
+# A precision of 1e308 on a column of 2 overflows the normal matrix's
+# diagonal to inf.  Cholesky passes it with info 0 and yields a finite,
+# meaningless result; every block must raise instead.
+H_PROBE = np.array([[2.0, 0.0], [0.5, 1.0]])
+G_PROBE = np.array([0.0, 2.5])
+HUGE = np.array([1e308, 1.0])
+HYPER_PROBE = HyperParams(alpha_eps=1.0, beta_eps=1e-308, alpha_f=1.0, beta_f=1.0)
+
+
+def solve_probe(H, g, separability):
+    return solve_vba(ForwardProblem(g=g, H=H), HYPER_PROBE, VbaConfig(separability=separability))
+
+
+def two_i_probe():
+    g = np.random.RandomState(0).randn(16)
+    g[0] = 0.0
+    return 2.0 * np.eye(16), g
+
+
+@pytest.mark.parametrize("run", [
+    lambda: jmap_update_f(ForwardProblem(g=G_PROBE, H=H_PROBE), 1.0 / HUGE, ONES),
+    lambda: jmap_update_z(ForwardProblem(g=G_PROBE, H=EYE, D=H_PROBE), 1.0 / HUGE, ONES, ONES),
+    lambda: vba_update_f(ForwardProblem(g=G_PROBE, H=H_PROBE), HUGE, ONES),
+    lambda: vba_update_z(ForwardProblem(g=G_PROBE, H=EYE, D=H_PROBE), HUGE, ONES, ONES),
+    lambda: vba_full_coordinate_update(ForwardProblem(g=G_PROBE, H=H_PROBE), HYPER,
+                                       [0.0, 0.0], HUGE, ONES, 0),
+    lambda: solve_probe(H_PROBE, G_PROBE, "partial"),
+    lambda: solve_probe(H_PROBE, G_PROBE, "full"),
+    lambda: solve_probe(*two_i_probe(), "full"),       # the banded pass
+], ids=["jmap_f", "jmap_z", "vba_f", "vba_z", "coordinate", "vba_partial", "vba_full",
+        "vba_full_banded"])
+def test_non_finite_block_is_singular_system(run):
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(SingularSystem):
+        run()
 
 
 @pytest.mark.parametrize("K, banded", [(np.eye(2), True),
@@ -152,3 +203,10 @@ def test_partial_sweep_block_checks_precisions(K, banded, block):
     for ig_w, ig_p in ((bad, good), (good, bad)):
         with pytest.raises(NonPositiveVariance):
             bsi.vba._gaussian(problem, block, ig_w, ig_p, ONES)
+
+
+def test_probes_take_the_paths_they_name():
+    bands = ForwardProblem(g=G_PROBE, H=H_PROBE).H_bands
+    assert not bsi.vba._band_block(bands, 2) and not bsi.vba._band_pass(bands, 2)
+    H, g = two_i_probe()
+    assert bsi.vba._band_pass(ForwardProblem(g=g, H=H).H_bands, 16)

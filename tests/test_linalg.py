@@ -21,10 +21,12 @@ from bsi._linalg import (
     band_factor,
     band_gauss_seidel,
     band_quad_diag,
+    normal_matrix,
     rel_change,
     selected_inverse,
     solve_normal,
     spd_inverse,
+    spd_solve,
 )
 from bsi.model import bandwidths
 
@@ -198,6 +200,13 @@ def test_solve_normal_rejects_non_finite_weights(bands, w_bad):
     if bands == (1, 1):                         # the factor VBA reads raises too
         with np.errstate(over="ignore", invalid="ignore"), pytest.raises(SingularSystem):
             band_factor(K, bands, w, np.ones(m))
+    else:                                       # so do the dense LAPACK calls
+        with pytest.raises(SingularSystem):
+            spd_solve([[np.inf, 0.5], [0.5, 1.0]], [1.0, 1.0])
+        # a precision of 1e308 on a column of 2 overflows the diagonal
+        probe = np.array([[2.0, 0.0], [0.5, 1.0]])
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(SingularSystem):
+            spd_inverse(normal_matrix(probe, np.array([1e308, 1.0]), np.ones(2)))
 
 
 def test_banded_path_is_taken_by_structure(monkeypatch):

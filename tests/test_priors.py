@@ -233,6 +233,11 @@ class TestGhPdf:
             gh_pdf(0.0, GhParams(lam=1.0, alpha=1.0, beta=1.5, delta=1.0))
         with pytest.raises(DomainError):
             gh_pdf(0.0, GhParams(lam=1.0, alpha=1.0, beta=0.0, delta=0.0))
+        for params in (GhParams(lam=1.0, alpha=1.0, beta=math.nan),
+                       GhParams(lam=math.nan, alpha=1.0),
+                       GhParams(lam=1.0, alpha=1.0, mu=math.inf)):
+            with pytest.raises(DomainError):
+                gh_pdf(0.5, params)
 
 
 class TestReferencePdf:
@@ -297,6 +302,9 @@ class TestReferencePdf:
             ("student_t", {}),
             ("student_t", {"nu": None}),                # not a number
             ("laplace", {"b": "wide"}),
+            ("hyperbolic", {"alpha": 1.0, "delta": 1.0, "beta": math.nan}),
+            ("laplace", {"b": 1.0, "mu": math.nan}),     # not finite
+            ("cauchy", {"mu": math.inf}),
         ]:
             with pytest.raises(DomainError):
                 reference_pdf(family, params, 0.0)

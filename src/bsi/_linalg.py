@@ -1,18 +1,21 @@
 """SPD solve/inverse helpers shared by the solvers.
 
 Every Gaussian block solves normal equations ``(K' diag(w) K + diag(p))
-x = rhs``.  ``model._normal_system`` gives each block its ``(K, bands,
-w, p, rhs)``, in the argument order of :func:`solve_normal` (both JMAP
-blocks) and :func:`band_gauss_seidel`.  When K is banded with ``kl`` sub- and ``ku``
-super-diagonals, the matrix is banded with half-bandwidth ``kl + ku``
-and is built and factored in band storage, in O(M (kl + ku)^2) instead
-of O(N M^2 + M^3 / 3).  :func:`band_factor` is that one banded factor.
-JMAP solves with it; VBA also takes from it the band of the covariance
-(:func:`selected_inverse`), which gives ``diag(K Sigma K')``
-(:func:`band_quad_diag`); :func:`band_inverse` forms the whole
-covariance from the factor, only when a caller converts a returned
-band covariance to an array.  :func:`band_gauss_seidel` is the VBA
-coordinate pass on the same band storage.
+x = rhs``.  ``model._normal_system`` gives each block its ``(op, w, p,
+rhs)``, in the argument order of :func:`solve_normal` (both JMAP
+blocks) and :func:`band_gauss_seidel`, where ``op`` is the
+``model._Operator`` of K: the dense K, its ``kl`` sub- and ``ku``
+super-diagonals, its band layout and the three flags that make every
+dense-or-banded choice.  On the banded path the matrix has
+half-bandwidth ``kl + ku`` and is built and factored in band storage,
+in O(M (kl + ku)^2) instead of O(N M^2 + M^3 / 3).  :func:`band_factor`
+is that one banded factor.  JMAP solves with it; VBA also takes from it
+the band of the covariance (:func:`selected_inverse`), which gives
+``diag(K Sigma K')`` (:func:`band_quad_diag`); :func:`band_inverse`
+forms the whole covariance from the factor, only when a caller converts
+a returned band covariance to an array.  :func:`band_gauss_seidel` is
+the VBA coordinate pass on the same band storage.  Each reads the band
+layout the operator built once.
 
 Each factorization is one direct LAPACK call: ``posv`` for the dense
 solve (:func:`spd_solve`, JMAP), ``potrf`` then ``potri`` for the dense
@@ -23,7 +26,11 @@ and the result are finite.  An infinite diagonal entry passes Cholesky
 with ``info`` 0 and yields a finite, meaningless result; the factor
 holds the infinity, so the rule catches it.  The coordinate pass has no
 factor; its caller applies the rule to the precision diagonal it
-returns, in the factor's place.
+returns, in the factor's place.  The matrix and the right-hand side
+are formed with numpy's overflow warnings silenced
+(``model._silent_overflow``): an extreme precision makes them
+non-finite, and the rule raises SingularSystem with no warning before
+it.
 
 Explicit dense inversion is confined to :func:`spd_inverse`, which the
 variational updates need on dense operators because downstream scale
@@ -40,7 +47,7 @@ import numpy as np
 from scipy.linalg.blas import dtbsv
 from scipy.linalg.lapack import dpbtrf, dpbtrs, dposv, dpotrf, dpotri, dtrtrs
 
-from .model import SingularSystem
+from .model import SingularSystem, _silent_overflow
 
 _TINY = float(np.finfo(float).tiny)
 # columns per dense block of selected_inverse: of 16, 32 and 64, 32 was
@@ -61,6 +68,7 @@ def spd_solve(A: np.ndarray, b: np.ndarray) -> np.ndarray:
     return x
 
 
+@_silent_overflow
 def normal_matrix(K: np.ndarray, w: np.ndarray, p: np.ndarray) -> np.ndarray:
     """Dense ``K' diag(w) K + diag(p)``."""
     A = K.T @ (K * w[:, None])
@@ -68,37 +76,13 @@ def normal_matrix(K: np.ndarray, w: np.ndarray, p: np.ndarray) -> np.ndarray:
     return A
 
 
-def _banded(bands, m: int) -> bool:
-    """Whether band storage pays for an M-column K with these bandwidths.
-
-    Measured with one BLAS thread on random banded K, the banded solve
-    beat the dense one up to kl + ku of about M / 5 at M = 128 and M / 4
-    at M = 1024, but only up to 2-3 at M = 16-32, where the kl + ku + 1
-    vector operations that form the band cost more than dense BLAS.
-    Requiring kl + ku <= M / 8 stays on the winning side at every M.
-    """
-    return 8 * (bands[0] + bands[1]) <= m
-
-
-def _band_gather(K, kl, ku):
-    """General band storage of K, ``Kb[r, j] = K[j - ku + r, j]``, zero outside K.
-
-    Also returns the row index ``j - ku + r`` of every entry (0 where
-    it falls outside K) and the mask of entries inside K.
-    """
-    n, m = K.shape
-    rows = np.arange(m) + np.arange(-ku, kl + 1)[:, None]
-    inside = (rows >= 0) & (rows < n)
-    rows[~inside] = 0
-    return np.where(inside, K[rows, np.arange(m)], 0.0), rows, inside
-
-
-def _normal_band(K, kl, ku, w, p):
+@_silent_overflow
+def _normal_band(op, w, p):
     """Upper band storage (LAPACK ``pbtrf`` layout, ``ab[u + i - j, j] = A[i, j]``)
-    of ``A = K' diag(w) K + diag(p)``, with ``u = kl + ku``."""
-    m = K.shape[1]
-    u = kl + ku
-    Kb, rows, _ = _band_gather(K, kl, ku)
+    of ``A = K' diag(w) K + diag(p)`` for the operator ``op`` of K, with
+    ``u = kl + ku``."""
+    Kb, rows, _ = op.layout
+    u, m = op.kl + op.ku, Kb.shape[1]
     Kbw = Kb * w[rows]
     ab = np.zeros((u + 1, m))
     for d in range(u + 1):
@@ -108,15 +92,15 @@ def _normal_band(K, kl, ku, w, p):
     return ab
 
 
-def band_factor(K: np.ndarray, bands, w: np.ndarray, p: np.ndarray) -> np.ndarray:
+def band_factor(op, w: np.ndarray, p: np.ndarray) -> np.ndarray:
     """Banded Cholesky factor U (``A = U' U``) of ``A = K' diag(w) K + diag(p)``.
 
-    ``bands`` is ``(kl, ku)`` of K.  U is in the upper band storage of
+    ``op`` is the operator of K.  U is in the upper band storage of
     LAPACK ``pbtrf``, ``(kl + ku + 1) x M``.  Raises SingularSystem when
     A is not positive definite or the factor is not finite (an infinite
     diagonal passes Cholesky and yields a finite, meaningless solve).
     """
-    c, info = dpbtrf(_normal_band(K, bands[0], bands[1], w, p), overwrite_ab=1)
+    c, info = dpbtrf(_normal_band(op, w, p), overwrite_ab=1)
     if info != 0 or not np.all(np.isfinite(c)):
         raise SingularSystem(f"banded Cholesky failed: pbtrf info={info}")
     return c
@@ -196,36 +180,35 @@ def _panel_band(b, t, u):
     return r, col, d
 
 
-def band_quad_diag(K: np.ndarray, bands, S: np.ndarray) -> np.ndarray:
-    """``diag(K Sigma K')`` for a banded K and the band S of a symmetric Sigma.
+def band_quad_diag(op, S: np.ndarray) -> np.ndarray:
+    """``diag(K Sigma K')`` for the operator ``op`` of K and the band S of a
+    symmetric Sigma.
 
-    ``bands`` is ``(kl, ku)`` of K; S is the lower band storage of
-    Sigma, ``S[d, j] = Sigma[j + d, j]``, with at most ``kl + ku + 1``
-    rows (one row is a diagonal Sigma).  Sigma entries outside the band
-    are never read: row i of K spans columns ``i - kl .. i + ku``.
+    S is the lower band storage of Sigma, ``S[d, j] = Sigma[j + d, j]``,
+    with at most ``kl + ku + 1`` rows (one row is a diagonal Sigma).
+    Sigma entries outside the band are never read: row i of K spans
+    columns ``i - kl .. i + ku``.
     """
-    kl, ku = bands
-    m = K.shape[1]
-    Kb, rows, inside = _band_gather(K, kl, ku)
+    n, m = op.K.shape
+    Kb, rows, inside = op.layout
     # T[r, j] = sum over k >= j of Sigma[k, j] K[i, k], the terms k > j
     # doubled, for the row i = j - ku + r; then diag(K Sigma K')[i] is
     # the sum over j of K[i, j] T[r, j]
     T = Kb * S[0]
     for d in range(1, S.shape[0]):
         T[d:, :m - d] += 2.0 * Kb[:-d, d:] * S[d, :m - d]
-    return np.bincount(rows[inside], weights=(Kb * T)[inside], minlength=K.shape[0])
+    return np.bincount(rows[inside], weights=(Kb * T)[inside], minlength=n)
 
 
-def band_gauss_seidel(K: np.ndarray, bands, w: np.ndarray, p: np.ndarray,
-                      rhs: np.ndarray, x: np.ndarray):
+def band_gauss_seidel(op, w: np.ndarray, p: np.ndarray, rhs: np.ndarray, x: np.ndarray):
     """One Gauss-Seidel sweep, coordinates 0..M-1, on ``A x = rhs``.
 
-    ``A = K' diag(w) K + diag(p)`` with K banded, ``bands = (kl, ku)``.
+    ``A = K' diag(w) K + diag(p)`` for the operator ``op`` of a banded K.
     The sweep solves ``tril(A) x_new = rhs - triu(A, 1) x`` with one
     triangular band solve (BLAS ``tbsv`` on the upper band, transposed).
     Returns ``(x_new, diag(A))``.
     """
-    ab = _normal_band(K, bands[0], bands[1], w, p)
+    ab = _normal_band(op, w, p)
     u, m = ab.shape[0] - 1, ab.shape[1]
     r = np.array(rhs, dtype=float)
     for d in range(1, u + 1):
@@ -233,17 +216,15 @@ def band_gauss_seidel(K: np.ndarray, bands, w: np.ndarray, p: np.ndarray,
     return dtbsv(u, ab, r, trans=1, overwrite_x=1), ab[u]
 
 
-def solve_normal(K: np.ndarray, bands, w: np.ndarray, p: np.ndarray,
-                 rhs: np.ndarray) -> np.ndarray:
+def solve_normal(op, w: np.ndarray, p: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Solve ``(K' diag(w) K + diag(p)) x = rhs`` for the weights w, p > 0.
 
-    ``bands`` is ``(kl, ku)`` of K (any pair at least as wide as its
-    nonzeros).  A narrow band goes through :func:`band_factor`, a wide
-    one through the dense :func:`spd_solve`.
+    ``op`` is the operator of K; its ``banded_solve`` flag sends the
+    solve through :func:`band_factor`, else through the dense
+    :func:`spd_solve`.
     """
-    if not _banded(bands, K.shape[1]):
-        return spd_solve(normal_matrix(K, w, p), rhs)
-    return band_solve(band_factor(K, bands, w, p), rhs)
+    return (band_solve(band_factor(op, w, p), rhs) if op.banded_solve
+            else spd_solve(normal_matrix(op.K, w, p), rhs))
 
 
 def spd_inverse(A: np.ndarray) -> np.ndarray:

@@ -46,22 +46,27 @@ from .model import (
     _check_ig,
     _check_positive,
     _normal_system,
+    _silent_overflow,
     _variance_families,
 )
 
 _VARIANCE_KINDS = ("eps", "xi", "z", "f_direct")
 
 
+@_silent_overflow
 def jmap_update_f(problem, v_eps, v_xi, z=None) -> np.ndarray:
     """Exact minimizer of L over f with the other blocks fixed.
 
     For the direct model pass v_f as ``v_xi`` and leave z as None (the
-    D z coupling term is absent).
+    D z coupling term is absent).  A variance so small that 1/v
+    overflows gives a non-finite system, and SingularSystem with no
+    numpy warning (``model._silent_overflow``).
     """
     w, p = 1.0 / _check_positive(v_eps, "v_eps"), 1.0 / _check_positive(v_xi, "v_xi")
     return solve_normal(*_normal_system(problem, "f", w, p, z))
 
 
+@_silent_overflow
 def jmap_update_z(problem, v_xi, v_z, f) -> np.ndarray:
     """Exact minimizer of L over z; indirect model only."""
     w, p = 1.0 / _check_positive(v_xi, "v_xi"), 1.0 / _check_positive(v_z, "v_z")

@@ -24,6 +24,13 @@ joint posterior, up to an additive constant, is the criterion
 with the xi-block replaced by the (f, v_f, alpha_f, beta_f) block in the
 direct model.  L is defined only up to a state-independent constant, so
 consumers must compare L differences or argmins, never absolute values.
+
+Every Gaussian block of both solvers solves the normal equations that
+:func:`_normal_system` forms, ``(K' diag(w) K + diag(p)) x = rhs`` with
+K = H (f block) or D (z block).  Each K is a :class:`_Operator`, built
+once per problem (``ForwardProblem._operators``): the dense array, its
+bandwidths, its band layout and the three measured flags that make
+every dense-or-banded choice.
 """
 
 from __future__ import annotations
@@ -61,6 +68,13 @@ class SingularSystem(RuntimeError):
 
 class ModelMismatch(ValueError):
     """Operation requires the other sparsity model (direct vs indirect)."""
+
+
+# Where a normal system or a criterion term is formed, an extreme
+# precision can overflow.  numpy's warnings are silenced there: the
+# non-finite result fails the finite-factor rule (see ``_linalg``), so
+# SingularSystem comes alone, and an overflowing L is +inf.
+_silent_overflow = np.errstate(over="ignore", invalid="ignore")
 
 
 def _as_vector(x, name: str, size=None) -> np.ndarray:
@@ -103,16 +117,12 @@ class ForwardProblem:
         return self.D is None
 
     @cached_property
-    def H_bands(self) -> tuple:
-        """(kl, ku) of H, found once per problem: see :func:`bandwidths`."""
-        return bandwidths(self.H)
-
-    @cached_property
-    def D_bands(self) -> tuple:
-        """(kl, ku) of D, found once per problem; indirect model only."""
-        if self.D is None:
-            raise ModelMismatch("D_bands requires the indirect model (D present)")
-        return bandwidths(self.D)
+    def _operators(self) -> dict:
+        """The :class:`_Operator` of each Gaussian block's K, built once per
+        problem: H for the f block and, in the indirect model, D for the z
+        block."""
+        return {block: _Operator(K) for block, K in (("f", self.H), ("z", self.D))
+                if K is not None}
 
 
 def bandwidths(K: np.ndarray) -> tuple:
@@ -127,6 +137,73 @@ def bandwidths(K: np.ndarray) -> tuple:
     first = nz[rows].argmax(axis=1)
     last = K.shape[1] - 1 - nz[rows, ::-1].argmax(axis=1)
     return max(int((rows - first).max()), 0), max(int((last - rows).max()), 0)
+
+
+class _Operator:
+    """A matrix K (H or D) with its band layout and its dense-or-banded choices.
+
+    ``K`` is the dense array itself, so every product with it keeps its
+    bits.  ``kl`` and ``ku`` count its sub- and super-diagonals
+    (:func:`bandwidths` unless ``bands`` gives a pair at least as wide),
+    and u = kl + ku is the half-bandwidth of ``K' diag(w) K``.  Every
+    dense-or-banded choice of a Gaussian block is one of three flags, each
+    a measured rule on M and u, with one BLAS thread on random banded K:
+
+    ``banded_solve``, 8 u <= M: a JMAP solve, and ``diag(K Sigma K')`` of
+    a band or diagonal Sigma, run in band storage.  The banded solve beat
+    the dense one up to kl + ku of about M / 5 at M = 128 and M / 4 at
+    M = 1024, but only up to 2-3 at M = 16-32, where the kl + ku + 1
+    vector operations that form the band cost more than dense BLAS.
+    Requiring kl + ku <= M / 8 stays on the winning side at every M.
+
+    ``banded_block``, u = 0, or M >= 96 and 16 u <= M, or M >= 160 and
+    8 u <= M: a partial-scheme VBA block runs banded.  Measured (N = M)
+    for the block's mean, diag(Sigma) and diag(K Sigma K'), banded
+    against dense: the banded block costs about 1.5-3 us per column
+    (mostly the selected inversion), so it lost at M = 16-64 for every
+    u >= 1 (0.5-0.9x).  It won at M = 96 up to u = 4 (1.1-1.4x) and at
+    M = 128 up to u = 8 (1.1-2.3x), and lost at M = 96, u = 8-12
+    (0.7-0.9x) and M = 128, u = 16-32 (0.5-0.9x).  From M = 160 it won
+    up to u = M / 8 (1.3-6x at M = 160-512) and lost from about u = M / 5
+    (0.8-1.0x).  A diagonal block (u = 0) won from M = 16 up and tied
+    below.
+
+    ``banded_pass``, 8 u <= M and u^2 <= 4 M: the full-scheme coordinate
+    pass runs as one banded Gauss-Seidel solve.  Measured as for
+    ``banded_block``: the band won wherever 8 u <= M holds (1.0x at M = 8
+    up to 30x at M = 1024), except when u^2 outgrows M: at M = 1024 it won
+    at u = 64 (1.5x) and lost at u = 128 (0.4x), where building the band
+    costs O(M u^2) against the O(N M) of the dense pass.
+
+    The band layout (:attr:`layout`) and the contiguous K' of the dense
+    coordinate pass (:attr:`KT`) are built on first use, once.
+    """
+
+    def __init__(self, K: np.ndarray, bands=None):
+        self.K = K
+        self.kl, self.ku = bands or bandwidths(K)
+        u, m = self.kl + self.ku, K.shape[1]
+        self.banded_solve = 8 * u <= m
+        self.banded_block = u == 0 or (m >= 96 and 16 * u <= m) or (m >= 160 and self.banded_solve)
+        self.banded_pass = self.banded_solve and u * u <= 4 * m
+
+    @cached_property
+    def layout(self) -> tuple:
+        """General band storage of K, ``Kb[r, j] = K[j - ku + r, j]``, zero outside K.
+
+        Also the row index ``j - ku + r`` of every entry (0 where it falls
+        outside K) and the mask of entries inside K: ``(Kb, rows, inside)``.
+        """
+        n, m = self.K.shape
+        rows = np.arange(m) + np.arange(-self.ku, self.kl + 1)[:, None]
+        inside = (rows >= 0) & (rows < n)
+        rows[~inside] = 0
+        return np.where(inside, self.K[rows, np.arange(m)], 0.0), rows, inside
+
+    @cached_property
+    def KT(self) -> np.ndarray:
+        """K' in C order: row j is column j of K."""
+        return np.ascontiguousarray(self.K.T)
 
 
 @dataclass(frozen=True)
@@ -347,41 +424,32 @@ def _check_ig(alpha, beta):
                          f"got {alpha!r} and {beta!r}")
 
 
+@_silent_overflow
 def _normal_system(problem: ForwardProblem, block: str, w, p, other=None) -> tuple:
     """The normal equations ``(K' diag(w) K + diag(p)) x = rhs`` of a Gaussian block.
 
-    Returns ``(K, bands, w, p, rhs)``, in the argument order of the
-    solvers in ``_linalg``.  ``w`` and ``p`` are the block's precisions,
-    checked by the caller.  The f block has K = H and rhs = H'(w g), plus
-    the coupling p * (D z) when ``other`` is z (indirect model); the z
-    block has K = D and rhs = D'(w f) with ``other`` = f.  JMAP and VBA
-    differ only in the precisions they pass: 1/v or <v^-1>.
+    Returns ``(op, w, p, rhs)``, in the argument order of the solvers in
+    ``_linalg``; ``op`` is the :class:`_Operator` of K, whose flags choose
+    the dense or banded path.  ``w`` and ``p`` are the block's
+    precisions, checked by the caller.  The f block has K = H and rhs =
+    H'(w g), plus the coupling p * (D z) when ``other`` is z (indirect
+    model); the z block has K = D and rhs = D'(w f) with ``other`` = f.
+    JMAP and VBA differ only in the precisions they pass: 1/v or <v^-1>.
     """
     if problem.is_direct and (block == "z" or other is not None):
         raise ModelMismatch("z and its block require the indirect model (D present)")
     other = None if other is None else np.asarray(other, dtype=float)
-    K, bands, data = ((problem.H, problem.H_bands, problem.g) if block == "f"
-                      else (problem.D, problem.D_bands, other))
-    m = problem.n_coef
-    if (np.shape(w) != K.shape[:1] or np.shape(p) != (m,)
-            or (other is not None and other.shape != (m,))):
+    op, data = problem._operators[block], (problem.g if block == "f" else other)
+    n, m = op.K.shape
+    if np.shape(w) != (n,) or np.shape(p) != (m,) or (other is not None and other.shape != (m,)):
         raise DimensionMismatch(
             f"{block} block: w, p and the other block have lengths {np.size(w)}, "
             f"{np.size(p)}, {'-' if other is None else other.size}; "
-            f"expected {K.shape[0]}, {m}, {m}")
-    rhs = K.T @ (w * data)
+            f"expected {n}, {m}, {m}")
+    rhs = op.K.T @ (w * data)
     if block == "f" and other is not None:
         rhs = rhs + p * (problem.D @ other)
-    return K, bands, w, p, rhs
-
-
-def _ig_block(v, alpha, beta, residual):
-    """Quadratic + log-barrier terms of one variance family of L."""
-    return float(
-        0.5 * np.sum(residual * residual / v)
-        + (alpha + 1.5) * np.sum(np.log(v))
-        + np.sum(beta / v)
-    )
+    return op, w, p, rhs
 
 
 def _variance_families(problem: ForwardProblem, hyper: HyperParams, f, z) -> tuple:
@@ -398,16 +466,20 @@ def _variance_families(problem: ForwardProblem, hyper: HyperParams, f, z) -> tup
             ("z", hyper.alpha_z, hyper.beta_z, z))
 
 
+@_silent_overflow
 def neg_log_posterior(state: SolverState, problem: ForwardProblem, hyper: HyperParams) -> float:
     """Joint negative-log-posterior L at a state (constants dropped).
 
     Compare L differences or argmins only; the absolute level depends on
-    the dropped normalization constants.
+    the dropped normalization constants.  A term that overflows makes L
+    +inf.
     """
     f = _as_vector(state.f_hat, "f_hat")
     z = None if problem.is_direct else _as_vector(state.z_hat, "z_hat")
     total = 0.0
     for kind, alpha, beta, residual in _variance_families(problem, hyper, f, z):
         v = _check_positive(getattr(state, "v_" + kind), "v_" + kind)
-        total += _ig_block(v, alpha, beta, residual)
+        # the quadratic and log-barrier terms of one variance family
+        total += float(0.5 * np.sum(residual * residual / v)
+                       + (alpha + 1.5) * np.sum(np.log(v)) + np.sum(beta / v))
     return total

@@ -349,8 +349,9 @@ def reference_pdf(family: str, params: Mapping, x):
     for name in required:
         _require_positive(values[name], name)
     x_arr = np.asarray(x, dtype=float)
-    out = density(x_arr, **values)
-    return out if x_arr.ndim else float(out)
+    # a scalar x is the one-point vector, so it has the vector call's bits
+    out = density(np.atleast_1d(x_arr), **values)
+    return out if x_arr.ndim else float(out[0])
 
 
 def _mixture_integrand(x: float, mu: float, beta: float, gig: GigParams):

@@ -49,15 +49,16 @@ u = kl + ku the half-bandwidth of K' W K for a banded operator K:
              axpy.
     In both full cases the covariance is diagonal and stays a vector, in
     the returned state too.  The O(N M) terms are the dense products H f
-    and H' (Ve g).  The full scheme picks its pass once per solve, from
-    H's M and u (:func:`_band_pass`).
+    and H' (Ve g).
 
 Every Gaussian block follows the failure rule of ``_linalg``: it raises
 SingularSystem unless LAPACK's ``info`` is 0 and both the factor and the
 result are finite.  A coordinate pass has no factor, so its precision
 diagonal takes the factor's place: the pass, and
 :func:`vba_full_coordinate_update`, raise SingularSystem unless that
-diagonal (the denominator) and the new f are finite.
+diagonal (the denominator) and the new f are finite.  Both run with
+numpy's overflow warnings silenced, as the system's formation does, so
+the typed error comes alone.
 
 Every Gaussian block, partial or full, solves the normal equations
 ``(K' W K + diag(p)) x = rhs`` that ``model._normal_system`` forms for
@@ -71,8 +72,12 @@ diagonal and quadratic-form diagonal.
 
 Banded or dense is chosen from the operator alone (its M and
 half-bandwidth u), per block: a dense H with D = I runs a dense f block
-and a banded z block.  The rules, :func:`_band_block` and
-:func:`_band_pass`, are measured ones.
+and a banded z block.  Each block reads the choice from the flags of
+``model._Operator``, built once per problem: ``banded_block`` for a
+partial-scheme block, ``banded_pass`` for the coordinate pass and
+``banded_solve`` for ``diag(K Sigma K')`` of a band or diagonal Sigma.
+The operator also keeps the band layout and the contiguous H' of the
+dense pass, each built once.
 
 Both schemes run in ``jmap.alternate``, the loop JMAP uses too, with
 their own sweep: one partial sweep for both models and the coordinate
@@ -90,7 +95,6 @@ import numpy as np
 from scipy.linalg.blas import daxpy
 
 from ._linalg import (
-    _banded,
     band_factor,
     band_gauss_seidel,
     band_inverse,
@@ -116,6 +120,7 @@ from .model import (
     _check_positive,
     _is_integer,
     _normal_system,
+    _silent_overflow,
     _variance_families,
 )
 
@@ -166,9 +171,9 @@ def _system(problem, block, w, p, other):
                           _check_positive(p, p_name), other)
 
 
-def _dense_gaussian(K, bands, w, p, rhs):
+def _dense_gaussian(op, w, p, rhs):
     """Mean and dense covariance of a Gaussian block."""
-    Sigma = spd_inverse(normal_matrix(K, w, p))
+    Sigma = spd_inverse(normal_matrix(op.K, w, p))
     return Sigma @ rhs, Sigma
 
 
@@ -186,37 +191,6 @@ def vba_update_f(problem, vtilde_eps, vtilde_xi, z_hat=None):
 def vba_update_z(problem, vtilde_xi, vtilde_z, f_hat):
     """Normal factor of z: mean and full covariance; indirect model only."""
     return _dense_gaussian(*_system(problem, "z", vtilde_xi, vtilde_z, f_hat))
-
-
-def _band_block(bands, m):
-    """Whether a partial-scheme Gaussian block on an M-column K runs banded.
-
-    Measured with one BLAS thread on random banded K (N = M), for the
-    block's mean, diag(Sigma) and diag(K Sigma K'), banded against dense:
-    the banded block costs about 1.5-3 us per column (mostly the
-    selected inversion), so it lost at M = 16-64 for every u >= 1
-    (0.5-0.9x).  It won at M = 96 up to u = 4 (1.1-1.4x) and at M = 128
-    up to u = 8 (1.1-2.3x), and lost at M = 96, u = 8-12 (0.7-0.9x) and
-    M = 128, u = 16-32 (0.5-0.9x).  From M = 160 it won up to u = M / 8
-    (1.3-6x at M = 160-512) and lost from about u = M / 5 (0.8-1.0x).
-    A diagonal block (u = 0) won from M = 16 up and tied below.
-    """
-    u = bands[0] + bands[1]
-    return u == 0 or (m >= 96 and 16 * u <= m) or (m >= 160 and _banded(bands, m))
-
-
-def _band_pass(bands, m):
-    """Whether the full-scheme coordinate pass runs as one banded
-    Gauss-Seidel solve.
-
-    Measured as for :func:`_band_block`: the band won wherever
-    ``_banded`` holds (1.0x at M = 8 up to 30x at M = 1024), except when
-    u^2 outgrows M: at M = 1024 it won at u = 64 (1.5x) and lost at
-    u = 128 (0.4x), where building the band costs O(M u^2) against the
-    O(N M) of the dense pass.
-    """
-    u = bands[0] + bands[1]
-    return _banded(bands, m) and u * u <= 4 * m
 
 
 @dataclass(frozen=True)
@@ -253,14 +227,15 @@ class _Covariance:
         """diag(Sigma)."""
         return self.band[0] if self.dense is None else np.diag(self.dense)
 
-    def quad_diag(self, K, bands):
-        """diag(K Sigma K'): one gemm for a dense Sigma, else from the bands
-        when K is banded, else O(NM) for a diagonal Sigma."""
+    def quad_diag(self, op):
+        """diag(K Sigma K') for the operator ``op`` of K: one gemm for a dense
+        Sigma, else from the bands when ``op.banded_solve``, else O(NM) for
+        a diagonal Sigma."""
         if self.dense is not None:
-            return ((K @ self.dense) * K).sum(axis=1)
-        if _banded(bands, K.shape[1]):
-            return band_quad_diag(K, bands, self.band)
-        return (K * K) @ self.band[0]
+            return ((op.K @ self.dense) * op.K).sum(axis=1)
+        if op.banded_solve:
+            return band_quad_diag(op, self.band)
+        return (op.K * op.K) @ self.band[0]
 
     def __array__(self, dtype=None, copy=None):
         """The whole Sigma: the dense matrix itself, else formed anew on each
@@ -298,18 +273,19 @@ def vba_update_ig(kind, hyper, f_hat, Sigma_f, z_hat=None, Sigma_z=None, *, prob
         raise DimensionMismatch(f"the {kind} update reads a covariance that is None")
     if kind == "eps":
         r = problem.g - problem.H @ f_hat
-        spread = r * r + Sigma_f.quad_diag(problem.H, problem.H_bands)
+        spread = r * r + Sigma_f.quad_diag(problem._operators["f"])
     elif kind == "f":
         spread = f_hat * f_hat + Sigma_f.diag()
     elif kind == "xi":
         r = f_hat - problem.D @ z_hat
-        spread = r * r + Sigma_f.diag() + Sigma_z.quad_diag(problem.D, problem.D_bands)
+        spread = r * r + Sigma_f.diag() + Sigma_z.quad_diag(problem._operators["z"])
     else:  # z
         spread = z_hat * z_hat + Sigma_z.diag()
     return IgFamily.posterior(getattr(hyper, "alpha_" + kind), getattr(hyper, "beta_" + kind),
                               spread)
 
 
+@_silent_overflow
 def vba_full_coordinate_update(problem, hyper, f_hat, vtilde_eps, vtilde_f, j):
     """Coordinate-wise Normal factor of f_j for the fully separable scheme.
 
@@ -342,12 +318,11 @@ def vba_full_coordinate_update(problem, hyper, f_hat, vtilde_eps, vtilde_f, j):
 def _seed_families(problem, hyper, f0, z0):
     """Initial IG factors: shapes alpha + 1/2, scales beta + (init residual)^2 / 2.
 
-    Returns (eps, f, None) for the direct model and (eps, xi, z) for the
-    indirect one.
+    Returns them by kind, in the order of ``model._variance_families``:
+    eps and f for the direct model, eps, xi and z for the indirect one.
     """
-    seeded = [IgFamily.posterior(alpha, beta, residual * residual)
-              for _, alpha, beta, residual in _variance_families(problem, hyper, f0, z0)]
-    return (*seeded, None)[:3]
+    return {kind: IgFamily.posterior(alpha, beta, residual * residual)
+            for kind, alpha, beta, residual in _variance_families(problem, hyper, f0, z0)}
 
 
 def _vba_state(problem, hyper, kinds, f, z, Sigma_f, Sigma_z, families=None):
@@ -367,16 +342,15 @@ def _gaussian(problem, block, ig_w, ig_p, other):
     """One Gaussian block of the partial sweep: its mean and covariance.
 
     ``ig_w`` and ``ig_p`` are the IG families whose expectancies weight
-    the block.  A block on a banded operator carries its covariance as
-    a band; a dense one runs the public dense update and keeps its plain
-    array.
+    the block.  A block whose operator is ``banded_block`` carries its
+    covariance as a band; a dense one runs the public dense update and
+    keeps its plain array.
     """
     w, p = ig_w.inv_expectation(), ig_p.inv_expectation()
-    if not _band_block(problem.H_bands if block == "f" else problem.D_bands,
-                       problem.n_coef):
+    if not problem._operators[block].banded_block:
         return (vba_update_f if block == "f" else vba_update_z)(problem, w, p, other)
-    K, bands, w, p, rhs = _system(problem, block, w, p, other)
-    c = band_factor(K, bands, w, p)
+    op, w, p, rhs = _system(problem, block, w, p, other)
+    c = band_factor(op, w, p)
     return band_solve(c, rhs), _Covariance(band=selected_inverse(c), factor=c)
 
 
@@ -390,9 +364,12 @@ def _partial_sweep(problem, hyper, kinds, state):
     return _vba_state(problem, hyper, kinds, f, z, Sigma_f, Sigma_z)
 
 
-def _dense_coordinates(HT, problem, w, p, f):
+@_silent_overflow
+def _dense_coordinates(problem, w, p, f):
     """The coordinate pass on a dense H: one dot and one axpy per coordinate,
-    keeping resid = g - H f.  Returns (f, diag of H' W H + diag(p))."""
+    on the rows of the contiguous H' that H's operator keeps, with resid =
+    g - H f.  Returns (f, diag of H' W H + diag(p))."""
+    HT = problem._operators["f"].KT
     HTw = HT * w
     col_sq = (HTw * HT).sum(axis=1)
     denom = col_sq + p
@@ -406,17 +383,19 @@ def _dense_coordinates(HT, problem, w, p, f):
     return np.array(f_list), denom
 
 
-def _full_sweep(problem, hyper, kinds, HT, state):
+def _full_sweep(problem, hyper, kinds, state):
     """One pass over the f coordinates, then the IG families ``kinds``.
 
-    ``HT`` is the contiguous H' of the dense pass, or None for the banded
-    Gauss-Seidel pass.  Raises SingularSystem unless the precision
-    diagonal and the new f are finite.  The covariance stays the vector
-    of coordinate variances, a diagonal.
+    The pass is one banded Gauss-Seidel solve when H's operator is
+    ``banded_pass``, else the dense coordinate loop.  Raises
+    SingularSystem unless the precision diagonal and the new f are
+    finite.  The covariance stays the vector of coordinate variances, a
+    diagonal.
     """
     w, p = state.ig_eps.inv_expectation(), state.ig_f.inv_expectation()
     f, denom = (band_gauss_seidel(*_normal_system(problem, "f", w, p), state.f_hat)
-                if HT is None else _dense_coordinates(HT, problem, w, p, state.f_hat))
+                if problem._operators["f"].banded_pass
+                else _dense_coordinates(problem, w, p, state.f_hat))
     if not (np.all(np.isfinite(denom)) and np.all(np.isfinite(f))):
         raise SingularSystem("coordinate pass produced non-finite values")
     return _vba_state(problem, hyper, kinds, f, None,
@@ -441,19 +420,11 @@ def solve_vba(problem: ForwardProblem, hyper: HyperParams, config: Optional[VbaC
     if full and not problem.is_direct:
         raise ModelMismatch("full separability is defined for the direct model only")
     f, z = initial_iterates(problem, config)
-    if problem.is_direct:
-        seeded = zip(("eps", "f"), _seed_families(problem, hyper, f, None))
-        order = ("q_f_sweep", "ig_f", "ig_eps") if full else ("q_f", "ig_f", "ig_eps")
-    else:
-        seeded = zip(("eps", "xi", "z"), _seed_families(problem, hyper, f, z))
-        order = ("q_f", "q_z", "ig_xi", "ig_eps", "ig_z")
+    order = (("q_f_sweep" if full else "q_f", "ig_f", "ig_eps") if problem.is_direct
+             else ("q_f", "q_z", "ig_xi", "ig_eps", "ig_z"))
     # the IG families a sweep updates, in the order the trace records
     kinds = tuple(step[3:] for step in order if step.startswith("ig_"))
-    if not full:
-        sweep = partial(_partial_sweep, problem, hyper, kinds)
-    else:
-        banded = _band_pass(problem.H_bands, problem.n_coef)
-        sweep = partial(_full_sweep, problem, hyper, kinds,
-                        None if banded else np.ascontiguousarray(problem.H.T))
+    sweep = partial(_full_sweep if full else _partial_sweep, problem, hyper, kinds)
     return alternate(problem, hyper, config, order,
-                     _vba_state(problem, hyper, kinds, f, z, None, None, dict(seeded)), sweep)
+                     _vba_state(problem, hyper, kinds, f, z, None, None,
+                                _seed_families(problem, hyper, f, z)), sweep)

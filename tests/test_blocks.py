@@ -5,6 +5,8 @@ with K = H, rhs = H'(w g) + p * (D z) (f block) or K = D, rhs = D'(w f)
 (z block); JMAP takes variances v = 1/w, 1/p, VBA the precisions.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -20,6 +22,7 @@ from bsi import (
     VbaConfig,
     jmap_update_f,
     jmap_update_z,
+    solve_jmap,
     solve_vba,
     vba_full_coordinate_update,
     vba_update_f,
@@ -180,14 +183,18 @@ def two_i_probe():
     lambda: vba_update_z(ForwardProblem(g=G_PROBE, H=EYE, D=H_PROBE), HUGE, ONES, ONES),
     lambda: vba_full_coordinate_update(ForwardProblem(g=G_PROBE, H=H_PROBE), HYPER,
                                        [0.0, 0.0], HUGE, ONES, 0),
+    lambda: solve_jmap(ForwardProblem(g=G_PROBE, H=H_PROBE), HYPER_PROBE),
     lambda: solve_probe(H_PROBE, G_PROBE, "partial"),
     lambda: solve_probe(H_PROBE, G_PROBE, "full"),
     lambda: solve_probe(*two_i_probe(), "full"),       # the banded pass
-], ids=["jmap_f", "jmap_z", "vba_f", "vba_z", "coordinate", "vba_partial", "vba_full",
-        "vba_full_banded"])
+], ids=["jmap_f", "jmap_z", "vba_f", "vba_z", "coordinate", "jmap", "vba_partial",
+        "vba_full", "vba_full_banded"])
 def test_non_finite_block_is_singular_system(run):
-    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(SingularSystem):
-        run()
+    # with no np.errstate here: the typed error must come with no warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SingularSystem):
+            run()
 
 
 @pytest.mark.parametrize("K, banded", [(np.eye(2), True),
@@ -198,7 +205,7 @@ def test_partial_sweep_block_checks_precisions(K, banded, block):
     # the banded block solves on its own, the dense one calls the public
     # update: both reject a non-positive precision
     problem = ForwardProblem(g=[1.0, 2.0], H=K, D=K)
-    assert bsi.vba._band_block(problem.H_bands, 2) is banded
+    assert problem._operators[block].banded_block is banded
     good, bad = IgFamily(ONES, 1.0), IgFamily([1.0, -1.0], 1.0)
     for ig_w, ig_p in ((bad, good), (good, bad)):
         with pytest.raises(NonPositiveVariance):
@@ -206,7 +213,7 @@ def test_partial_sweep_block_checks_precisions(K, banded, block):
 
 
 def test_probes_take_the_paths_they_name():
-    bands = ForwardProblem(g=G_PROBE, H=H_PROBE).H_bands
-    assert not bsi.vba._band_block(bands, 2) and not bsi.vba._band_pass(bands, 2)
+    op = ForwardProblem(g=G_PROBE, H=H_PROBE)._operators["f"]
+    assert not op.banded_solve and not op.banded_block and not op.banded_pass
     H, g = two_i_probe()
-    assert bsi.vba._band_pass(ForwardProblem(g=g, H=H).H_bands, 16)
+    assert ForwardProblem(g=g, H=H)._operators["f"].banded_pass

@@ -1,6 +1,9 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
 from unittest import mock
 
 import numpy as np
@@ -757,6 +760,27 @@ class TestExitCodes:
         assert main(["simulate", "--config", write_config(tmp_path, "c.json", payload)]) \
             == EXIT_SOLVER
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("method", ["jmap", "vba-partial", "vba-full"])
+    def test_overflowing_precision_is_one_solver_error_line(self, tmp_path, method):
+        """beta_eps = 1e-308 overflows the noise precision: exit 4, and stderr
+        holds the solver error line alone, with no numpy warning before it."""
+        g, H = tmp_path / "g.csv", tmp_path / "H.csv"
+        write_matrix(np.array([0.0, 2.5]), g)
+        write_matrix(np.array([[2.0, 0.0], [0.5, 1.0]]), H)
+        cfg = write_config(tmp_path, "c.json", {
+            "mode": "solve", "model": "direct", "method": method,
+            "out_dir": str(tmp_path / "run"),
+            "hyper": {"alpha_eps": 1.0, "beta_eps": 1e-308, "alpha_f": 1.0, "beta_f": 1.0},
+            "inputs": {"g": str(g), "H": str(H)},
+        })
+        src = os.path.dirname(os.path.dirname(os.path.abspath(bsi.cli.__file__)))
+        done = subprocess.run([sys.executable, "-m", "bsi", "solve", "--config", cfg],
+                              capture_output=True, text=True, timeout=120,
+                              env={**os.environ, "PYTHONPATH": src})
+        assert done.returncode == EXIT_SOLVER
+        lines = done.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("bsi: solver error: "), done.stderr
 
     def test_nonfinite_operator_is_solver_error(self, tmp_path):
         g = tmp_path / "g.csv"

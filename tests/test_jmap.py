@@ -323,7 +323,8 @@ def test_banded_solve_matches_dense_reference(model, init, oracle_start):
                                                amplitude_range=(2.0, 4.0), seed=4))
     g = H @ f_true + 0.05 * np.random.RandomState(4).randn(m)
     problem = ForwardProblem(g=g, H=H, D=np.eye(m) if model == "indirect" else None)
-    assert problem.H_bands == (2, 2)
+    op = problem._operators["f"]
+    assert (op.kl, op.ku) == (2, 2)
     hyper = HyperParams(3.0, 0.05, 1.0, 0.1, 1.0, 0.5, 1.0, 0.5)
     init, f0, z0 = oracle_start(problem, init)
     state, _ = solve_jmap(problem, hyper, JmapConfig(max_iter=30, tol_rel_f=1e-300,

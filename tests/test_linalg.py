@@ -28,7 +28,7 @@ from bsi._linalg import (
     spd_inverse,
     spd_solve,
 )
-from bsi.model import bandwidths
+from bsi.model import _Operator, bandwidths
 
 
 @pytest.mark.parametrize("m", [1, 2, 7, 40])
@@ -113,10 +113,11 @@ def test_solve_normal_matches_dense_oracle(system):
     assert detected[0] <= bands[0] and detected[1] <= bands[1]
     m = K.shape[1]
     for b in (bands, detected, (bands[0] + 1, bands[1])):
-        assert rel_err(solve_normal(K, b, w, p, rhs), oracle) <= 1e-12
+        op = _Operator(K, b)
+        assert rel_err(solve_normal(op, w, p, rhs), oracle) <= 1e-12
         u = b[0] + b[1]
         if u < m:                               # the band, whichever path runs
-            ab = _normal_band(K, b[0], b[1], w, p)
+            ab = _normal_band(op, w, p)
             for d in range(u + 1):
                 np.testing.assert_allclose(ab[u - d, d:], np.diagonal(A, d),
                                            rtol=1e-13, atol=1e-13 * np.abs(A).max())
@@ -135,16 +136,17 @@ def test_band_kernels_match_dense_oracles(system):
     d = np.sqrt(np.diag(A))
     assume(np.linalg.cond(A / np.outer(d, d)) <= 1e3)
     Sigma = spd_inverse(A)
-    S = selected_inverse(band_factor(K, bands, w, p))
+    op = _Operator(K, bands)
+    S = selected_inverse(band_factor(op, w, p))
     assert S.shape == (u + 1, m)
     for k in range(u + 1):
         assert within(S[k, :m - k], np.diagonal(Sigma, -k), 1e-10)
-    assert within(band_quad_diag(K, bands, S), np.diag(K @ Sigma @ K.T), 1e-10)
+    assert within(band_quad_diag(op, S), np.diag(K @ Sigma @ K.T), 1e-10)
     v = np.diag(Sigma)                          # a diagonal Sigma is the u = 0 band
-    assert within(band_quad_diag(K, bands, v[None]), np.diag(K @ np.diag(v) @ K.T), 1e-10)
+    assert within(band_quad_diag(op, v[None]), np.diag(K @ np.diag(v) @ K.T), 1e-10)
     # one Gauss-Seidel sweep from rhs is the coordinate update for j = 0..M-1
     g = np.random.RandomState(m).randn(n)
-    f, diag = band_gauss_seidel(K, bands, w, p, K.T @ (w * g), rhs)
+    f, diag = band_gauss_seidel(op, w, p, K.T @ (w * g), rhs)
     problem, loop, var = ForwardProblem(g=g, H=K), rhs.copy(), np.empty(m)
     for j in range(m):
         loop[j], var[j] = vba_full_coordinate_update(problem, HyperParams(), loop, w, p, j)
@@ -160,7 +162,7 @@ def test_selected_inverse_across_blocks(bands):
     K = banded(rng, m + 3, m, *bands)
     w, p = rng.uniform(0.5, 2.0, m + 3), rng.uniform(0.5, 2.0, m)
     Sigma = np.linalg.inv(K.T @ (K * w[:, None]) + np.diag(p))
-    S = selected_inverse(band_factor(K, bands, w, p))
+    S = selected_inverse(band_factor(_Operator(K, bands), w, p))
     for k in range(sum(bands) + 1):
         assert within(S[k, :m - k], np.diagonal(Sigma, -k), 1e-12)
 
@@ -172,9 +174,9 @@ def test_solve_normal_keeps_the_solveh_banded_bits(bands):
     m = 64
     K = banded(rng, m, m, *bands)
     w, p, rhs = rng.uniform(0.5, 2.0, m), rng.uniform(0.5, 2.0, m), rng.randn(m)
-    expected = scipy.linalg.solveh_banded(_normal_band(K, *bands, w, p), rhs,
-                                          check_finite=False)
-    np.testing.assert_array_equal(solve_normal(K, bands, w, p, rhs), expected)
+    op = _Operator(K, bands)
+    expected = scipy.linalg.solveh_banded(_normal_band(op, w, p), rhs, check_finite=False)
+    np.testing.assert_array_equal(solve_normal(op, w, p, rhs), expected)
 
 
 def test_bandwidths():
@@ -185,6 +187,59 @@ def test_bandwidths():
     assert bandwidths(K) == (3, 6)
     assert bandwidths(np.ones((4, 6))) == (3, 5)
     assert bandwidths(np.eye(6)) == (0, 0)
+    op = _Operator(K)                           # the operator finds them itself
+    assert (op.kl, op.ku) == (3, 6)
+
+
+def parent_rules(m, kl, ku):
+    """The three dense-or-banded rules as written before the operator owned
+    them: JMAP solve, VBA partial block, VBA full pass."""
+    u = kl + ku
+    solve = 8 * u <= m
+    return (solve,
+            u == 0 or (m >= 96 and 16 * u <= m) or (m >= 160 and solve),
+            solve and u * u <= 4 * m)
+
+
+# (N, M, kl, ku) on the banded and on the dense side of every boundary of
+# the rules, and which flag (0 solve, 1 block, 2 pass) the boundary flips
+BOUNDARIES = {
+    "M=96/95": ((96, 96, 3, 3), (95, 95, 3, 3), 1),
+    "M=160/159": ((160, 160, 10, 9), (159, 159, 10, 9), 1),
+    "16u=M/M-1": ((112, 112, 4, 3), (111, 111, 4, 3), 1),
+    "8u=M/M+1": ((64, 64, 4, 4), (63, 63, 4, 4), 0),
+    "u^2=4M/4M+1": ((256, 256, 16, 16), (272, 272, 16, 17), 2),
+}
+RULE_TABLE = [row for a, b, _ in BOUNDARIES.values() for row in (a, b)] + [
+    (1, 1, 0, 0), (16, 16, 0, 0), (8, 8, 1, 0), (8, 8, 0, 1), (20, 16, 1, 1),
+    (96, 96, 4, 3), (100, 96, 6, 0), (159, 159, 10, 10), (160, 160, 10, 10),
+    (160, 160, 0, 20), (150, 160, 11, 10), (70, 64, 8, 0), (63, 63, 0, 8),
+    (256, 256, 16, 17), (272, 272, 17, 16), (300, 272, 33, 0),
+    (1024, 1024, 64, 64), (1024, 1024, 32, 32), (64, 128, 63, 127), (128, 128, 127, 127),
+]
+
+
+def parent_rules(m, kl, ku):
+    """The three dense-or-banded rules as written before the operator owned
+    them: JMAP solve, VBA partial block, VBA full pass."""
+    u = kl + ku
+    solve = 8 * u <= m
+    return (solve,
+            u == 0 or (m >= 96 and 16 * u <= m) or (m >= 160 and solve),
+            solve and u * u <= 4 * m)
+
+
+@pytest.mark.parametrize("n, m, kl, ku", RULE_TABLE)
+def test_path_rules_are_the_parent_formulas(n, m, kl, ku):
+    op = _Operator(np.zeros((n, m)), (kl, ku))
+    assert (op.banded_solve, op.banded_block, op.banded_pass) == parent_rules(m, kl, ku)
+
+
+@pytest.mark.parametrize("boundary", BOUNDARIES)
+def test_rule_table_straddles_every_boundary(boundary):
+    (_, m_in, kl_in, ku_in), (_, m_out, kl_out, ku_out), flag = BOUNDARIES[boundary]
+    assert parent_rules(m_in, kl_in, ku_in)[flag] is True
+    assert parent_rules(m_out, kl_out, ku_out)[flag] is False
 
 
 @pytest.mark.parametrize("bands", [(1, 1), (40, 40)], ids=["banded", "dense"])
@@ -193,20 +248,24 @@ def test_solve_normal_rejects_non_finite_weights(bands, w_bad):
     rng = np.random.RandomState(1)
     m = 40
     K = banded(rng, m, m, 1, 1) * 1e10
+    op = _Operator(K, bands)
     w = np.ones(m)
     w[7] = w_bad
-    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(SingularSystem):
-        solve_normal(K, bands, w, np.ones(m), rng.randn(m))
-    if bands == (1, 1):                         # the factor VBA reads raises too
-        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(SingularSystem):
-            band_factor(K, bands, w, np.ones(m))
-    else:                                       # so do the dense LAPACK calls
+    # the system is formed with overflow silenced: SingularSystem comes alone
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         with pytest.raises(SingularSystem):
-            spd_solve([[np.inf, 0.5], [0.5, 1.0]], [1.0, 1.0])
-        # a precision of 1e308 on a column of 2 overflows the diagonal
-        probe = np.array([[2.0, 0.0], [0.5, 1.0]])
-        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(SingularSystem):
-            spd_inverse(normal_matrix(probe, np.array([1e308, 1.0]), np.ones(2)))
+            solve_normal(op, w, np.ones(m), rng.randn(m))
+        if bands == (1, 1):                     # the factor VBA reads raises too
+            with pytest.raises(SingularSystem):
+                band_factor(op, w, np.ones(m))
+        else:                                   # so do the dense LAPACK calls
+            with pytest.raises(SingularSystem):
+                spd_solve([[np.inf, 0.5], [0.5, 1.0]], [1.0, 1.0])
+            # a precision of 1e308 on a column of 2 overflows the diagonal
+            probe = np.array([[2.0, 0.0], [0.5, 1.0]])
+            with pytest.raises(SingularSystem):
+                spd_inverse(normal_matrix(probe, np.array([1e308, 1.0]), np.ones(2)))
 
 
 def test_banded_path_is_taken_by_structure(monkeypatch):

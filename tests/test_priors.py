@@ -339,10 +339,7 @@ class TestReferencePdf:
         for x, expected in zip(xs, vector):
             value = reference_pdf(family, params, x)
             assert type(value) is float
-            # not bit for bit: a scalar x runs numpy scalar arithmetic, whose
-            # ** can round differently from the array loop's, and exp scales
-            # that last-bit gap by its exponent (up to 1e-13 relative seen)
-            assert value == pytest.approx(expected, rel=1e-12, abs=1e-300)
+            assert value == expected                    # bit for bit
 
 
 class TestMarginalQuadrature:

@@ -320,7 +320,7 @@ class TestSolveVba:
         hyper = HyperParams(*rng.uniform(0.5, 2.0, 8))
         from bsi.vba import _seed_families
         f, z = np.zeros(m), np.zeros(m)
-        ig_eps, ig_xi, ig_z = _seed_families(p, hyper, f, z)
+        ig_eps, ig_xi, ig_z = _seed_families(p, hyper, f, z).values()
         for _ in range(15):
             f, Sigma_f = vba_update_f(p, ig_eps.inv_expectation(),
                                       ig_xi.inv_expectation(), z)
@@ -386,7 +386,7 @@ class TestSolveVba:
         hyper = HyperParams(*rng.uniform(0.5, 2.0, 8))
         state, _ = solve_vba(p, hyper, VbaConfig(max_iter=1, separability="full"))
         from bsi.vba import _seed_families
-        ig_eps, ig_f, _ = _seed_families(p, hyper, np.zeros(m), None)
+        ig_eps, ig_f = _seed_families(p, hyper, np.zeros(m), None).values()
         f = np.zeros(m)
         var = np.zeros(m)
         for j in range(m):
@@ -521,7 +521,8 @@ def test_banded_solve_matches_reference_iteration(model, separability, init, ora
     """On a convolution H (and D = I) the banded blocks track the dense oracle,
     down to the whole returned covariance."""
     problem = convolution_problem(model)
-    assert problem.H_bands == (2, 2)
+    op = problem._operators["f"]
+    assert (op.kl, op.ku) == (2, 2)
     hyper = HyperParams(3.0, 0.05, 1.0, 0.1, 1.0, 0.5, 1.0, 0.5)
     init, f0, z0 = oracle_start(problem, init)
     state, _ = solve_vba(problem, hyper, VbaConfig(
@@ -576,8 +577,8 @@ def test_banded_solve_allocates_no_whole_covariance(model, separability):
                                        kernel=(0.25, 0.5, 0.25)))
     g = H @ generate_sparse_signal(SignalSpec(length=m, sparsity=20, seed=4))
     problem = ForwardProblem(g=g, H=H, D=np.eye(m) if model == "indirect" else None)
-    # the cached bandwidths scan the whole operator: find them before tracing
-    _ = problem.H_bands if problem.is_direct else (problem.H_bands, problem.D_bands)
+    # building the operators scans the whole of H and D: build them before tracing
+    _ = problem._operators
     hyper = HyperParams(3.0, 0.05, 1.0, 0.1, 1.0, 0.5, 1.0, 0.5)
     tracemalloc.start()
     try:

@@ -5,7 +5,7 @@ x = rhs``.  ``model._normal_system`` gives each block its ``(op, w, p,
 rhs)``, in the argument order of :func:`solve_normal` (both JMAP
 blocks) and :func:`band_gauss_seidel`, where ``op`` is the
 ``model._Operator`` of K: the dense K, its ``kl`` sub- and ``ku``
-super-diagonals, its band layout and the three flags that make every
+super-diagonals, its band layout and the flags that make every
 dense-or-banded choice.  On the banded path the matrix has
 half-bandwidth ``kl + ku`` and is built and factored in band storage,
 in O(M (kl + ku)^2) instead of O(N M^2 + M^3 / 3).  :func:`band_factor`
@@ -63,7 +63,7 @@ def spd_solve(A: np.ndarray, b: np.ndarray) -> np.ndarray:
     A's other triangle, which ``posv`` leaves as is) and x are finite.
     """
     c, x, info = dposv(A, b)
-    if info != 0 or not (np.all(np.isfinite(c)) and np.all(np.isfinite(x))):
+    if info != 0 or not (np.isfinite(c).all() and np.isfinite(x).all()):
         raise SingularSystem(f"SPD solve failed: posv info={info}")
     return x
 
@@ -101,7 +101,7 @@ def band_factor(op, w: np.ndarray, p: np.ndarray) -> np.ndarray:
     diagonal passes Cholesky and yields a finite, meaningless solve).
     """
     c, info = dpbtrf(_normal_band(op, w, p), overwrite_ab=1)
-    if info != 0 or not np.all(np.isfinite(c)):
+    if info != 0 or not np.isfinite(c).all():
         raise SingularSystem(f"banded Cholesky failed: pbtrf info={info}")
     return c
 
@@ -109,7 +109,7 @@ def band_factor(op, w: np.ndarray, p: np.ndarray) -> np.ndarray:
 def band_solve(c: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Solve ``U' U x = rhs`` for the :func:`band_factor` output U."""
     x, info = dpbtrs(c, rhs)
-    if info != 0 or not np.all(np.isfinite(x)):
+    if info != 0 or not np.isfinite(x).all():
         raise SingularSystem(f"banded SPD solve failed: pbtrs info={info}")
     return x
 
@@ -235,7 +235,7 @@ def spd_inverse(A: np.ndarray) -> np.ndarray:
     finite.
     """
     L, info = dpotrf(A, lower=1)
-    if info != 0 or not np.all(np.isfinite(L)):
+    if info != 0 or not np.isfinite(L).all():
         raise SingularSystem(f"SPD inverse failed: potrf info={info}")
     low, info = dpotri(L, lower=1, overwrite_c=1)
     if info != 0:
@@ -245,7 +245,7 @@ def spd_inverse(A: np.ndarray) -> np.ndarray:
     # and halving it again is exact
     inv = low + low.T
     inv.flat[::inv.shape[0] + 1] *= 0.5
-    if not np.all(np.isfinite(inv)):
+    if not np.isfinite(inv).all():
         raise SingularSystem("SPD inverse produced non-finite values")
     return inv
 

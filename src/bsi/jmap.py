@@ -73,6 +73,7 @@ def jmap_update_z(problem, v_xi, v_z, f) -> np.ndarray:
     return solve_normal(*_normal_system(problem, "z", w, p, f))
 
 
+@_silent_overflow
 def jmap_update_variance(kind, alpha, beta, residual):
     """Closed-form variance block minimizer (beta + r^2/2) / (alpha + 3/2).
 
@@ -80,14 +81,15 @@ def jmap_update_variance(kind, alpha, beta, residual):
     (f_direct); scalar or vector.  This is the mode of the family's
     posterior ``model.IgFamily.posterior(alpha, beta, r^2)``, i.e. of
     IG(alpha + 1/2, beta + r^2/2), whose mean VBA uses instead.  alpha
-    and beta must be finite and > 0 (ValueError).
+    and beta must be finite and > 0 (ValueError).  A residual whose
+    square overflows raises SingularSystem, with no numpy warning.
     """
     if kind not in _VARIANCE_KINDS:
         raise ValueError(f"kind must be one of {_VARIANCE_KINDS}, got {kind!r}")
     _check_ig(alpha, beta)
     r = np.asarray(residual, dtype=float)
     out = (beta + 0.5 * r * r) / (alpha + 1.5)
-    if not np.all(np.isfinite(out)):
+    if not np.isfinite(out).all():
         raise SingularSystem("variance update produced non-finite values")
     return out if r.ndim else float(out)
 

@@ -29,8 +29,9 @@ Every Gaussian block of both solvers solves the normal equations that
 :func:`_normal_system` forms, ``(K' diag(w) K + diag(p)) x = rhs`` with
 K = H (f block) or D (z block).  Each K is a :class:`_Operator`, built
 once per problem (``ForwardProblem._operators``): the dense array, its
-bandwidths, its band layout and the three measured flags that make
-every dense-or-banded choice.
+bandwidths, its band layout and the four measured flags that make
+every dense-or-banded choice.  Every product with H or D in the solvers
+is its operator's ``matvec`` or ``rmatvec``.
 """
 
 from __future__ import annotations
@@ -71,9 +72,11 @@ class ModelMismatch(ValueError):
 
 
 # Where a normal system or a criterion term is formed, an extreme
-# precision can overflow.  numpy's warnings are silenced there: the
-# non-finite result fails the finite-factor rule (see ``_linalg``), so
-# SingularSystem comes alone, and an overflowing L is +inf.
+# precision can overflow, and so can the squared residual of a variance
+# step.  numpy's warnings are silenced there: the non-finite result fails
+# the finite-factor rule (see ``_linalg``) or the finite-scale check of
+# the variance step, so SingularSystem comes alone, and an overflowing L
+# is +inf.
 _silent_overflow = np.errstate(over="ignore", invalid="ignore")
 
 
@@ -142,12 +145,13 @@ def bandwidths(K: np.ndarray) -> tuple:
 class _Operator:
     """A matrix K (H or D) with its band layout and its dense-or-banded choices.
 
-    ``K`` is the dense array itself, so every product with it keeps its
-    bits.  ``kl`` and ``ku`` count its sub- and super-diagonals
-    (:func:`bandwidths` unless ``bands`` gives a pair at least as wide),
-    and u = kl + ku is the half-bandwidth of ``K' diag(w) K``.  Every
-    dense-or-banded choice of a Gaussian block is one of three flags, each
-    a measured rule on M and u, with one BLAS thread on random banded K:
+    ``K`` is the dense array itself, which every dense path reads, so a
+    dense path keeps its bits.  ``kl`` and ``ku`` count its sub- and
+    super-diagonals (:func:`bandwidths` unless ``bands`` gives a pair at
+    least as wide), and u = kl + ku is the half-bandwidth of
+    ``K' diag(w) K``.  Every dense-or-banded choice is one of four flags,
+    each a measured rule on the shape and u, with one BLAS thread on
+    random banded K:
 
     ``banded_solve``, 8 u <= M: a JMAP solve, and ``diag(K Sigma K')`` of
     a band or diagonal Sigma, run in band storage.  The banded solve beat
@@ -175,17 +179,69 @@ class _Operator:
     at u = 64 (1.5x) and lost at u = 128 (0.4x), where building the band
     costs O(M u^2) against the O(N M) of the dense pass.
 
-    The band layout (:attr:`layout`) and the contiguous K' of the dense
-    coordinate pass (:attr:`KT`) are built on first use, once.
+    ``banded_product``, 16384 (u + 1) <= N M: :meth:`matvec` and
+    :meth:`rmatvec` are one slice-axpy per diagonal of the band layout,
+    about 2.3 us each, against a dense product that grows with N M.
+    Measured (N = M), dense against banded ``K @ x``: at u = 2, 4.1/7.0
+    us at M = 128, 8.3/8.1 at 192, 12.7/7.3 at 256 and 380/11 at 1024;
+    at u = 8, 12/21 at M = 256, 23/22 at 384 and 72/27 at 512; at u = 0,
+    4.8/3.2 at M = 128.  The rule takes the band only where it won or
+    tied, and stays dense in a few cases the band won (M = 512, u = 16;
+    M = 1024, u = 64).  Its sums run in another order, so a banded product
+    differs from the dense one in the last bits (within 1e-12 of
+    ``|K| @ |x|``).  ``banded_solve``'s rule would not do here: it sends
+    3-tap products from M = 16 up to the band, and dense was faster at
+    M = 64-128 (2.4/7.1 and 4.1/7.0 us).
+
+    The band layout (:attr:`layout`), its diagonals as slices, and the
+    contiguous K' of the dense coordinate pass (:attr:`KT`) are built on
+    first use, once.
     """
 
     def __init__(self, K: np.ndarray, bands=None):
         self.K = K
         self.kl, self.ku = bands or bandwidths(K)
-        u, m = self.kl + self.ku, K.shape[1]
+        u, (n, m) = self.kl + self.ku, K.shape
         self.banded_solve = 8 * u <= m
         self.banded_block = u == 0 or (m >= 96 and 16 * u <= m) or (m >= 160 and self.banded_solve)
         self.banded_pass = self.banded_solve and u * u <= 4 * m
+        self.banded_product = 16384 * (u + 1) <= n * m
+
+    def matvec(self, x) -> np.ndarray:
+        """``K @ x``: one slice-axpy per diagonal when ``banded_product``,
+        which raises DimensionMismatch unless x is a vector of length M."""
+        if not self.banded_product:
+            return self.K @ x
+        x = _as_vector(x, "x", self.K.shape[1])
+        y = np.zeros(self.K.shape[0])
+        for diagonal, rows, cols in self._diagonals:
+            y[rows] += diagonal * x[cols]
+        return y
+
+    def rmatvec(self, y) -> np.ndarray:
+        """``K' @ y``: one slice-axpy per diagonal when ``banded_product``,
+        which raises DimensionMismatch unless y is a vector of length N."""
+        if not self.banded_product:
+            return self.K.T @ y
+        y = _as_vector(y, "y", self.K.shape[0])
+        x = np.zeros(self.K.shape[1])
+        for diagonal, rows, cols in self._diagonals:
+            x[cols] += diagonal * y[rows]
+        return x
+
+    @cached_property
+    def _diagonals(self) -> list:
+        """Each diagonal of K inside K, from :attr:`layout`: ``(values, rows,
+        cols)`` with ``K[rows, cols] = values``, the index ranges as slices."""
+        Kb = self.layout[0]
+        n, m = self.K.shape
+        out = []
+        for r in range(self.kl + self.ku + 1):
+            d = r - self.ku   # row i = j + d of column j
+            lo, hi = max(0, -d), min(m, n - d)
+            if lo < hi:
+                out.append((Kb[r, lo:hi], slice(lo + d, hi + d), slice(lo, hi)))
+        return out
 
     @cached_property
     def layout(self) -> tuple:
@@ -296,9 +352,13 @@ class IgFamily:
         squared residual, plus its covariance terms under VBA).
 
         Its mode (beta + spread / 2) / (alpha + 3/2) is the JMAP variance
-        block; VBA keeps the whole factor.
+        block; VBA keeps the whole factor.  Raises SingularSystem unless
+        every scale is finite (a spread that overflowed).
         """
-        return cls(np.full(spread.size, alpha + 0.5), beta + 0.5 * spread)
+        beta_hat = beta + 0.5 * spread
+        if not np.isfinite(beta_hat).all():
+            raise SingularSystem("variance update produced non-finite values")
+        return cls(np.full(spread.size, alpha + 0.5), beta_hat)
 
     def inv_expectation(self) -> np.ndarray:
         """Per-component <v^-1> = alpha_hat / beta_hat."""
@@ -412,7 +472,7 @@ def validate_problem(problem: ForwardProblem, hyper: HyperParams) -> None:
 
 def _check_positive(v: np.ndarray, name: str, size=None) -> np.ndarray:
     v = _as_vector(v, name, size)
-    if v.size and (not np.all(np.isfinite(v)) or np.any(v <= 0.0)):
+    if v.size and not (np.isfinite(v).all() and (v > 0.0).all()):
         raise NonPositiveVariance(f"{name} must be strictly positive and finite")
     return v
 
@@ -446,9 +506,9 @@ def _normal_system(problem: ForwardProblem, block: str, w, p, other=None) -> tup
             f"{block} block: w, p and the other block have lengths {np.size(w)}, "
             f"{np.size(p)}, {'-' if other is None else other.size}; "
             f"expected {n}, {m}, {m}")
-    rhs = op.K.T @ (w * data)
+    rhs = op.rmatvec(w * data)
     if block == "f" and other is not None:
-        rhs = rhs + p * (problem.D @ other)
+        rhs = rhs + p * problem._operators["z"].matvec(other)
     return op, w, p, rhs
 
 
@@ -459,10 +519,11 @@ def _variance_families(problem: ForwardProblem, hyper: HyperParams, f, z) -> tup
     ``kind`` names the state fields ``v_<kind>`` and ``ig_<kind>``; the
     residual is the quantity whose variance the family holds at (f, z).
     """
-    eps = ("eps", hyper.alpha_eps, hyper.beta_eps, problem.g - problem.H @ f)
+    ops = problem._operators
+    eps = ("eps", hyper.alpha_eps, hyper.beta_eps, problem.g - ops["f"].matvec(f))
     if problem.is_direct:
         return eps, ("f", hyper.alpha_f, hyper.beta_f, f)
-    return (eps, ("xi", hyper.alpha_xi, hyper.beta_xi, f - problem.D @ z),
+    return (eps, ("xi", hyper.alpha_xi, hyper.beta_xi, f - ops["z"].matvec(z)),
             ("z", hyper.alpha_z, hyper.beta_z, z))
 
 

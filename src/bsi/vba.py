@@ -48,8 +48,9 @@ u = kl + ku the half-bandwidth of K' W K for a banded operator K:
     full, dense H:     O(N M).  Each coordinate costs one dot and one
              axpy.
     In both full cases the covariance is diagonal and stays a vector, in
-    the returned state too.  The O(N M) terms are the dense products H f
-    and H' (Ve g).
+    the returned state too.  The O(N M) terms are the products H f and
+    H' (Ve g), which ``model._Operator.matvec``/``rmatvec`` run on the
+    diagonals of a large banded K, in O(M u).
 
 Every Gaussian block follows the failure rule of ``_linalg``: it raises
 SingularSystem unless LAPACK's ``info`` is 0 and both the factor and the
@@ -247,6 +248,7 @@ class _Covariance:
         return np.array(self.dense, dtype=dtype, copy=copy)
 
 
+@_silent_overflow
 def vba_update_ig(kind, hyper, f_hat, Sigma_f, z_hat=None, Sigma_z=None, *, problem):
     """Inverse-Gamma factor update: shape alpha + 1/2, residual-driven scale.
 
@@ -257,7 +259,8 @@ def vba_update_ig(kind, hyper, f_hat, Sigma_f, z_hat=None, Sigma_z=None, *, prob
     Raises DimensionMismatch unless ``f_hat``, ``z_hat`` (xi and z) and
     the covariance arrays match the M coefficients, or when a covariance
     the kind reads is None (``Sigma_f`` for eps, f and xi, ``Sigma_z``
-    for xi and z); one the kind does not read may be None.
+    for xi and z); one the kind does not read may be None.  A spread
+    that overflows raises SingularSystem, with no numpy warning.
     """
     if kind not in _IG_KINDS:
         raise ValueError(f"kind must be one of {_IG_KINDS}, got {kind!r}")
@@ -272,12 +275,12 @@ def vba_update_ig(kind, hyper, f_hat, Sigma_f, z_hat=None, Sigma_z=None, *, prob
     if (Sigma_f is None and kind != "z") or (Sigma_z is None and kind in ("xi", "z")):
         raise DimensionMismatch(f"the {kind} update reads a covariance that is None")
     if kind == "eps":
-        r = problem.g - problem.H @ f_hat
+        r = problem.g - problem._operators["f"].matvec(f_hat)
         spread = r * r + Sigma_f.quad_diag(problem._operators["f"])
     elif kind == "f":
         spread = f_hat * f_hat + Sigma_f.diag()
     elif kind == "xi":
-        r = f_hat - problem.D @ z_hat
+        r = f_hat - problem._operators["z"].matvec(z_hat)
         spread = r * r + Sigma_f.diag() + Sigma_z.quad_diag(problem._operators["z"])
     else:  # z
         spread = z_hat * z_hat + Sigma_z.diag()
@@ -307,7 +310,7 @@ def vba_full_coordinate_update(problem, hyper, f_hat, vtilde_eps, vtilde_f, j):
     vtilde_eps = _check_positive(vtilde_eps, "vtilde_eps", problem.n_obs)
     vtilde_f = _check_positive(vtilde_f, "vtilde_f", m)
     col = problem.H[:, j]
-    partial_resid = problem.g - problem.H @ f_hat + col * f_hat[j]
+    partial_resid = problem.g - problem._operators["f"].matvec(f_hat) + col * f_hat[j]
     denom = float(col @ (vtilde_eps * col)) + vtilde_f[j]
     f_j = float(col @ (vtilde_eps * partial_resid)) / denom
     if not (np.isfinite(denom) and np.isfinite(f_j)):
@@ -315,11 +318,13 @@ def vba_full_coordinate_update(problem, hyper, f_hat, vtilde_eps, vtilde_f, j):
     return f_j, 1.0 / denom
 
 
+@_silent_overflow
 def _seed_families(problem, hyper, f0, z0):
     """Initial IG factors: shapes alpha + 1/2, scales beta + (init residual)^2 / 2.
 
     Returns them by kind, in the order of ``model._variance_families``:
     eps and f for the direct model, eps, xi and z for the indirect one.
+    A residual whose square overflows raises SingularSystem.
     """
     return {kind: IgFamily.posterior(alpha, beta, residual * residual)
             for kind, alpha, beta, residual in _variance_families(problem, hyper, f0, z0)}
@@ -373,7 +378,7 @@ def _dense_coordinates(problem, w, p, f):
     HTw = HT * w
     col_sq = (HTw * HT).sum(axis=1)
     denom = col_sq + p
-    resid = problem.g - problem.H @ f
+    resid = problem.g - problem._operators["f"].matvec(f)
     f_list = f.tolist()
     for j, (c_j, d_j) in enumerate(zip(col_sq.tolist(), denom.tolist())):
         f_j = f_list[j]
@@ -396,7 +401,7 @@ def _full_sweep(problem, hyper, kinds, state):
     f, denom = (band_gauss_seidel(*_normal_system(problem, "f", w, p), state.f_hat)
                 if problem._operators["f"].banded_pass
                 else _dense_coordinates(problem, w, p, state.f_hat))
-    if not (np.all(np.isfinite(denom)) and np.all(np.isfinite(f))):
+    if not (np.isfinite(denom).all() and np.isfinite(f).all()):
         raise SingularSystem("coordinate pass produced non-finite values")
     return _vba_state(problem, hyper, kinds, f, None,
                       _Covariance(band=(1.0 / denom)[None]), None)

@@ -197,6 +197,22 @@ def test_non_finite_block_is_singular_system(run):
             run()
 
 
+@pytest.mark.parametrize("method", ["jmap", "partial", "full"])
+def test_overflowing_residual_is_singular_system(method):
+    # r * r overflows in the variance step (JMAP) or the seed (VBA): the
+    # typed error comes alone, and not as NonPositiveVariance about v_eps
+    problem = ForwardProblem(g=[1e200, 1e200], H=EYE)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SingularSystem):
+            if method == "jmap":
+                solve_jmap(problem, HyperParams())
+            else:
+                solve_vba(problem, HyperParams(), VbaConfig(separability=method))
+        with pytest.raises(SingularSystem):
+            vba_update_ig("eps", HyperParams(), [0.0, 0.0], EYE, problem=problem)
+
+
 @pytest.mark.parametrize("K, banded", [(np.eye(2), True),
                                        (np.array([[1.0, 0.5], [0.5, 1.0]]), False)],
                          ids=["banded", "dense"])

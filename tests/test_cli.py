@@ -111,6 +111,30 @@ class TestMatrixIo:
             read_matrix(path)
 
 
+_SPECIAL_VALUES = [0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, -5e-324,
+                   1e300, -1e300, 1e-300, -1e-300]
+
+
+@st.composite
+def csv_matrices(draw):
+    """Matrices mixing all-zero, fully dense and sparse rows of edge-case doubles."""
+    n, m = draw(st.one_of(
+        st.tuples(st.integers(0, 9), st.integers(1, 30)),
+        st.tuples(st.integers(0, 40), st.just(1)),
+        st.tuples(st.just(1), st.integers(1, 60)),
+    ))
+    value = st.one_of(st.sampled_from(_SPECIAL_VALUES), st.floats(allow_nan=False))
+    a = np.zeros((n, m))
+    for i in range(n):
+        kind = draw(st.sampled_from(["zero", "dense", "sparse"]))
+        if kind == "dense":
+            a[i] = draw(st.lists(value, min_size=m, max_size=m))
+        elif kind == "sparse":
+            for j, v in draw(st.dictionaries(st.integers(0, m - 1), value)).items():
+                a[i, j] = v
+    return a
+
+
 def read_outcome(reader, path):
     """(int64 bit view, shape) of a read, or the error's type and fields."""
     try:
@@ -139,6 +163,28 @@ class TestBulkMatrixIo:
         "# rows=1 cols=2\n1.0,,\n",
         "# rows=2 cols=2\n1.0,2.0\n",
         "# rows=1 cols=2\n0x1p3,1\n",
+        # zero runs: exact "0.0," / ",0.0" fields only, anything else parsed
+        "# rows=1 cols=5\n0.0,0.00,0.5,0.0,0.0\n",
+        "# rows=1 cols=5\n0.0,0.0,0.5,0.00,0.0\n",
+        "# rows=1 cols=5\n0.0, 0.0,0.5,0.0 ,0.0\n",
+        "# rows=1 cols=5\n0.0,-0.0,0.5,-0.0,0.0\n",
+        "# rows=1 cols=5\n0.0,0.0001,0.5,0.0,00.0\n",
+        "# rows=2 cols=4\r\n0.0,0.0,0.5,0.0\r\n0.0,0.5,0.0,0.0\r\n",
+        "# rows=3 cols=4\n0.0,0.0,0.5,0.0\n\n  \n0.0,0.5,0.0,0.0\n0.0,0.0,0.0,0.0\n",
+        "# rows=1 cols=5\n0.0,,0.0,0.5,0.0\n",
+        "# rows=1 cols=5\n0.0,0.5,0.0,,0.0\n",
+        "# rows=1 cols=3\n0.0,0.0,\n",
+        "# rows=1 cols=3\n,0.0,0.0\n",
+        "# rows=1 cols=5\n0.0,0.0,zap,0.0,0.0\n",
+        "# rows=1 cols=5\n0.0,0..,0.5,0.0,0.0\n",
+        "# rows=1 cols=5\n0.0,0.5,0.0,.0.,0.0\n",
+        "# rows=1 cols=5\n0.0,0.5,0.0,0.0,0.x\n",
+        "# rows=1 cols=5\n0.0,0.0,0.5,0.0\n",
+        "# rows=1 cols=3\n0.0,0.0,0.5,0.0\n",
+        "# rows=1 cols=3\n0.0,0.0,0.0,0.0\n",
+        "# rows=2 cols=3\n0.0,0.0,0.0\n0.0,0.0\n",
+        "# rows=1 cols=3\n0.0,0.5,0.0 \n",
+        "# rows=1 cols=4\n0.0,0.0,0.0,0.0",
     ])
     def test_bulk_reader_matches_token_reader(self, tmp_path, text):
         path = tmp_path / "m.csv"
@@ -155,6 +201,36 @@ class TestBulkMatrixIo:
         monkeypatch.setattr(bsi.cli, "_read_matrix_by_token", None)
         got = read_matrix(path)
         assert got.view(np.int64).tolist() == expected.view(np.int64).tolist()
+
+    def test_banded_file_takes_the_zero_run_split(self, tmp_path, monkeypatch):
+        import bsi.cli
+        H = sum(np.diag(np.full(300 - abs(d), tap), d)
+                for d, tap in ((-1, 0.25), (0, 0.5), (1, 0.25)))
+        path = tmp_path / "H.csv"
+        write_matrix(H, path)
+        expected = _read_matrix_by_token(path)
+        parsed = []
+        loadtxt = np.loadtxt
+
+        def spy(lines, **kwargs):
+            parsed.extend(lines)
+            return loadtxt(lines, **kwargs)
+
+        monkeypatch.setattr(bsi.cli, "_read_matrix_by_token", None)
+        monkeypatch.setattr(bsi.cli.np, "loadtxt", spy)
+        got = read_matrix(path)
+        assert got.view(np.int64).tolist() == expected.view(np.int64).tolist()
+        # only the middles are parsed: at most the three taps of each row
+        assert len(parsed) == 300 and max(line.count(",") for line in parsed) == 2
+
+    @settings(max_examples=100, deadline=None)
+    @given(a=csv_matrices(), block=st.sampled_from([1, 5, 64, bsi.cli._READ_BLOCK]))
+    def test_any_block_size_matches_token_reader(self, tmp_path_factory, a, block):
+        path = tmp_path_factory.mktemp("r") / "m.csv"
+        write_matrix(a, path)
+        with mock.patch.object(bsi.cli, "_READ_BLOCK", block):
+            got = read_outcome(read_matrix, path)
+        assert got == read_outcome(_read_matrix_by_token, path)
 
     def test_bad_token_deep_in_large_file(self, tmp_path):
         path = tmp_path / "big.csv"
@@ -178,30 +254,6 @@ class TestBulkMatrixIo:
         expected = f"# rows={a.shape[0]} cols={a.shape[1]}\n" + "".join(
             ",".join(repr(float(v)) for v in row) + "\n" for row in a)
         assert path.read_bytes() == expected.encode("utf-8")
-
-
-_SPECIAL_VALUES = [0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, -5e-324,
-                   1e300, -1e300, 1e-300, -1e-300]
-
-
-@st.composite
-def csv_matrices(draw):
-    """Matrices mixing all-zero, fully dense and sparse rows of edge-case doubles."""
-    n, m = draw(st.one_of(
-        st.tuples(st.integers(0, 9), st.integers(1, 30)),
-        st.tuples(st.integers(0, 40), st.just(1)),
-        st.tuples(st.just(1), st.integers(1, 60)),
-    ))
-    value = st.one_of(st.sampled_from(_SPECIAL_VALUES), st.floats(allow_nan=False))
-    a = np.zeros((n, m))
-    for i in range(n):
-        kind = draw(st.sampled_from(["zero", "dense", "sparse"]))
-        if kind == "dense":
-            a[i] = draw(st.lists(value, min_size=m, max_size=m))
-        elif kind == "sparse":
-            for j, v in draw(st.dictionaries(st.integers(0, m - 1), value)).items():
-                a[i, j] = v
-    return a
 
 
 class TestZeroRunWriter:

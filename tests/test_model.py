@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from bsi import (
     DimensionMismatch,
@@ -14,6 +15,7 @@ from bsi import (
     neg_log_posterior,
     validate_problem,
 )
+from bsi.model import _Operator
 
 
 def unit_hyper():
@@ -153,3 +155,52 @@ class TestCriterionProperties:
             diffs = np.diff(values)
             assert np.all(diffs[2:] > 0), f"{family}: L not increasing {values}"
             assert values[-1] > values[0]
+
+
+def banded_matrix(n, m, kl, ku, seed, zero=False):
+    """N x M with random entries on the diagonals -kl..ku (all zero if ``zero``)."""
+    K = np.random.RandomState(seed).randn(n, m)
+    i, j = np.indices((n, m))
+    K[(i - j > kl) | (j - i > ku)] = 0.0
+    return 0.0 * K if zero else K
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(1, 320), m=st.integers(1, 320), kl=st.integers(0, 6),
+       ku=st.integers(0, 6), zero=st.booleans(), seed=st.integers(0, 2**31))
+@example(n=300, m=200, kl=1, ku=3, zero=False, seed=0)    # N != M, kl != ku, banded
+@example(n=90, m=110, kl=2, ku=0, zero=False, seed=1)     # the same shape kinds, dense
+@example(n=128, m=128, kl=0, ku=0, zero=False, seed=2)    # u = 0, banded
+@example(n=127, m=128, kl=0, ku=0, zero=False, seed=3)    # u = 0, dense
+@example(n=200, m=150, kl=3, ku=3, zero=True, seed=4)     # all zero, banded
+@example(n=5, m=7, kl=3, ku=3, zero=True, seed=5)         # all zero, dense
+def test_products_match_the_dense_product(n, m, kl, ku, zero, seed):
+    K = banded_matrix(n, m, min(kl, n - 1), min(ku, m - 1), seed, zero)
+    op = _Operator(K)
+    assert op.banded_product == (16384 * (op.kl + op.ku + 1) <= n * m)
+    rng = np.random.RandomState(seed + 1)
+    x, y = rng.randn(m), rng.randn(n)
+    for got, dense, scale in ((op.matvec(x), K @ x, np.abs(K) @ np.abs(x)),
+                              (op.rmatvec(y), K.T @ y, np.abs(K).T @ np.abs(y))):
+        if op.banded_product:
+            assert np.all(np.abs(got - dense) <= 1e-12 * scale)
+        else:
+            assert got.tobytes() == dense.tobytes()
+
+
+def test_banded_products_reject_a_wrong_length():
+    # the slices would silently drop entries of a longer vector; the dense
+    # product raises numpy's own ValueError
+    op = _Operator(banded_matrix(300, 200, 1, 1, 0))
+    assert op.banded_product
+    for product, size in ((op.matvec, 200), (op.rmatvec, 300)):
+        for bad in (np.ones(size + 1), np.ones(size - 1), np.ones((size, 1))):
+            with pytest.raises(DimensionMismatch):
+                product(bad)
+
+
+@pytest.mark.parametrize("m, banded", [(128, False), (192, False), (256, True), (1024, True)])
+def test_three_tap_products_turn_banded_from_m_256(m, banded):
+    # the u = 2 crossover measured for the rule: dense won at M = 128 and
+    # 192, the band from M = 256
+    assert _Operator(banded_matrix(m, m, 1, 1, 0)).banded_product is banded

@@ -10,9 +10,9 @@ with ``PYTHONPATH`` set to that tree and ``OPENBLAS_NUM_THREADS=1``,
 and writes its outputs to a temporary directory only.  Three groups are
 compared:
 
-- ``solves``: 70 solves.  The operators are a 3-tap convolution H at
-  M = 24, 128 and 300, a 5-tap one at M = 96, and dense random H of
-  64 x 128, 12 x 9 and 40 x 40.  Each runs JMAP, VBA-partial and
+- ``solves``: 80 solves.  The operators are a 3-tap convolution H at
+  M = 24, 128, 300 and 1024, a 5-tap one at M = 96, and dense random H
+  of 64 x 128, 12 x 9 and 40 x 40.  Each runs JMAP, VBA-partial and
   VBA-full on the direct model and JMAP and VBA-partial on the indirect
   one, from zeros and from the least-squares start.  The arrays are
   every state array, ``np.asarray`` of each covariance, every
@@ -24,7 +24,8 @@ compared:
   seeds 0, 7 and 4242.
 - ``cli``: ``result.json`` and ``trace.csv`` of the acceptance
   criterion-11 ``simulate`` + ``solve`` config, run as jmap,
-  vba-partial and vba-full.
+  vba-partial and vba-full, and of the same config at M = 1024 with 32
+  spikes (its ``H.csv`` is mostly zero runs).
 
 Prints one line per group: the number of outputs compared, the number
 identical, and the largest relative difference with the output's name.
@@ -58,7 +59,7 @@ def _convolution(m, kernel):
 def _operators():
     """(name, H, D) of every operator in the grid; D is the indirect model's."""
     rng = np.random.RandomState(11)
-    for m in (24, 128, 300):
+    for m in (24, 128, 300, 1024):
         yield f"3tap-{m}", _convolution(m, (0.25, 0.5, 0.25)), np.eye(m)
     yield "5tap-96", _convolution(96, (0.1, 0.2, 0.4, 0.2, 0.1)), np.eye(96)
     for n, m in ((64, 128), (12, 9), (40, 40)):
@@ -150,20 +151,21 @@ def _priors(out_dir):
 
 
 def _cli(out_dir):
-    sim_dir = out_dir / "sim"
-    _run_cli("simulate", {
-        "mode": "simulate", "model": "direct", "seed": 7, "out_dir": str(sim_dir),
-        "simulate": {"length": 24, "sparsity": 3, "amplitude": [1.0, 2.0],
-                     "operator": {"kind": "convolution", "kernel": [0.25, 0.5, 0.25]},
-                     "noise": {"kind": "nonstationary", "alpha": 3.0, "beta": 2.0}},
-    }, out_dir / "sim.json")
-    for method in ("jmap", "vba-partial", "vba-full"):
-        _run_cli("solve", {
-            "mode": "solve", "model": "direct", "method": method, "seed": 7,
-            "out_dir": str(out_dir / "cli" / method), "solver": {"max_iter": 60},
-            "inputs": {"g": str(sim_dir / "g.csv"), "H": str(sim_dir / "H.csv"),
-                       "f_true": str(sim_dir / "f_true.csv")},
-        }, out_dir / "solve.json")
+    for suffix, length, sparsity in (("", 24, 3), ("-1024", 1024, 32)):
+        sim_dir = out_dir / ("sim" + suffix)
+        _run_cli("simulate", {
+            "mode": "simulate", "model": "direct", "seed": 7, "out_dir": str(sim_dir),
+            "simulate": {"length": length, "sparsity": sparsity, "amplitude": [1.0, 2.0],
+                         "operator": {"kind": "convolution", "kernel": [0.25, 0.5, 0.25]},
+                         "noise": {"kind": "nonstationary", "alpha": 3.0, "beta": 2.0}},
+        }, out_dir / "sim.json")
+        for method in ("jmap", "vba-partial", "vba-full"):
+            _run_cli("solve", {
+                "mode": "solve", "model": "direct", "method": method, "seed": 7,
+                "out_dir": str(out_dir / "cli" / (method + suffix)), "solver": {"max_iter": 60},
+                "inputs": {"g": str(sim_dir / "g.csv"), "H": str(sim_dir / "H.csv"),
+                           "f_true": str(sim_dir / "f_true.csv")},
+            }, out_dir / "solve.json")
 
 
 def worker(out_dir):
@@ -230,8 +232,11 @@ def _array_pairs(left, right):
 
 
 def _raised(path):
+    """(solves that raised, solves) of a solves.npz: each solve saved its
+    trace's L or its error."""
     with np.load(path) as arrays:
-        return sum(name.endswith("/error") for name in arrays.files)
+        raised = sum(name.endswith("/error") for name in arrays.files)
+        return raised, raised + sum(name.endswith("/L") for name in arrays.files)
 
 
 def _file_pairs(left, right, pattern):
@@ -275,7 +280,7 @@ def main(argv) -> int:
             all_same &= compared == identical and compared > 0
             print(f"{group}: {compared} compared, {identical} identical, "
                   f"largest relative difference {worst:.3g} ({name})"
-                  + (f"; {_raised(left / 'solves.npz')} of 70 solves raised"
+                  + ("; {} of {} solves raised".format(*_raised(left / "solves.npz"))
                      if group == "solves" else ""))
     return 0 if all_same else 1
 

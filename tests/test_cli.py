@@ -8,7 +8,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import jsonschema
 
@@ -109,6 +109,18 @@ class TestMatrixIo:
         path.write_text("# rows=3 cols=1\n1.0\n2.0\n")
         with pytest.raises(ShapeError):
             read_matrix(path)
+
+    def test_rows_without_columns_rejected(self, tmp_path):
+        path = tmp_path / "m.csv"
+        with pytest.raises(ShapeError):
+            write_matrix(np.zeros((3, 0)), path)
+        assert not path.exists()
+
+    @pytest.mark.parametrize("shape", [(0, 0), (0, 3)])
+    def test_no_rows_round_trip(self, tmp_path, shape):
+        path = tmp_path / "m.csv"
+        write_matrix(np.zeros(shape), path)
+        assert read_matrix(path).shape == shape
 
 
 _SPECIAL_VALUES = [0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, -5e-324,
@@ -259,6 +271,12 @@ class TestBulkMatrixIo:
 class TestZeroRunWriter:
     @settings(max_examples=300, deadline=None)
     @given(a=csv_matrices(), block=st.sampled_from([1, 7, 64, bsi.cli._WRITE_BLOCK]))
+    @example(a=np.array([[0.0, -0.0, 0.0, 0.0]]), block=64)     # -0.0 is the middle
+    @example(a=np.array([[math.nan, 0.0, 0.0, 0.0]]), block=64)  # nan in the first column
+    @example(a=np.array([[0.0, 0.0, 0.0, math.nan]]), block=64)  # nan in the last column
+    @example(a=np.array([[1.5, 0.0, 0.0, 0.0, -2.5]]), block=64)  # the middle is the row
+    @example(a=np.zeros((2, 5)), block=1)                       # all-zero rows
+    @example(a=np.array([[0.0, 1.0], [1.0, 0.0], [0.0, 0.0], [-0.0, 0.0]]), block=3)  # M = 2
     def test_bytes_match_per_value_repr(self, tmp_path_factory, scalar_synth, a, block):
         path = tmp_path_factory.mktemp("w") / "m.csv"
         with mock.patch.object(bsi.cli, "_WRITE_BLOCK", block):
@@ -439,8 +457,8 @@ class TestConfigParsing:
         raw.update({"emit_timing": True, "seed": 7, "hyper": {"alpha_eps": 2},
                     "solver": {"max_iter": 3, "tol_rel_f": 1}})
         cfg = parse_config(raw)
-        assert cfg.emit_timing is True and cfg.seed == 7 and cfg.max_iter == 3
-        assert cfg.hyper.alpha_eps == 2.0 and cfg.tol_rel_f == 1.0
+        assert cfg.emit_timing is True and cfg.seed == 7 and cfg.solver.max_iter == 3
+        assert cfg.hyper.alpha_eps == 2.0 and cfg.solver.tol_rel_f == 1.0
 
 
 def write_config(tmp_path, name, payload):

@@ -219,16 +219,6 @@ RULE_TABLE = [row for a, b, _ in BOUNDARIES.values() for row in (a, b)] + [
 ]
 
 
-def parent_rules(m, kl, ku):
-    """The three dense-or-banded rules as written before the operator owned
-    them: JMAP solve, VBA partial block, VBA full pass."""
-    u = kl + ku
-    solve = 8 * u <= m
-    return (solve,
-            u == 0 or (m >= 96 and 16 * u <= m) or (m >= 160 and solve),
-            solve and u * u <= 4 * m)
-
-
 @pytest.mark.parametrize("n, m, kl, ku", RULE_TABLE)
 def test_path_rules_are_the_parent_formulas(n, m, kl, ku):
     op = _Operator(np.zeros((n, m)), (kl, ku))

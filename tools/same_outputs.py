@@ -26,11 +26,19 @@ compared:
   criterion-11 ``simulate`` + ``solve`` config, run as jmap,
   vba-partial and vba-full, and of the same config at M = 1024 with 32
   spikes (its ``H.csv`` is mostly zero runs).
+- ``simulate``: every file those two ``simulate`` runs write, and those
+  of an indirect ``gaussian_random`` simulate (M = 128, 64 rows, a
+  ``gaussian_random`` transform), whose ``H.csv`` and ``D.csv`` rows are
+  dense.  Files are compared byte for byte, so a writer that changes
+  the text of a value it keeps is caught too.
 
 Prints one line per group: the number of outputs compared, the number
-identical, and the largest relative difference with the output's name.
-Exits 0 only if every output is identical.  Uses only the standard
-library and numpy.
+identical, the largest elementwise relative difference
+(``max_i |a_i - b_i| / |a_i|``) and the largest normwise one
+(``max |a - b| / max |a|``), each with the output's name.  A last-bit
+change in a small entry shows as a large elementwise difference and a
+tiny normwise one.  Exits 0 only if every output is identical.  Uses
+only the standard library and numpy.
 """
 
 from __future__ import annotations
@@ -151,6 +159,14 @@ def _priors(out_dir):
 
 
 def _cli(out_dir):
+    _run_cli("simulate", {
+        "mode": "simulate", "model": "indirect", "seed": 7,
+        "out_dir": str(out_dir / "sim-indirect"),
+        "simulate": {"length": 128, "sparsity": 8,
+                     "operator": {"kind": "gaussian_random", "rows": 64},
+                     "transform": {"kind": "gaussian_random"},
+                     "noise": {"kind": "stationary", "sigma": 0.05}},
+    }, out_dir / "sim.json")
     for suffix, length, sparsity in (("", 24, 3), ("-1024", 1024, 32)):
         sim_dir = out_dir / ("sim" + suffix)
         _run_cli("simulate", {
@@ -183,20 +199,25 @@ _NUMBER = re.compile(rb"[-+]?(?:\d+\.?\d*(?:[eE][-+]?\d+)?|inf|nan|Infinity|NaN)
 
 
 def _rel_diff(a, b):
-    """Largest |a_i - b_i| / |a_i| of two numeric arrays; inf if they cannot
-    be compared (shape, type or NaN pattern)."""
+    """(largest |a_i - b_i| / |a_i|, max |a - b| / max |a|) of two numeric
+    arrays; inf for both if they cannot be compared (shape, type or NaN
+    pattern)."""
     if a.shape != b.shape or a.dtype.kind not in "fiu" or b.dtype.kind not in "fiu":
-        return float("inf")
+        return float("inf"), float("inf")
     a, b = a.astype(float), b.astype(float)
     if not np.array_equal(np.isnan(a), np.isnan(b)):
-        return float("inf")
+        return float("inf"), float("inf")
     ok = ~np.isnan(a)
     if not ok.any():
-        return 0.0
+        return 0.0, 0.0
     a, b = a[ok], b[ok]
+    tiny = np.finfo(float).tiny
     with np.errstate(invalid="ignore", over="ignore"):
-        rel = np.abs(a - b) / np.maximum(np.abs(a), np.finfo(float).tiny)
-    return float(np.where(a == b, 0.0, rel).max())
+        diff = np.where(a == b, 0.0, np.abs(a - b))
+        rel = diff / np.maximum(np.abs(a), tiny)
+        norm = diff.max() / max(np.abs(a).max(), tiny)
+    # inf - inf and inf / inf are NaN: an infinite entry that changed
+    return tuple(float(np.nan_to_num(x, nan=np.inf)) for x in (rel.max(), norm))
 
 
 def _numbers(data):
@@ -205,23 +226,27 @@ def _numbers(data):
 
 
 def _compare(pairs):
-    """(compared, identical, worst difference, its name) of (name, a, b)."""
+    """(compared, identical, worst) of (name, a, b); worst is the largest
+    (elementwise, name) and (normwise, name) difference."""
     compared = identical = 0
-    worst, worst_name = 0.0, "-"
+    worst = [(0.0, "-"), (0.0, "-")]
     for name, a, b in pairs:
         compared += 1
         if isinstance(a, bytes):
             same = a == b
-            diff = 0.0 if same else _rel_diff(_numbers(a), _numbers(b))
+            if not same:
+                a, b = _numbers(a), _numbers(b)
         else:
             same = (a is not None and b is not None and a.shape == b.shape
                     and a.dtype == b.dtype and a.tobytes() == b.tobytes())
-            diff = 0.0 if same else (float("inf") if a is None or b is None
-                                     else _rel_diff(a, b))
         identical += same
-        if not same and (diff > worst or worst_name == "-"):
-            worst, worst_name = diff, name
-    return compared, identical, worst, worst_name
+        if same:
+            continue
+        diffs = (float("inf"),) * 2 if a is None or b is None else _rel_diff(a, b)
+        for k, diff in enumerate(diffs):
+            if diff > worst[k][0] or worst[k][1] == "-":
+                worst[k] = (diff, name)
+    return compared, identical, worst
 
 
 def _array_pairs(left, right):
@@ -273,13 +298,15 @@ def main(argv) -> int:
             "solves": _array_pairs(left / "solves.npz", right / "solves.npz"),
             "priors": _file_pairs(left, right, "priors/*/priors_report.json"),
             "cli": _file_pairs(left, right, "cli/*/*"),
+            "simulate": _file_pairs(left, right, "sim*/*"),
         }
         all_same = True
         for group, pairs in groups.items():
-            compared, identical, worst, name = _compare(pairs)
+            compared, identical, ((worst, name), (norm, norm_name)) = _compare(pairs)
             all_same &= compared == identical and compared > 0
             print(f"{group}: {compared} compared, {identical} identical, "
-                  f"largest relative difference {worst:.3g} ({name})"
+                  f"largest relative difference {worst:.3g} ({name}), "
+                  f"normwise {norm:.3g} ({norm_name})"
                   + ("; {} of {} solves raised".format(*_raised(left / "solves.npz"))
                      if group == "solves" else ""))
     return 0 if all_same else 1

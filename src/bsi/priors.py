@@ -4,9 +4,9 @@ Generalized Hyperbolic density and its building blocks: the modified
 Bessel function of the second kind K_lambda, the generalized Inverse
 Gaussian mixing density, closed-form reference densities (Student-t,
 Cauchy, Laplace, Hyperbolic, Variance-Gamma, NIG, generalized Gaussian,
-symmetric Weibull/Rayleigh), and an adaptive-quadrature evaluation of
-the normal variance-mean mixture that serves as the independent oracle
-for the closed forms.
+symmetric Weibull/Rayleigh), and a quadrature of the normal
+variance-mean mixture, by one vectorized exp-sinh (double-exponential)
+rule, that serves as the independent oracle for the closed forms.
 
 The GH density with parameters (lambda, alpha, beta, delta, mu) and
 gamma = sqrt(alpha^2 - beta^2), writing q(x) = sqrt(delta^2 + (x-mu)^2):
@@ -36,9 +36,9 @@ in the helper that returns gamma for :meth:`GhParams.validate` and the
 GH-type references.
 
 :func:`priors_report` runs all of these checks on seeded random draws;
-it is the body of the ``verify-priors`` command.  ``scipy.special`` and
-``scipy.integrate`` are imported only by the functions that call them,
-so the settings and error types load with numpy alone.
+it is the body of the ``verify-priors`` command.  ``scipy.special`` is
+imported only by the functions that call it, so the settings and error
+types load with numpy alone; the quadrature needs numpy alone.
 """
 
 from __future__ import annotations
@@ -354,66 +354,132 @@ def reference_pdf(family: str, params: Mapping, x):
     return out if x_arr.ndim else float(out[0])
 
 
-def _mixture_integrand(x: float, mu: float, beta: float, gig: GigParams):
-    """v -> N(x | mu + beta v, v) GIG(v), fused into one scalar exponent
+def _ordered_sum(terms, inside):
+    """Row sums of ``terms`` over ``inside``, added left to right: zeros
+    padded around a row's own nodes add exactly, so a row's sum has the
+    same bits whatever other rows share the node grid."""
+    return np.cumsum(np.where(inside, terms, 0.0), axis=1)[:, -1]
 
-        c + (lambda - 3/2) log v - ((x - mu - beta v)^2 / 2 + delta^2 / 2) / v
-          - gamma^2 v / 2,
 
-    with c the GIG log normalizer minus log(2 pi) / 2.  Validates ``gig``
-    now, not per point.  An exponent past the double range raises
-    QuadratureFailure.
+def _exp_sinh(log_f, centre, tol):
+    """Integrals of exp(log_f(log v)) over v in (0, inf), one per row.
+
+    The double-exponential rule of Takahasi & Mori (1974) for a half line
+    (Mori & Sugihara 2001, J. Comput. Appl. Math. 127): v = c exp(pi/2
+    sinh t), so dv = v pi/2 cosh t dt, and the trapezoid rule in t.
+    ``centre`` is a column of c, one row per integral, each the mode of
+    v f(v); ``log_f`` maps an array of log v with the same rows to the
+    log integrand.  A row's t range ends on each side at the first node
+    of step 1/2 whose term is at most eps times the row's largest such
+    term.  The step then halves until three levels agree: the estimate
+    max(|I_k - I_{k-1}|, |I_{k-1} - I_{k-2}|) is at most ``tol``.  It
+    never falls below 50 eps I_k, the rounding QUADPACK also assumes of a
+    sum.  Each row stops at its own level and sums its own nodes in
+    order, so its value has the same bits in any batch.
+    QuadratureFailure if a term leaves the double range, a range would
+    pass |t| = 12 or a row has not converged after 8 halvings.
+    """
+    eps = np.finfo(float).eps
+    # pi/2 sinh 12 is about 1.3e5: v spans c e^(+-1.3e5)
+    last, step = 24, 0.5
+    with np.errstate(divide="ignore"):
+        log_c = np.log(centre)
+
+    def terms(t):
+        log_v = log_c + 0.5 * math.pi * np.sinh(t)
+        with np.errstate(over="ignore", invalid="ignore"):
+            return np.exp(log_f(log_v) + log_v + np.log(0.5 * math.pi * np.cosh(t)))
+
+    grid = step * np.arange(-last, last + 1)
+    coarse = terms(grid)
+    small = coarse <= eps * coarse.max(axis=1, keepdims=True)
+    # the first small node from t = 0 outwards, left and right
+    left, right = small[:, last - 1::-1], small[:, last + 1:]
+    if not (left.any(axis=1).all() and right.any(axis=1).all()):
+        raise QuadratureFailure(f"integrand not negligible at |t| = {step * last}")
+    lo = -step * (left.argmax(axis=1) + 1)[:, None]
+    hi = step * (right.argmax(axis=1) + 1)[:, None]
+    value = step * _ordered_sum(coarse, (grid >= lo) & (grid <= hi))
+    result = np.full(len(value), np.nan)
+    todo = np.ones(len(value), dtype=bool)
+    change = np.full(len(value), np.inf)
+    for _ in range(8):
+        if not todo.any():
+            return result
+        if not np.isfinite(value[todo]).all():
+            raise QuadratureFailure("integrand exceeds the double range")
+        step *= 0.5
+        mid = np.arange(lo.min() + step, hi.max(), 2.0 * step)
+        new = 0.5 * value + step * _ordered_sum(terms(mid), (mid > lo) & (mid < hi))
+        # two coarse levels can agree by chance (both 5.9e-8 off at h = 1/2
+        # and 1/4 on a criterion-8 draw), so the last two changes must pass
+        change, previous = np.abs(new - value), change
+        err = np.maximum(np.maximum(change, previous), 50.0 * eps * new)
+        now = todo & (err <= tol)
+        result[now] = new[now]
+        todo &= ~now
+        value = new
+    if todo.any():
+        worst = float(np.max(err[todo]))
+        raise QuadratureFailure(f"quadrature error {worst:.3g} above tolerance {tol:.3g}")
+    return result
+
+
+def _mixture_integrand(x, mu: float, beta: float, gig: GigParams):
+    """(log_f, centre) of the mixture integrals at the points ``x`` (1-D).
+
+    The integrand v -> N(x | mu + beta v, v) GIG(v) is, up to a constant,
+    a GIG(alpha^2, q^2, lambda - 1/2) density in v, with alpha^2 =
+    gamma^2 + beta^2 and q^2 = delta^2 + (x - mu)^2:
+
+        log f(v) = c + beta (x - mu) + (lambda - 3/2) log v
+                   - q^2 / (2 v) - alpha^2 v / 2,
+
+    c the GIG log normalizer minus log(2 pi) / 2.  ``log_f`` takes log v
+    with one row per point.  ``centre`` is the column of the modes of
+    v f(v), written so that they do not cancel.  Validates ``gig`` and
+    raises SingularDensity if some x = mu while delta^2 = 0 and lambda
+    <= 1/2, where the integral diverges, before any evaluation.
     """
     c = _gig_log_norm(gig) - _HALF_LOG_2PI
+    dx = (x - mu)[:, None]
+    if gig.delta_sq == 0.0 and gig.lam <= 0.5 and np.any(dx == 0.0):
+        raise SingularDensity("the mixture diverges at x = mu for delta_sq = 0, lam <= 1/2")
+    q_sq = gig.delta_sq + dx * dx
+    alpha_sq = gig.gamma_sq + beta * beta
+    p = gig.lam - 0.5
+    s = np.sqrt(p * p + alpha_sq * q_sq)
+    centre = (p + s) / alpha_sq if p >= 0 else q_sq / (s - p)
+    const = c + beta * dx
     shape = gig.lam - 1.5
-    half_delta_sq = 0.5 * gig.delta_sq
-    half_gamma_sq = 0.5 * gig.gamma_sq
-    exp, log = math.exp, math.log
+    with np.errstate(divide="ignore"):  # log 0 = -inf drops a vanishing term
+        log_hq = np.log(0.5 * q_sq)
+        log_ha = np.log(0.5 * alpha_sq)
 
-    def integrand(v):
-        r = x - (mu + beta * v)
-        try:
-            return exp(c + shape * log(v) - (0.5 * r * r + half_delta_sq) / v
-                       - half_gamma_sq * v)
-        except OverflowError:
-            raise QuadratureFailure(
-                f"mixture integrand exceeds the double range at v = {v!r}") from None
+    def log_f(log_v):
+        return const + shape * log_v - np.exp(log_hq - log_v) - np.exp(log_ha + log_v)
 
-    return integrand
+    return log_f, centre
 
 
-def gh_marginal_quadrature(x: float, mu: float, beta: float, gig: GigParams,
-                           tol: float = 1e-9) -> float:
+def gh_marginal_quadrature(x, mu: float, beta: float, gig: GigParams, tol: float = 1e-9):
     """Normal variance-mean mixture integral, evaluated by quadrature.
 
     Integrates N(x | mu + beta v, v) GIG(v | gamma^2, delta^2, lambda)
-    over v in (0, inf) to absolute tolerance ``tol``.  Serves as the
-    independent oracle for :func:`gh_pdf`.
+    over v in (0, inf) to absolute tolerance ``tol`` at each point of
+    ``x`` (scalar or array; a scalar gives a float with the bits of the
+    same point in an array call), with one exp-sinh rule for all points.
+    Serves as the independent oracle for :func:`gh_pdf`.  DomainError
+    unless x, mu and beta are finite and 0 < tol < inf; SingularDensity
+    where the integral diverges; QuadratureFailure if ``tol`` is not met.
     """
-    import scipy.integrate
-
-    if not all(math.isfinite(t) for t in (x, mu, beta)):
+    x_arr = np.asarray(x, dtype=float)
+    if not (np.isfinite(x_arr).all() and math.isfinite(mu) and math.isfinite(beta)):
         raise DomainError(f"x, mu and beta must be finite, got {(x, mu, beta)}")
-    integrand = _mixture_integrand(x, mu, beta, gig)
-    value, err = scipy.integrate.quad(integrand, 0.0, np.inf,
-                                      epsabs=tol, epsrel=1e-12, limit=400)
-    if err > tol or value == 0.0:
-        # retry with the mass split around the mixing density's scale; the
-        # integrand is positive, so a zero means every sample underflowed
-        # (the mass sits below the smallest v the (0, inf) map reaches)
-        scale = math.sqrt((gig.delta_sq + 1.0) / (gig.gamma_sq + 1.0))
-        cuts = [0.0, 0.1 * scale, scale, 10.0 * scale]
-        value, err = 0.0, 0.0
-        for lo, hi in zip(cuts, cuts[1:] + [np.inf]):
-            v, e = scipy.integrate.quad(integrand, lo, hi,
-                                        epsabs=tol / 4, epsrel=1e-12, limit=400)
-            value += v
-            err += e
-        if err > tol:
-            raise QuadratureFailure(
-                f"mixture quadrature error {err:.3g} above tolerance {tol:.3g}"
-            )
-    return value
+    if not 0 < tol < math.inf:
+        raise DomainError(f"tol must be positive and finite, got {tol}")
+    out = _exp_sinh(*_mixture_integrand(x_arr.ravel(), mu, beta, gig), tol)
+    return out.reshape(x_arr.shape) if x_arr.ndim else float(out[0])
 
 
 _LIMIT_CASES = ("student_t_alpha", "laplace_delta")
@@ -498,8 +564,6 @@ def priors_report(settings: PriorsSettings, seed: int) -> dict:
     Every random parameter is drawn from ``SplitMix64(seed)`` in a fixed
     order, so equal settings and seed give an identical report.
     """
-    import scipy.integrate
-
     levels = list(settings.levels)
     step = settings.grid_step
     grid = np.arange(settings.grid_lo, settings.grid_hi + 0.5 * step, step)
@@ -545,22 +609,21 @@ def priors_report(settings: PriorsSettings, seed: int) -> dict:
         gig = GigParams(gamma_sq=params.gamma ** 2, delta_sq=params.delta ** 2,
                         lam=params.lam)
         xs = np.linspace(params.mu - 3.0, params.mu + 3.0, 21)
-        closed = gh_pdf(xs, params)
-        for x, c in zip(xs, closed):
-            mix_max = max(mix_max, abs(gh_marginal_quadrature(
-                float(x), params.mu, params.beta, gig) - c))
+        mix = gh_marginal_quadrature(xs, params.mu, params.beta, gig)
+        mix_max = max(mix_max, float(np.max(np.abs(mix - gh_pdf(xs, params)))))
 
-    ig_max = 0.0
+    draws = []
     for _ in range(20):
         alpha = 0.5 + 9.5 * rng.uniform()
         beta = 0.5 + 9.5 * rng.uniform()
-        # IG(alpha, beta) density times 1/x, its log normalizer hoisted
-        log_norm = alpha * math.log(beta) - math.lgamma(alpha)
-        shape = alpha + 1.0
-        val, _err = scipy.integrate.quad(
-            lambda x: (1.0 / x) * math.exp(log_norm - shape * math.log(x) - beta / x),
-            0.0, np.inf, epsabs=1e-12, epsrel=1e-12, limit=300)
-        ig_max = max(ig_max, abs(val - alpha / beta))
+        draws.append((alpha, beta, alpha * math.log(beta) - math.lgamma(alpha)))
+    alpha, beta, log_norm = (np.array(column)[:, None] for column in zip(*draws))
+    # the IG(alpha, beta) density times 1/x, in log x; x times it peaks at
+    # x = beta / (alpha + 1).  One call integrates all 20.
+    inverse_mean = _exp_sinh(
+        lambda log_x: log_norm - (alpha + 2.0) * log_x - beta * np.exp(-log_x),
+        beta / (alpha + 1.0), 1e-12)
+    ig_max = float(np.max(np.abs(inverse_mean - (alpha / beta)[:, 0])))
 
     return {
         "bessel": {

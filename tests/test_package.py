@@ -2,8 +2,8 @@
 
 ``import bsi`` resolves its public names on first use, so each CLI mode
 loads only the modules it calls: simulate needs numpy alone, solve adds
-``scipy.linalg`` and only verify-priors loads ``scipy.special`` and
-``scipy.integrate``.
+``scipy.linalg`` and only verify-priors loads ``scipy.special``.  No mode
+loads ``scipy.integrate``, ``scipy.optimize`` or ``scipy.sparse``.
 """
 
 import json
@@ -75,6 +75,17 @@ class TestImportSets:
         assert (tmp_path / "solve" / "result.json").exists()
         assert "scipy.linalg" in loaded
         assert not loaded & {"scipy.special", "scipy.integrate"}
+
+    def test_verify_priors_loads_special_alone(self, tmp_path):
+        path = tmp_path / "priors.json"
+        path.write_text(json.dumps({
+            "mode": "verify-priors", "seed": 3, "out_dir": str(tmp_path / "priors"),
+            "priors": {"grid_step": 0.5, "mixture_draws": 1},
+        }))
+        loaded = loaded_modules("-m", "bsi", "verify-priors", "--config", str(path))
+        assert (tmp_path / "priors" / "priors_report.json").exists()
+        assert "scipy.special" in loaded
+        assert not loaded & {"scipy.integrate", "scipy.optimize", "scipy.sparse"}
 
 
 class TestLazyNamespace:

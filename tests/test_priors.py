@@ -1,10 +1,11 @@
 import math
 import sys
+import warnings
 
 import numpy as np
 import pytest
 import scipy.integrate
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from bsi import (
     DomainError,
@@ -20,7 +21,7 @@ from bsi import (
     limit_deviation,
     reference_pdf,
 )
-from bsi.priors import _mixture_integrand, log_bessel_k
+from bsi.priors import _exp_sinh, _gig_log_norm, _mixture_integrand, log_bessel_k
 
 # high-precision values frozen from an arbitrary-precision evaluation of
 # K_lambda(x) (independent of the scipy code path under test)
@@ -342,6 +343,20 @@ class TestReferencePdf:
             assert value == expected                    # bit for bit
 
 
+@st.composite
+def gig_params(draw):
+    branch = draw(st.sampled_from(["general", "gamma", "inverse_gamma"]))
+    scale = st.floats(1e-2, 1e2)
+    if branch == "gamma":
+        return GigParams(gamma_sq=draw(scale), delta_sq=0.0,
+                         lam=draw(st.floats(0.0, 5.0, exclude_min=True)))
+    if branch == "inverse_gamma":
+        return GigParams(gamma_sq=0.0, delta_sq=draw(scale),
+                         lam=draw(st.floats(-5.0, 0.0, exclude_max=True)))
+    return GigParams(gamma_sq=draw(scale), delta_sq=draw(scale),
+                     lam=draw(st.floats(-5.0, 5.0)))
+
+
 class TestMarginalQuadrature:
     def test_matches_gh_closed_form(self):
         rng = np.random.RandomState(20)
@@ -412,30 +427,146 @@ class TestMarginalQuadrature:
         GigParams(gamma_sq=0.0, delta_sq=0.0, lam=-1.0),
         GigParams(gamma_sq=-1.0, delta_sq=1.0, lam=1.0),
     ])
-    def test_domain_error_before_quadrature(self, gig, monkeypatch):
-        def no_quad(*args, **kwargs):
-            raise AssertionError("quadrature started")
-
-        monkeypatch.setattr(scipy.integrate, "quad", no_quad)
+    def test_domain_error_before_quadrature(self, gig, no_rule):
         with pytest.raises(DomainError):
             gh_marginal_quadrature(0.5, 0.0, 0.0, gig)
 
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1e-9])
+    def test_bad_tolerance_is_domain_error_before_quadrature(self, tol, no_rule):
+        with pytest.raises(DomainError, match="tol"):
+            gh_marginal_quadrature(0.5, 0.0, 0.0, GigParams(1.0, 1.0, 0.5), tol=tol)
+
+    @pytest.mark.parametrize("lam", [0.25, 0.5])
+    def test_divergent_mixture_is_singular_before_quadrature(self, lam, no_rule):
+        # delta^2 = 0 and lam <= 1/2: v^(lam - 3/2) is not integrable at
+        # v = 0 when x = mu, as the Variance-Gamma reference says
+        with pytest.raises(SingularDensity):
+            gh_marginal_quadrature(0.0, 0.0, 0.0, GigParams(1.0, 0.0, lam))
+        with pytest.raises(SingularDensity):
+            gh_marginal_quadrature([1.0, 0.0], 0.0, 0.0, GigParams(1.0, 0.0, lam))
+        with pytest.raises(SingularDensity):
+            reference_pdf("variance_gamma", {"alpha": 1.0, "lam": lam}, 0.0)
+
+    def test_convergent_gamma_mixture_at_mu(self):
+        # lam = 3/4: the integrand decays only as v^(-3/4) towards v = 0,
+        # so the t range must widen past |t| = 4
+        expected = reference_pdf("variance_gamma", {"alpha": 1.0, "lam": 0.75}, 0.0)
+        assert abs(expected - 0.83462684167) <= 1e-11
+        got = gh_marginal_quadrature(0.0, 0.0, 0.0, GigParams(1.0, 0.0, 0.75))
+        assert abs(got - expected) <= 1e-9
+
+    @pytest.mark.parametrize("p,dx", [
+        # steps 1/2 and 1/4 of the exp-sinh rule agree to 8.6e-10 here
+        # while both are 5.9e-8 off, so one agreement is not enough
+        (GhParams(lam=-0.6408577228163391, alpha=2.4891001782285853,
+                  beta=0.6104670321005986, delta=0.505076042427967,
+                  mu=-0.0475379390374745), -1.2),
+        # QUADPACK returned a value 1.1e-5 off here as converged, which
+        # failed criterion 8 in a benchmark round
+        (GhParams(lam=1.4520024890446068, alpha=1.5002124643678494,
+                  beta=-0.1060739893172509, delta=1.617753270161023,
+                  mu=0.40867683548261713), -0.3),
+    ])
+    def test_draws_that_fooled_an_error_estimate(self, p, dx):
+        gig = GigParams(gamma_sq=p.gamma ** 2, delta_sq=p.delta ** 2, lam=p.lam)
+        x = p.mu + dx
+        assert abs(gh_marginal_quadrature(x, p.mu, p.beta, gig) - gh_pdf(x, p)) <= 1e-12
+
     @pytest.mark.parametrize("x,mu,beta", [(math.nan, 0.0, 0.0), (0.0, math.inf, 0.0),
-                                           (0.0, 0.0, -math.inf)])
+                                           (0.0, 0.0, -math.inf),
+                                           ([0.0, math.inf], 0.0, 0.0)])
     def test_nonfinite_arguments_rejected(self, x, mu, beta):
         with pytest.raises(DomainError):
             gh_marginal_quadrature(x, mu, beta, GigParams(1.0, 1.0, 0.5))
 
     def test_exponent_overflow_is_typed(self):
         # Gamma mixing with rate 1e300 at x = mu: near v = 1e-301 the
-        # mixture integrand is about 1e450, past the double range
-        integrand = _mixture_integrand(0.0, 0.0, 0.0,
-                                       GigParams(gamma_sq=2e300, delta_sq=0.0, lam=1.0))
+        # mixture integrand is about 1e450, past the double range ...
+        gig = GigParams(gamma_sq=2e300, delta_sq=0.0, lam=1.0)
+        log_f, _ = _mixture_integrand(np.zeros(1), 0.0, 0.0, gig)
+        assert log_f(np.log([[1e-301]]))[0, 0] > math.log(sys.float_info.max)
+        # ... but v times it, which the rule exponentiates, is not:
+        # E[(2 pi v)^-1/2] = sqrt(rate / 2 pi) Gamma(1/2) / Gamma(1)
+        exact = math.sqrt(1e300 / (2.0 * math.pi)) * math.sqrt(math.pi)
+        got = gh_marginal_quadrature(0.0, 0.0, 0.0, gig, tol=1e-12 * exact)
+        assert abs(got - exact) <= 1e-12 * exact
+        # an absolute tolerance below the rounding of the sum is not met
         with pytest.raises(QuadratureFailure):
-            integrand(1e-301)
-        # and it leaves QUADPACK as that error, not as an OverflowError
-        with pytest.raises(QuadratureFailure):
-            scipy.integrate.quad(integrand, 0.0, 1e-300)
+            gh_marginal_quadrature(0.0, 0.0, 0.0, gig)
+        # and a term past the double range raises, not returns inf
+        with pytest.raises(QuadratureFailure, match="double range"):
+            _exp_sinh(lambda log_v: 800.0 - log_v * log_v, np.ones((1, 1)), 1.0)
+
+    @settings(max_examples=150, deadline=None)
+    @given(gig=gig_params(), xs=st.lists(st.floats(-10.0, 10.0), min_size=1, max_size=4),
+           mu=st.floats(-10.0, 10.0), beta=st.floats(-3.0, 3.0))
+    @example(gig=GigParams(2e8, 0.0, 5.0), xs=[0.0], mu=0.0, beta=0.0)
+    def test_vector_is_scalars_and_matches_quadpack(self, gig, xs, mu, beta):
+        if gig.delta_sq == 0.0 and gig.lam <= 0.5 and mu in xs:  # the mixture diverges
+            with pytest.raises(SingularDensity):
+                gh_marginal_quadrature(xs, mu, beta, gig)
+            return
+        scalars = []
+        for x in xs:
+            try:
+                scalars.append(gh_marginal_quadrature(x, mu, beta, gig))
+            except QuadratureFailure:
+                scalars.append(None)
+        try:
+            vector = gh_marginal_quadrature(xs, mu, beta, gig)
+        except QuadratureFailure:
+            assert None in scalars
+            return
+        assert all(type(s) is float for s in scalars)
+        assert vector.tobytes() == np.array(scalars).tobytes()  # bit for bit
+        for x, value in zip(xs, scalars):
+            oracle, err = quadpack_mixture(x, mu, beta, gig)
+            if err <= 1e-10:
+                assert abs(value - oracle) <= 1e-9  # the default tol
+
+
+def quadpack_mixture(x, mu, beta, gig):
+    """(value, error estimate) of the mixture integral by QUADPACK.
+
+    The normal and GIG densities are written out separately.  The
+    integral is split at the largest v f(v) on a grid of u = log v: the
+    left part is taken in v, where QUADPACK's extrapolation handles the
+    algebraic singularities of f at v = 0, the right part in u, so that
+    the map of the half line sees the mass wherever it lies.  A QUADPACK
+    warning makes the error estimate inf.
+    """
+    lam, gamma_sq, delta_sq = gig.lam, gig.gamma_sq, gig.delta_sq
+    c = _gig_log_norm(gig)
+
+    def log_f(u):
+        v = np.exp(u)
+        log_normal = -0.5 * (x - mu - beta * v) ** 2 / v - 0.5 * np.log(2.0 * math.pi * v)
+        return log_normal + c + (lam - 1.0) * u - 0.5 * (gamma_sq * v + delta_sq / v)
+
+    def finite_exp(value):
+        return float(np.nan_to_num(np.exp(value)))  # 0 / 0 where v is 0 or inf: no mass
+
+    grid = np.arange(-700.0, 700.0, 0.25)
+    with np.errstate(all="ignore"), warnings.catch_warnings():
+        warnings.simplefilter("error", scipy.integrate.IntegrationWarning)
+        peak = float(grid[np.nanargmax(log_f(grid) + grid)])
+        try:
+            pieces = [scipy.integrate.quad(lambda v: finite_exp(log_f(math.log(v))), 0.0,
+                                           math.exp(peak), epsabs=1e-11, epsrel=1e-13, limit=400),
+                      scipy.integrate.quad(lambda u: finite_exp(log_f(u) + u), peak, np.inf,
+                                           epsabs=1e-11, epsrel=1e-13, limit=400)]
+        except scipy.integrate.IntegrationWarning:
+            return math.nan, math.inf
+    return sum(p[0] for p in pieces), sum(p[1] for p in pieces)
+
+
+@pytest.fixture
+def no_rule(monkeypatch):
+    """Makes any evaluation by the exp-sinh rule fail the test."""
+    def no_quadrature(*args, **kwargs):
+        raise AssertionError("quadrature started")
+
+    monkeypatch.setattr("bsi.priors._exp_sinh", no_quadrature)
 
 
 def composed_integrand(x, mu, beta, gig, v):
@@ -443,20 +574,6 @@ def composed_integrand(x, mu, beta, gig, v):
     mean = mu + beta * v
     normal = np.exp(-0.5 * (x - mean) ** 2 / v) / np.sqrt(2.0 * math.pi * v)
     return normal * gig_pdf(v, gig)
-
-
-@st.composite
-def gig_params(draw):
-    branch = draw(st.sampled_from(["general", "gamma", "inverse_gamma"]))
-    scale = st.floats(1e-2, 1e2)
-    if branch == "gamma":
-        return GigParams(gamma_sq=draw(scale), delta_sq=0.0,
-                         lam=draw(st.floats(0.0, 5.0, exclude_min=True)))
-    if branch == "inverse_gamma":
-        return GigParams(gamma_sq=0.0, delta_sq=draw(scale),
-                         lam=draw(st.floats(-5.0, 0.0, exclude_max=True)))
-    return GigParams(gamma_sq=draw(scale), delta_sq=draw(scale),
-                     lam=draw(st.floats(-5.0, 5.0)))
 
 
 class TestMixtureIntegrand:
@@ -469,7 +586,10 @@ class TestMixtureIntegrand:
             expected = float(composed_integrand(x, mu, beta, gig, v))
         if not sys.float_info.min <= expected < math.inf:
             return  # the product is zero, subnormal or infinite
-        got = _mixture_integrand(x, mu, beta, gig)(v)
+        if gig.delta_sq == 0.0 and gig.lam <= 0.5 and x == mu:
+            return  # see test_divergent_mixture_is_singular_before_quadrature
+        log_f, _ = _mixture_integrand(np.array([x]), mu, beta, gig)
+        got = math.exp(log_f(np.array([[math.log(v)]]))[0, 0])
         assert abs(got - expected) <= 1e-12 * expected
 
 

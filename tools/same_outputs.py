@@ -37,8 +37,11 @@ identical, the largest elementwise relative difference
 (``max_i |a_i - b_i| / |a_i|``) and the largest normwise one
 (``max |a - b| / max |a|``), each with the output's name.  A last-bit
 change in a small entry shows as a large elementwise difference and a
-tiny normwise one.  Exits 0 only if every output is identical.  Uses
-only the standard library and numpy.
+tiny normwise one.  For JSON files that differ, the line also names up
+to five dotted key paths of the values that differ, for example
+``scale_mixture.max_abs_deviation`` (a list item as ``[i]``).  Exits 0
+only if every output is identical.  Uses only the standard library and
+numpy.
 """
 
 from __future__ import annotations
@@ -225,16 +228,33 @@ def _numbers(data):
                      for t in _NUMBER.findall(data)])
 
 
+def _json_paths(a, b, path=""):
+    """Dotted key paths of the leaves at which two parsed JSON documents
+    differ."""
+    if isinstance(a, dict) and isinstance(b, dict):
+        for key in sorted(a.keys() | b.keys()):
+            yield from _json_paths(a.get(key), b.get(key), f"{path}.{key}" if path else key)
+    elif isinstance(a, list) and isinstance(b, list) and len(a) == len(b):
+        for i, (x, y) in enumerate(zip(a, b)):
+            yield from _json_paths(x, y, f"{path}[{i}]")
+    elif json.dumps(a) != json.dumps(b):  # NaN equals NaN here
+        yield path or "(document)"
+
+
 def _compare(pairs):
-    """(compared, identical, worst) of (name, a, b); worst is the largest
-    (elementwise, name) and (normwise, name) difference."""
+    """(compared, identical, worst, fields) of (name, a, b); worst is the
+    largest (elementwise, name) and (normwise, name) difference, fields
+    the differing key paths of the JSON files, in order of appearance."""
     compared = identical = 0
     worst = [(0.0, "-"), (0.0, "-")]
+    fields = {}
     for name, a, b in pairs:
         compared += 1
         if isinstance(a, bytes):
             same = a == b
             if not same:
+                if name.endswith(".json") and a and b:
+                    fields.update(dict.fromkeys(_json_paths(json.loads(a), json.loads(b))))
                 a, b = _numbers(a), _numbers(b)
         else:
             same = (a is not None and b is not None and a.shape == b.shape
@@ -246,7 +266,7 @@ def _compare(pairs):
         for k, diff in enumerate(diffs):
             if diff > worst[k][0] or worst[k][1] == "-":
                 worst[k] = (diff, name)
-    return compared, identical, worst
+    return compared, identical, worst, list(fields)
 
 
 def _array_pairs(left, right):
@@ -302,13 +322,18 @@ def main(argv) -> int:
         }
         all_same = True
         for group, pairs in groups.items():
-            compared, identical, ((worst, name), (norm, norm_name)) = _compare(pairs)
+            compared, identical, ((worst, name), (norm, norm_name)), fields = _compare(pairs)
             all_same &= compared == identical and compared > 0
+            notes = []
+            if group == "solves":
+                notes.append("{} of {} solves raised".format(*_raised(left / "solves.npz")))
+            if fields:
+                notes.append("differing JSON fields: " + ", ".join(fields[:5])
+                             + (f" and {len(fields) - 5} more" if len(fields) > 5 else ""))
             print(f"{group}: {compared} compared, {identical} identical, "
                   f"largest relative difference {worst:.3g} ({name}), "
                   f"normwise {norm:.3g} ({norm_name})"
-                  + ("; {} of {} solves raised".format(*_raised(left / "solves.npz"))
-                     if group == "solves" else ""))
+                  + "".join(f"; {note}" for note in notes))
     return 0 if all_same else 1
 
 

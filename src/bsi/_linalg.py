@@ -15,12 +15,18 @@ the band of the covariance (:func:`selected_inverse`), which gives
 forms the whole covariance from the factor, only when a caller converts
 a returned band covariance to an array.  :func:`band_gauss_seidel` is
 the VBA coordinate pass on the same band storage.  Each reads the band
-layout the operator built once.
+layout the operator built once.  For a dense wide K (the operator's
+``dual`` flag) :func:`dual_factor` factors the N x N dual ``diag(1/w) +
+K diag(1/p) K'`` instead, in O(N^2 M); JMAP solves with it
+(:func:`dual_solve`), and VBA also takes from it the two triangular
+solves (:func:`dual_roots`) that give diag(Sigma) and ``diag(K Sigma
+K')``.
 
 Each factorization is one direct LAPACK call: ``posv`` for the dense
 solve (:func:`spd_solve`, JMAP), ``potrf`` then ``potri`` for the dense
 inverse (:func:`spd_inverse`, VBA), ``pbtrf`` for the banded factor and
-``pbtrs`` for its solves.  Every one follows one failure rule: it
+``pbtrs`` for its solves, ``potrf`` for the dual factor and ``potrs``
+for its solves.  Every one follows one failure rule: it
 raises SingularSystem unless LAPACK's ``info`` is 0 and both the factor
 and the result are finite.  An infinite diagonal entry passes Cholesky
 with ``info`` 0 and yields a finite, meaningless result; the factor
@@ -45,7 +51,8 @@ import functools
 
 import numpy as np
 from scipy.linalg.blas import dtbsv
-from scipy.linalg.lapack import dpbtrf, dpbtrs, dposv, dpotrf, dpotri, dtrtrs
+from scipy.linalg.lapack import (dpbtrf, dpbtrs, dposv, dpotrf, dpotri, dpotrs, dtrtri,
+                                 dtrtrs)
 
 from .model import SingularSystem, _silent_overflow
 
@@ -72,7 +79,7 @@ def spd_solve(A: np.ndarray, b: np.ndarray) -> np.ndarray:
 def normal_matrix(K: np.ndarray, w: np.ndarray, p: np.ndarray) -> np.ndarray:
     """Dense ``K' diag(w) K + diag(p)``."""
     A = K.T @ (K * w[:, None])
-    A[np.diag_indices_from(A)] += p
+    A.flat[::A.shape[0] + 1] += p
     return A
 
 
@@ -216,15 +223,73 @@ def band_gauss_seidel(op, w: np.ndarray, p: np.ndarray, rhs: np.ndarray, x: np.n
     return dtbsv(u, ab, r, trans=1, overwrite_x=1), ab[u]
 
 
+@_silent_overflow
+def dual_factor(op, w: np.ndarray, p: np.ndarray):
+    """Factor of the N x N dual ``C = diag(1/w) + K diag(1/p) K'`` of
+    ``A = K' diag(w) K + diag(p)``, for the operator ``op`` of a wide K.
+
+    Returns ``(L, K diag(1/p))`` with L the lower Cholesky factor of C
+    (LAPACK ``potrf``).  By the Woodbury identity ``A^-1 = diag(1/p) -
+    diag(1/p) K' C^-1 K diag(1/p)``, so C stands in for A at O(N^2 M)
+    instead of O(N M^2 + M^3).  Raises SingularSystem unless ``info`` is
+    0 and L, w and p are finite: an infinite precision, which the factor
+    of A would hold, is a zero variance in C.
+    """
+    KP = op.K / p
+    C = KP @ op.K.T
+    C.flat[::C.shape[0] + 1] += 1.0 / w
+    # C.T is C's buffer in Fortran order: potrf factors it in place
+    L, info = dpotrf(C.T, lower=1, overwrite_a=1)
+    if info != 0 or not (np.isfinite(L).all() and np.isfinite(w).all()
+                         and np.isfinite(p).all()):
+        raise SingularSystem(f"dual Cholesky failed: potrf info={info}")
+    return L, KP
+
+
+@_silent_overflow
+def dual_solve(op, L: np.ndarray, p: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """``A^-1 rhs = y - diag(1/p) K' C^-1 K y``, ``y = rhs / p``, from the
+    :func:`dual_factor` L of C (LAPACK ``potrs``)."""
+    y = rhs / p
+    s, info = dpotrs(L, op.K @ y, lower=1)
+    x = y - (op.K.T @ s) / p
+    if info != 0 or not np.isfinite(x).all():
+        raise SingularSystem(f"dual SPD solve failed: potrs info={info}")
+    return x
+
+
+@_silent_overflow
+def dual_roots(L: np.ndarray, KP: np.ndarray, w: np.ndarray):
+    """``(B, R) = (L^-1 K diag(1/p), L^-1 diag(1/w))`` from the
+    :func:`dual_factor` output (LAPACK ``trtrs`` and ``trtri``).
+
+    ``A^-1 = diag(1/p) - B' B``, and ``diag(K A^-1 K') = colsum(R * (B
+    K'))``: that is ``diag(W^-1 C^-1 G)`` for ``G = K diag(1/p) K'``,
+    since ``K A^-1 K' = G - G C^-1 G = W^-1 C^-1 G``.  Raises
+    SingularSystem unless each ``info`` is 0 and B and R are finite.
+    """
+    B, info = dtrtrs(L, KP, lower=1)
+    Linv, info_inv = dtrtri(L, lower=1)
+    R = Linv / w
+    if info != 0 or info_inv != 0 or not (np.isfinite(B).all() and np.isfinite(R).all()):
+        raise SingularSystem(f"dual triangular solve failed: trtrs info={info}, "
+                             f"trtri info={info_inv}")
+    return B, R
+
+
 def solve_normal(op, w: np.ndarray, p: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Solve ``(K' diag(w) K + diag(p)) x = rhs`` for the weights w, p > 0.
 
     ``op`` is the operator of K; its ``banded_solve`` flag sends the
-    solve through :func:`band_factor`, else through the dense
+    solve through :func:`band_factor`, its ``dual`` flag through
+    :func:`dual_factor`, else it runs through the dense
     :func:`spd_solve`.
     """
-    return (band_solve(band_factor(op, w, p), rhs) if op.banded_solve
-            else spd_solve(normal_matrix(op.K, w, p), rhs))
+    if op.banded_solve:
+        return band_solve(band_factor(op, w, p), rhs)
+    if op.dual:
+        return dual_solve(op, dual_factor(op, w, p)[0], p, rhs)
+    return spd_solve(normal_matrix(op.K, w, p), rhs)
 
 
 def spd_inverse(A: np.ndarray) -> np.ndarray:

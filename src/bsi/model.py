@@ -29,9 +29,9 @@ Every Gaussian block of both solvers solves the normal equations that
 :func:`_normal_system` forms, ``(K' diag(w) K + diag(p)) x = rhs`` with
 K = H (f block) or D (z block).  Each K is a :class:`_Operator`, built
 once per problem (``ForwardProblem._operators``): the dense array, its
-bandwidths, its band layout and the four measured flags that make
-every dense-or-banded choice.  Every product with H or D in the solvers
-is its operator's ``matvec`` or ``rmatvec``.
+bandwidths, its band layout and the five measured flags that choose
+between the dense, banded and dual paths.  Every product with H or D in
+the solvers is its operator's ``matvec`` or ``rmatvec``.
 """
 
 from __future__ import annotations
@@ -137,8 +137,11 @@ def bandwidths(K: np.ndarray) -> tuple:
     rows = np.flatnonzero(nz.any(axis=1))
     if rows.size == 0:
         return 0, 0
-    first = nz[rows].argmax(axis=1)
-    last = K.shape[1] - 1 - nz[rows, ::-1].argmax(axis=1)
+    # argmax over every row, then the rows kept: no copy of nz[rows].  The
+    # reversed-view argmax stays: on numpy 2.4 a forward cumsum-argmax of
+    # a 1024 x 1024 mask took 6.7 ms, against 0.5-0.7 ms for this one
+    first = nz.argmax(axis=1)[rows]
+    last = K.shape[1] - 1 - nz[:, ::-1].argmax(axis=1)[rows]
     return max(int((rows - first).max()), 0), max(int((last - rows).max()), 0)
 
 
@@ -150,8 +153,8 @@ class _Operator:
     super-diagonals (:func:`bandwidths` unless ``bands`` gives a pair at
     least as wide), and u = kl + ku is the half-bandwidth of
     ``K' diag(w) K``.  Every dense-or-banded choice is one of four flags,
-    each a measured rule on the shape and u, with one BLAS thread on
-    random banded K:
+    and the choice of the dual a fifth, each a measured rule on the shape
+    and u, with one BLAS thread on random banded K:
 
     ``banded_solve``, 8 u <= M: a JMAP solve, and ``diag(K Sigma K')`` of
     a band or diagonal Sigma, run in band storage.  The banded solve beat
@@ -193,6 +196,20 @@ class _Operator:
     3-tap products from M = 16 up to the band, and dense was faster at
     M = 64-128 (2.4/7.1 and 4.1/7.0 us).
 
+    ``dual``, not ``banded_solve``, and M >= 32 with 2 N <= M, or M >= 64
+    with 4 N <= 3 M: a JMAP solve and a partial-scheme VBA block factor
+    the N x N dual ``diag(1/w) + K diag(1/p) K'`` in place of the M x M
+    normal matrix (``_linalg.dual_factor``), O(N^2 M) instead of
+    O(N M^2 + M^3).  Measured on random dense K, dense against dual time
+    of the JMAP solve and of the VBA block (mean, diag(Sigma) and
+    diag(K Sigma K')): at M = 16 the dual lost at every N (0.9-1.0x); at
+    M = 32 it won up to N = M / 2 (1.1-1.4x) and tied or lost above; at
+    M = 48-512 it won up to N = 3 M / 4 (1.1-1.9x), by 2.3-7x at
+    N = M / 4 and M >= 128, and tied or lost at N = M (0.7-1.05x).  The
+    rule keeps to the clear wins (at M = 48, N = 3 M / 4 gave 1.1x).  At
+    64 x 128 the JMAP solve took 152 us dense and 56 dual, the VBA block
+    386 and 155.  D is square, so a z block is never dual.
+
     The band layout (:attr:`layout`), its diagonals as slices, and the
     contiguous K' of the dense coordinate pass (:attr:`KT`) are built on
     first use, once.
@@ -206,6 +223,8 @@ class _Operator:
         self.banded_block = u == 0 or (m >= 96 and 16 * u <= m) or (m >= 160 and self.banded_solve)
         self.banded_pass = self.banded_solve and u * u <= 4 * m
         self.banded_product = 16384 * (u + 1) <= n * m
+        self.dual = not self.banded_solve and ((m >= 32 and 2 * n <= m)
+                                               or (m >= 64 and 4 * n <= 3 * m))
 
     def matvec(self, x) -> np.ndarray:
         """``K @ x``: one slice-axpy per diagonal when ``banded_product``,
@@ -379,9 +398,10 @@ class SolverState:
     beta_hat/alpha_hat actually used by the updates.
 
     VBA keeps each covariance in the form its block produced: a dense
-    block gives a plain array, a banded block its band and factor, the
-    full scheme a diagonal.  ``np.asarray(state.Sigma_f)`` gives the
-    whole matrix, formed again on each conversion.
+    block gives a plain array, a banded block its band and factor, a
+    dual block 1/p and the matrices of its dual, the full scheme a
+    diagonal.  ``np.asarray(state.Sigma_f)`` gives the whole matrix,
+    formed again on each conversion.
     """
 
     f_hat: np.ndarray

@@ -115,6 +115,8 @@ class GigParams:
     lam: float
 
     def validate(self):
+        if not all(map(math.isfinite, (self.gamma_sq, self.delta_sq, self.lam))):
+            raise DomainError(f"gamma_sq, delta_sq and lam must be finite, got {self}")
         if self.gamma_sq < 0 or self.delta_sq < 0:
             raise DomainError(f"gamma_sq and delta_sq must be nonnegative, got {self}")
         if self.gamma_sq == 0 and self.delta_sq == 0:

@@ -156,6 +156,15 @@ class TestGigPdf:
         with pytest.raises(DomainError):
             gig_pdf(1.0, GigParams(gamma_sq=1.0, delta_sq=0.0, lam=-1.0))
 
+    @pytest.mark.parametrize("params", [
+        GigParams(math.nan, 1.0, 0.5), GigParams(1.0, math.nan, 0.5),
+        GigParams(1.0, 1.0, math.nan), GigParams(math.inf, 1.0, 0.5),
+        GigParams(1.0, math.inf, 0.5), GigParams(1.0, 1.0, -math.inf),
+    ])
+    def test_non_finite_parameters_are_domain_errors(self, params):
+        with pytest.raises(DomainError, match="finite"):
+            gig_pdf(1.0, params)
+
 
 def random_gh(rng):
     alpha = rng.uniform(0.6, 2.5)
@@ -426,6 +435,9 @@ class TestMarginalQuadrature:
         GigParams(gamma_sq=0.0, delta_sq=1.0, lam=2.0),
         GigParams(gamma_sq=0.0, delta_sq=0.0, lam=-1.0),
         GigParams(gamma_sq=-1.0, delta_sq=1.0, lam=1.0),
+        GigParams(gamma_sq=math.nan, delta_sq=1.0, lam=0.5),
+        GigParams(gamma_sq=1.0, delta_sq=math.inf, lam=0.5),
+        GigParams(gamma_sq=1.0, delta_sq=1.0, lam=math.nan),
     ])
     def test_domain_error_before_quadrature(self, gig, no_rule):
         with pytest.raises(DomainError):
@@ -501,6 +513,7 @@ class TestMarginalQuadrature:
     @given(gig=gig_params(), xs=st.lists(st.floats(-10.0, 10.0), min_size=1, max_size=4),
            mu=st.floats(-10.0, 10.0), beta=st.floats(-3.0, 3.0))
     @example(gig=GigParams(2e8, 0.0, 5.0), xs=[0.0], mu=0.0, beta=0.0)
+    @example(gig=GigParams(3.0, 0.0, 0.625), xs=[3.922654634200432e-38], mu=0.0, beta=0.0)
     def test_vector_is_scalars_and_matches_quadpack(self, gig, xs, mu, beta):
         if gig.delta_sq == 0.0 and gig.lam <= 0.5 and mu in xs:  # the mixture diverges
             with pytest.raises(SingularDensity):
@@ -532,8 +545,13 @@ def quadpack_mixture(x, mu, beta, gig):
     integral is split at the largest v f(v) on a grid of u = log v: the
     left part is taken in v, where QUADPACK's extrapolation handles the
     algebraic singularities of f at v = 0, the right part in u, so that
-    the map of the half line sees the mass wherever it lies.  A QUADPACK
-    warning makes the error estimate inf.
+    the map of the half line sees the mass wherever it lies.  Where x !=
+    mu, the normal's factor exp(-(x - mu)^2 / 2v) cuts f off below the
+    cut v = (x - mu)^2, and above it f grows like v^(lam - 3/2).  A cut
+    below the peak is a cusp QUADPACK misses in v (at x - mu = 4e-38 it
+    returned the x = mu value, 1.3e-9 off, with an error estimate of
+    5e-12), so the left part is then taken in u too, split at the cut.
+    A QUADPACK warning makes the error estimate inf.
     """
     lam, gamma_sq, delta_sq = gig.lam, gig.gamma_sq, gig.delta_sq
     c = _gig_log_norm(gig)
@@ -546,15 +564,22 @@ def quadpack_mixture(x, mu, beta, gig):
     def finite_exp(value):
         return float(np.nan_to_num(np.exp(value)))  # 0 / 0 where v is 0 or inf: no mass
 
+    def in_u(u):
+        return finite_exp(log_f(u) + u)
+
     grid = np.arange(-700.0, 700.0, 0.25)
     with np.errstate(all="ignore"), warnings.catch_warnings():
         warnings.simplefilter("error", scipy.integrate.IntegrationWarning)
         peak = float(grid[np.nanargmax(log_f(grid) + grid)])
+        cut = (x - mu) ** 2
+        if 0.0 < cut < math.exp(peak):
+            left = [(in_u, -np.inf, math.log(cut)), (in_u, math.log(cut), peak)]
+        else:
+            left = [(lambda v: finite_exp(log_f(math.log(v))), 0.0, math.exp(peak))]
+        parts = left + [(in_u, peak, np.inf)]
         try:
-            pieces = [scipy.integrate.quad(lambda v: finite_exp(log_f(math.log(v))), 0.0,
-                                           math.exp(peak), epsabs=1e-11, epsrel=1e-13, limit=400),
-                      scipy.integrate.quad(lambda u: finite_exp(log_f(u) + u), peak, np.inf,
-                                           epsabs=1e-11, epsrel=1e-13, limit=400)]
+            pieces = [scipy.integrate.quad(fn, lo, hi, epsabs=1e-11, epsrel=1e-13, limit=400)
+                      for fn, lo, hi in parts]
         except scipy.integrate.IntegrationWarning:
             return math.nan, math.inf
     return sum(p[0] for p in pieces), sum(p[1] for p in pieces)

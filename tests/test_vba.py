@@ -502,6 +502,28 @@ def test_solve_vba_matches_reference_iteration(model, separability, init, oracle
     assert_matches_reference(state, expected)
 
 
+@pytest.mark.parametrize("model,separability,init", [
+    pytest.param(model, separability, init, id=f"{model}-{separability}-{init}")
+    for init in INITS
+    for model, separability in (("direct", "partial"), ("indirect", "partial"),
+                                ("direct", "full"))])
+def test_wide_dense_solve_matches_reference_iteration(model, separability, init, oracle_start):
+    """A wide dense H runs the dual f block and the blocked coordinate pass
+    (three blocks, the last one partial); both track the dense oracle."""
+    rng = np.random.RandomState(48)
+    n, m = 24, 70
+    H = rng.randn(n, m) / np.sqrt(n)
+    D = np.eye(m) + 0.3 * rng.randn(m, m) / np.sqrt(m) if model == "indirect" else None
+    problem = ForwardProblem(g=H @ rng.randn(m) + 0.05 * rng.randn(n), H=H, D=D)
+    assert problem._operators["f"].dual
+    hyper = HyperParams(3.0, 0.05, 1.0, 0.1, 1.0, 0.5, 1.0, 0.5)
+    init, f0, z0 = oracle_start(problem, init)
+    state, _ = solve_vba(problem, hyper, VbaConfig(
+        max_iter=10, tol_rel_f=1e-300, separability=separability, init=init))
+    expected = reference_vba(problem, hyper, separability, 10, f0, z0)
+    assert_matches_reference(state, expected)
+
+
 def convolution_problem(model, m=96):
     """5-tap convolution H (kl = ku = 2) and, for the indirect model, D = I."""
     H = generate_operator(OperatorSpec(kind="convolution", n_rows=m, n_cols=m,

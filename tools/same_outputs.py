@@ -10,11 +10,13 @@ with ``PYTHONPATH`` set to that tree and ``OPENBLAS_NUM_THREADS=1``,
 and writes its outputs to a temporary directory only.  Three groups are
 compared:
 
-- ``solves``: 80 solves.  The operators are a 3-tap convolution H at
+- ``solves``: 90 solves.  The operators are a 3-tap convolution H at
   M = 24, 128, 300 and 1024, a 5-tap one at M = 96, and dense random H
-  of 64 x 128, 12 x 9 and 40 x 40.  Each runs JMAP, VBA-partial and
-  VBA-full on the direct model and JMAP and VBA-partial on the indirect
-  one, from zeros and from the least-squares start.  The arrays are
+  of 64 x 128, 12 x 9, 40 x 40 and 48 x 200 (wide, with M not a
+  multiple of the 32-coordinate blocks of the dense coordinate pass).
+  Each runs JMAP, VBA-partial and VBA-full on the direct model and JMAP
+  and VBA-partial on the indirect one, from zeros and from the
+  least-squares start.  The arrays are
   every state array, ``np.asarray`` of each covariance, every
   Inverse-Gamma family array, and the trace's L and relative changes.
   A solve that raises gives its error type and message instead, and
@@ -73,7 +75,7 @@ def _operators():
     for m in (24, 128, 300, 1024):
         yield f"3tap-{m}", _convolution(m, (0.25, 0.5, 0.25)), np.eye(m)
     yield "5tap-96", _convolution(96, (0.1, 0.2, 0.4, 0.2, 0.1)), np.eye(96)
-    for n, m in ((64, 128), (12, 9), (40, 40)):
+    for n, m in ((64, 128), (12, 9), (40, 40), (48, 200)):
         H = rng.randn(n, m) / np.sqrt(n)
         yield f"dense-{n}x{m}", H, np.eye(m) + 0.3 * rng.randn(m, m) / np.sqrt(m)
 

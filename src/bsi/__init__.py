@@ -6,9 +6,11 @@ and transform-domain sparsity) plus a heavy-tailed prior toolkit around
 the Generalized Hyperbolic family with quadrature-based verification.
 
 Every public name is loaded from its module on first use (PEP 562), so
-``import bsi`` loads no submodule and each CLI mode only what it calls:
-``scipy.linalg`` loads with the solvers and ``scipy.special`` with the
-first prior density evaluated.
+``import bsi`` loads no submodule.  ``bsi.cli`` loads ``model``,
+``priors``, ``synth`` and ``rng`` in every mode, for the settings and
+error types its config checks read; the solvers (``jmap``, ``vba`` and
+``_linalg``, with ``scipy.linalg``) load only in ``solve``, and
+``scipy.special`` with the first prior density evaluated.
 """
 
 import importlib

@@ -48,19 +48,21 @@ all, against 7/3 M^3 for solving against the identity.
 from __future__ import annotations
 
 import functools
+import math
 
 import numpy as np
 from scipy.linalg.blas import dtbsv
-from scipy.linalg.lapack import (dpbtrf, dpbtrs, dposv, dpotrf, dpotri, dpotrs, dtrtri,
-                                 dtrtrs)
+from scipy.linalg.lapack import (dpbtrf, dpbtrs, dposv, dpotrf, dpotri, dpotrs, dtbtrs,
+                                 dtrtri, dtrtrs)
 
 from .model import SingularSystem, _silent_overflow
 
 _TINY = float(np.finfo(float).tiny)
-# columns per dense block of selected_inverse: of 16, 32 and 64, 32 was
-# the fastest on most problems measured (M = 64-2048, u = 2-64, one BLAS
-# thread)
-_SELINV_BLOCK = 32
+# columns per block of selected_inverse: of 8, 12, 16, 24 and 32, 16 was the
+# fastest or within 10 % of it at M = 128-2048, u = 2 and 8 (one BLAS
+# thread, interleaved runs); wider blocks make the stacked-identity solve
+# dearer, narrower ones lengthen the sequential corner chain
+_SELINV_BLOCK = 16
 
 
 def spd_solve(A: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -132,59 +134,88 @@ def selected_inverse(c: np.ndarray) -> np.ndarray:
 
     Returns the lower band storage ``S[d, j] = Sigma[j + d, j]``,
     ``(u + 1) x M``.  This is the recurrence of Takahashi, Fagan & Chin
-    (1973) (Rue & Held, *Gaussian Markov Random Fields*, 2005, sec. 2.3),
-    taken a block of columns J at a time from the last block back.  With
-    L = U', T the columns after J and T0 the first u of them (the only
-    rows of T where L[:, J] is nonzero), X = L[T0, J] L[J, J]^-1 and
+    (1973) (Rue & Held, *Gaussian Markov Random Fields*, 2005, sec. 2.3;
+    Lin et al., "SelInv", *ACM TOMS* 37, 2011), taken a block of columns
+    J at a time.  With L = U', T0 the u columns after J (the only rows
+    after J where L[:, J] is nonzero) and X = L[T0, J] L[J, J]^-1,
 
         Sigma[T0, J] = -Sigma[T0, T0] X,
-        Sigma[J, J]  = (L[J, J] L[J, J]')^-1 + X' Sigma[T0, T0] X,
+        Sigma[J, J]  = (L[J, J] L[J, J]')^-1 + X' Sigma[T0, T0] X.
 
-    where Sigma[T0, T0] lies in the band already computed.  The blocks
-    are dense and w = max(_SELINV_BLOCK, u) columns wide: O(M w^2) flops
-    in all, with the Python work spread over w columns.  Only the band of
-    each block is kept.
+    The blocks are w = max(_SELINV_BLOCK, u) columns wide, the last one
+    padded with identity columns to that width, and run in three phases:
+
+    1. every block at once: one banded triangular solve (LAPACK
+       ``tbtrs``) of the block-diagonal part of L against stacked
+       identities gives every L[J, J]^-1, and one batched matmul every X;
+    2. backwards over the blocks, the one sequential part: the u x u
+       corners ``Sigma[T0, T0]`` of the block before, ``W[:u, :u] +
+       X[:, :u]' Sigma[T0, T0] X[:, :u]`` with W = (L[J, J] L[J, J]')^-1,
+       each made exactly symmetric;
+    3. every block at once: ``[L[J, J]^-1; X]' [L[J, J]^-1; Sigma[T0, T0]
+       X]`` is ``Sigma[J, J]`` in one batched matmul, and one indexed
+       read takes the band of it and of ``Sigma[T0, J]``.
+
+    O(M w (u + w)) flops in all, in a fixed number of numpy calls plus
+    about five per block for the corners.
     """
-    u1, m = c.shape
-    u = u1 - 1
+    u, m = c.shape[0] - 1, c.shape[1]
     if not u:
         return 1.0 / (c * c)
-    band = np.zeros((u1, m))
-    width = max(_SELINV_BLOCK, u)
-    sym = np.tri(u, dtype=bool)
-    S00 = None
-    end = m
-    while end > 0:
-        start = max(end - width, 0)
-        b, t = end - start, min(u, m - end)
-        r, col, d = _panel_band(b, t, u)
-        panel = np.zeros((b + t, b))           # L[start:end + t, start:end]
-        panel[r, col] = c[u - d, start + r]     # L[i, j] = U[j, i] = c[u + j - i, i]
-        block = panel[:b]
-        W, info = dpotri(block, lower=1)      # lower triangle of Sigma[J, J]
-        if info != 0:
-            raise SingularSystem(f"selected inversion failed: potri info={info}")
-        if t:
-            Xt, info = dtrtrs(block, panel[b:].T, lower=1, trans=1)
-            SX = S00 @ Xt.T
-            W = np.vstack((W + Xt @ SX, -SX))
-        band[d, start + col] = W[r, col]
-        # Sigma[T0, T0] of the next block; every block but the one at
-        # column 0 is at least u wide, so it holds that u x u corner
-        S00 = np.where(sym, W[:u, :u], W[:u, :u].T) if start else None
-        end = start
-    return band
+    w = max(_SELINV_BLOCK, u)
+    nb, cross, corner, eye, band, lower = _selinv_layout(u, w, m)
+    # ext[u - d, j] = L[j, j - d]: U, identity columns up to nb w, u zero columns
+    ext = np.zeros((u + 1, nb * w + u))
+    ext[:, :m] = c
+    ext[u, m:nb * w] = 1.0
+    Lc = ext.flat[corner]       # L[T0, J] on the last u columns of each J
+    ext.flat[cross] = 0.0       # now the factor of the block diagonal of L
+    Y, info = dtbtrs(ext[:, :nb * w], eye, trans="T")
+    if info != 0:
+        raise SingularSystem(f"selected inversion failed: tbtrs info={info}")
+    Linv = Y.T.reshape(w, nb, w).transpose(1, 2, 0)        # L[J, J]^-1 of block k
+    A = np.concatenate((Linv, Lc @ Linv[:, w - u:]), axis=1)   # [L[J, J]^-1; X]
+    Wc = Linv[:, :, :u].transpose(0, 2, 1) @ Linv[:, :, :u]
+    Xc = np.ascontiguousarray(A[:, w:, :u])
+    S = np.zeros((nb, u, u))                    # S[k] = Sigma[T0, T0] of block k
+    # each corner is made exactly symmetric from its lower triangle: an
+    # antisymmetric rounding error is not damped by the chain, and on an
+    # ill-conditioned factor (large X) it grew to 50x the error of the
+    # quadratic forms diag(K Sigma K') that VBA reads
+    for k in range(nb - 1, 0, -1):
+        x = Xc[k]
+        s = Wc[k] + x.T.dot(S[k].dot(x))
+        S[k - 1] = np.where(lower, s, s.T)
+    B = np.concatenate((Linv, S @ A[:, w:]), axis=1)   # [L[J, J]^-1; Sigma[T0, T0] X]
+    G = np.concatenate((A.transpose(0, 2, 1) @ B, -B[:, w:]), axis=1)
+    return G.ravel()[band]                      # G = [Sigma[J, J]; Sigma[T0, J]]
 
 
-@functools.lru_cache(maxsize=64)
-def _panel_band(b, t, u):
-    """Row, column and diagonal index of the band entries of a (b + t) x b
-    lower panel of half-bandwidth u (read-only, shared between calls)."""
-    r, col = np.nonzero(np.tri(b + t, b, dtype=bool) & ~np.tri(b + t, b, -u - 1, dtype=bool))
-    d = r - col
-    for a in (r, col, d):
-        a.flags.writeable = False
-    return r, col, d
+@functools.lru_cache(maxsize=16)
+def _selinv_layout(u, w, m):
+    """Index arrays of :func:`selected_inverse` on M columns in blocks of w,
+    half-bandwidth u, shared between calls and never written.
+
+    With ``ext[u - d, j] = L[j, j - d]`` on ``nb w + u`` columns, returns
+    ``(nb, cross, corner, eye, band, lower)``: the block count; the flat
+    indices in ext of the entries that couple two blocks (c's unreferenced
+    corner among them); those of ``L[T0, J]`` on the last u columns of
+    every block, ``(nb, u, u)``, its zeros below the diagonal read from
+    ext's last entry, which stays zero; nb stacked w x w identities
+    (Fortran order, for ``tbtrs``); the flat index into the ``(nb, w + u,
+    w)`` stack of ``[Sigma[J, J]; Sigma[T0, J]]`` of every entry of the
+    band; and the u x u lower-triangle mask.
+    """
+    nb = -(-m // w)
+    n = nb * w + u
+    d, j = u - np.arange(u + 1)[:, None], np.arange(n)
+    k, a, b = np.ogrid[:nb, :u, :u]
+    # L[(k + 1) w + a, k w + w - u + b] = ext[b - a, (k + 1) w + a] for b >= a
+    corner = np.where(b >= a, (b - a) * n + (k + 1) * w + a, (u + 1) * n - 1)
+    kb, cb = np.divmod(np.arange(m), w)
+    band = kb * (w + u) * w + (cb + np.arange(u + 1)[:, None]) * w + cb
+    return (nb, np.flatnonzero((j - d) // w != j // w), corner,
+            np.asfortranarray(np.tile(np.eye(w), (nb, 1))), band, np.tri(u, dtype=bool))
 
 
 def band_quad_diag(op, S: np.ndarray) -> np.ndarray:
@@ -320,8 +351,10 @@ def rel_change(new: np.ndarray, old: np.ndarray) -> float:
 
     0/0 gives 0.0; a zero iterate after a non-zero one gives inf.
     """
-    diff = float(np.linalg.norm(np.asarray(new) - np.asarray(old)))
+    # math.sqrt of x.dot(x) is what np.linalg.norm computes, bit for bit
+    d = new - old
+    diff = math.sqrt(d.dot(d))
     if diff == 0.0:
         return 0.0
     # Python float division overflows to inf without a warning
-    return diff / max(float(np.linalg.norm(new)), _TINY)
+    return diff / max(math.sqrt(new.dot(new)), _TINY)

@@ -22,7 +22,11 @@ the iterate changes, and applies the stop test.  The variance families
 (kind, IG prior, residual) come from one table,
 ``model._variance_families``, which also defines L; the JMAP variance
 block is the mode of each family, and every family starts at its mode
-for a zero residual, whatever the init.
+for a zero residual, whatever the init.  The residuals are formed once
+per sweep: the indirect sweep's variance step forms them at the new
+(f, z) and the loop's L reads them; the direct sweep's variance step
+comes first and reads those the loop formed for L after the sweep
+before.
 """
 
 from __future__ import annotations
@@ -33,7 +37,7 @@ from typing import Optional
 
 import numpy as np
 
-from ._linalg import rel_change, solve_normal
+from ._linalg import _TINY, rel_change, solve_normal
 from .model import (
     ForwardProblem,
     HyperParams,
@@ -45,6 +49,7 @@ from .model import (
     validate_problem,
     _check_ig,
     _check_positive,
+    _criterion,
     _normal_system,
     _silent_overflow,
     _variance_families,
@@ -97,68 +102,74 @@ def jmap_update_variance(kind, alpha, beta, residual):
 def initial_iterates(problem, config):
     """Starting (f, z) per config.init; z is the least-squares pullback of f."""
     m = problem.n_coef
-    if isinstance(config.init, str):
-        if config.init == "zeros":
-            f0 = np.zeros(m)
-        else:
-            f0 = np.linalg.lstsq(problem.H, problem.g, rcond=None)[0]
+    zeros = isinstance(config.init, str) and config.init == "zeros"
+    if zeros:
+        f0 = np.zeros(m)
+    elif isinstance(config.init, str):
+        f0 = np.linalg.lstsq(problem.H, problem.g, rcond=None)[0]
     else:
         f0 = np.asarray(config.init, dtype=float).reshape(-1)
         if f0.shape != (m,):
             raise ValueError(f"init vector has length {f0.size}, expected {m}")
     if problem.is_direct:
         return f0, None
-    if isinstance(config.init, str) and config.init == "zeros":
-        return f0, np.zeros(m)
-    return f0, np.linalg.lstsq(problem.D, f0, rcond=None)[0]
+    return f0, np.zeros(m) if zeros else np.linalg.lstsq(problem.D, f0, rcond=None)[0]
 
 
+@_silent_overflow
 def alternate(problem, hyper, config, order, state, sweep, tol_rel_L=None):
     """The alternation loop of every solver; returns (SolverState, RunTrace).
 
-    ``sweep(state)`` updates each block once, in the cycle ``order``
-    names, and returns the new state.  The trace records L at every
-    state (record 0 is ``state``) with the relative f and z changes.  The
-    run stops at config.max_iter, or when the f change falls below
-    config.tol_rel_f and, if ``tol_rel_L`` is given, the relative
-    decrease of L below it.
+    ``sweep(state, families)`` updates each block once, in the cycle
+    ``order`` names.  ``families`` are the variance families of
+    ``state`` (``model._variance_families``), or None before the first
+    sweep; it returns the new state and its families, or None where no
+    step formed them, and the loop forms them once.  The trace records L
+    at every state (record 0 is ``state``, through the public
+    ``neg_log_posterior``; each sweep's from its families) with the
+    relative f and z changes.  The run stops at config.max_iter, or when
+    the f change falls below config.tol_rel_f and, if ``tol_rel_L`` is
+    given, the relative decrease of L below it.  Every sweep runs with
+    numpy's overflow warnings silenced (``model._silent_overflow``):
+    what overflows fails a check, and its typed error comes alone.
     """
     trace = RunTrace(update_order=order)
     L = neg_log_posterior(state, problem, hyper)
     trace.append(L)
+    families = None
     for _ in range(config.max_iter):
         tic = time.perf_counter()
         prev, L_prev = state, L
-        state = sweep(prev)
-        L = neg_log_posterior(state, problem, hyper)
+        state, families = sweep(prev, families)
+        families = families or _variance_families(problem, hyper, state.f_hat, state.z_hat)
+        L = _criterion(state, families)
         df = rel_change(state.f_hat, prev.f_hat)
         dz = None if state.z_hat is None else rel_change(state.z_hat, prev.z_hat)
         trace.append(L, df, dz, time.perf_counter() - tic)
         if df < config.tol_rel_f and (
-                tol_rel_L is None
-                or (L_prev - L) / max(abs(L_prev), np.finfo(float).tiny) < tol_rel_L):
-            trace.converged = True
-            trace.stop_reason = "tolerance"
+                tol_rel_L is None or (L_prev - L) / max(abs(L_prev), _TINY) < tol_rel_L):
+            trace.converged, trace.stop_reason = True, "tolerance"
             break
     return state, trace
 
 
-def _variance_modes(problem, hyper, f, z):
-    """The variance block: every family's mode at (f, z), as v_<kind> fields."""
+def _variance_modes(families):
+    """The variance block: every family's mode, as v_<kind> fields."""
     return {"v_" + kind: jmap_update_variance("f_direct" if kind == "f" else kind,
                                               alpha, beta, residual)
-            for kind, alpha, beta, residual in _variance_families(problem, hyper, f, z)}
+            for kind, alpha, beta, residual in families}
 
 
-def _sweep_direct(problem, hyper, state):
-    v = _variance_modes(problem, hyper, state.f_hat, None)
-    return SolverState(f_hat=jmap_update_f(problem, v["v_eps"], v["v_f"]), **v)
+def _sweep_direct(problem, hyper, state, families):
+    v = _variance_modes(families or _variance_families(problem, hyper, state.f_hat, None))
+    return SolverState(f_hat=jmap_update_f(problem, v["v_eps"], v["v_f"]), **v), None
 
 
-def _sweep_indirect(problem, hyper, state):
+def _sweep_indirect(problem, hyper, state, _):
     f = jmap_update_f(problem, state.v_eps, state.v_xi, state.z_hat)
     z = jmap_update_z(problem, state.v_xi, state.v_z, f)
-    return SolverState(f_hat=f, z_hat=z, **_variance_modes(problem, hyper, f, z))
+    families = _variance_families(problem, hyper, f, z)
+    return SolverState(f_hat=f, z_hat=z, **_variance_modes(families)), families
 
 
 def solve_jmap(problem: ForwardProblem, hyper: HyperParams, config: Optional[JmapConfig] = None):

@@ -29,11 +29,12 @@ with H^j the j-th column and vt_f_j the f-precision expectancy.
 Cost per sweep, for H of size N x M (and D of size M x M), with
 u = kl + ku the half-bandwidth of K' W K for a banded operator K:
 
-    partial, banded K: O(N M + M w^2), w = max(u, 32).  The precision
-             K' W K + diag(p) is built in band storage and factored once
-             by LAPACK pbtrf (the banded factor JMAP uses); the mean is
-             one pbtrs solve, the band of Sigma comes from the factor by
-             selected inversion in blocks of w columns, and diag(Sigma) and
+    partial, banded K: O(N M + M w (u + w)), w = max(u, 16).  The
+             precision K' W K + diag(p) is built in band storage and
+             factored once by LAPACK pbtrf (the banded factor JMAP uses);
+             the mean is one pbtrs solve, the band of Sigma comes from the
+             factor by selected inversion in blocks of w columns, batched
+             over the blocks but for a u x u corner chain, and diag(Sigma) and
              diag(K Sigma K') read only that band.  The whole Sigma is
              never formed in a solve: the returned state keeps the band
              and the factor, and ``np.asarray`` forms the matrix from the
@@ -406,14 +407,15 @@ def _gaussian(problem, block, ig_w, ig_p, other):
     return band_solve(c, rhs), _Covariance(band=selected_inverse(c), factor=c)
 
 
-def _partial_sweep(problem, hyper, kinds, state):
-    """q(f), then q(z) (indirect model), then the IG families ``kinds``."""
+def _partial_sweep(problem, hyper, kinds, state, _):
+    """q(f), then q(z) (indirect model), then the IG families ``kinds``;
+    (state, None) in the sweep protocol of ``jmap.alternate``."""
     prior = state.ig_f if problem.is_direct else state.ig_xi
     f, Sigma_f = _gaussian(problem, "f", state.ig_eps, prior, state.z_hat)
     z = Sigma_z = None
     if not problem.is_direct:
         z, Sigma_z = _gaussian(problem, "z", state.ig_xi, state.ig_z, f)
-    return _vba_state(problem, hyper, kinds, f, z, Sigma_f, Sigma_z)
+    return _vba_state(problem, hyper, kinds, f, z, Sigma_f, Sigma_z), None
 
 
 @_silent_overflow
@@ -448,8 +450,9 @@ def _dense_coordinates(problem, w, p, f):
     return f, denom
 
 
-def _full_sweep(problem, hyper, kinds, state):
-    """One pass over the f coordinates, then the IG families ``kinds``.
+def _full_sweep(problem, hyper, kinds, state, _):
+    """One pass over the f coordinates, then the IG families ``kinds``;
+    (state, None) as :func:`_partial_sweep`.
 
     The pass is one banded Gauss-Seidel solve when H's operator is
     ``banded_pass``, else the blocked dense pass.  Raises
@@ -464,7 +467,7 @@ def _full_sweep(problem, hyper, kinds, state):
     if not (np.isfinite(denom).all() and np.isfinite(f).all()):
         raise SingularSystem("coordinate pass produced non-finite values")
     return _vba_state(problem, hyper, kinds, f, None,
-                      _Covariance(band=(1.0 / denom)[None]), None)
+                      _Covariance(band=(1.0 / denom)[None]), None), None
 
 
 def solve_vba(problem: ForwardProblem, hyper: HyperParams, config: Optional[VbaConfig] = None):

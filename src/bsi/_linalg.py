@@ -63,6 +63,11 @@ _TINY = float(np.finfo(float).tiny)
 # thread, interleaved runs); wider blocks make the stacked-identity solve
 # dearer, narrower ones lengthen the sequential corner chain
 _SELINV_BLOCK = 16
+# columns per pass of selected_inverse: past the band, its peak memory is
+# 7-10 arrays of _SELINV_PASS (u + w) doubles whatever M (4 MiB at u = 2,
+# 25 MiB at u = 40); at M = 16384 and 65536 (u = 2 and 8, one BLAS
+# thread) passes this wide were as fast as one pass over all M or faster
+_SELINV_PASS = 4096
 
 
 def spd_solve(A: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -143,71 +148,84 @@ def selected_inverse(c: np.ndarray) -> np.ndarray:
         Sigma[J, J]  = (L[J, J] L[J, J]')^-1 + X' Sigma[T0, T0] X.
 
     The blocks are w = max(_SELINV_BLOCK, u) columns wide, the last one
-    padded with identity columns to that width, and run in three phases:
+    padded with identity columns to that width.  They are taken in passes
+    of about _SELINV_PASS columns, from the last pass back, each in three
+    phases:
 
-    1. every block at once: one banded triangular solve (LAPACK
-       ``tbtrs``) of the block-diagonal part of L against stacked
+    1. every block of the pass at once: one banded triangular solve
+       (LAPACK ``tbtrs``) of the block-diagonal part of L against stacked
        identities gives every L[J, J]^-1, and one batched matmul every X;
     2. backwards over the blocks, the one sequential part: the u x u
        corners ``Sigma[T0, T0]`` of the block before, ``W[:u, :u] +
        X[:, :u]' Sigma[T0, T0] X[:, :u]`` with W = (L[J, J] L[J, J]')^-1,
-       each made exactly symmetric;
-    3. every block at once: ``[L[J, J]^-1; X]' [L[J, J]^-1; Sigma[T0, T0]
-       X]`` is ``Sigma[J, J]`` in one batched matmul, and one indexed
-       read takes the band of it and of ``Sigma[T0, J]``.
+       each made exactly symmetric; the pass's first block gives the
+       corner of the pass before;
+    3. every block of the pass at once: ``[L[J, J]^-1; X]' [L[J, J]^-1;
+       Sigma[T0, T0] X]`` is ``Sigma[J, J]`` in one batched matmul, and one
+       indexed read takes the band of it and of ``Sigma[T0, J]``.
 
-    O(M w (u + w)) flops in all, in a fixed number of numpy calls plus
-    about five per block for the corners.
+    O(M w (u + w)) flops in all, in a fixed number of numpy calls per pass
+    plus about five per block for the corners.  Besides the band, a pass
+    holds O(_SELINV_PASS (u + w)) numbers, whatever M.
     """
     u, m = c.shape[0] - 1, c.shape[1]
     if not u:
         return 1.0 / (c * c)
     w = max(_SELINV_BLOCK, u)
-    nb, cross, corner, eye, band, lower = _selinv_layout(u, w, m)
-    # ext[u - d, j] = L[j, j - d]: U, identity columns up to nb w, u zero columns
-    ext = np.zeros((u + 1, nb * w + u))
-    ext[:, :m] = c
-    ext[u, m:nb * w] = 1.0
-    Lc = ext.flat[corner]       # L[T0, J] on the last u columns of each J
-    ext.flat[cross] = 0.0       # now the factor of the block diagonal of L
-    Y, info = dtbtrs(ext[:, :nb * w], eye, trans="T")
-    if info != 0:
-        raise SingularSystem(f"selected inversion failed: tbtrs info={info}")
-    Linv = Y.T.reshape(w, nb, w).transpose(1, 2, 0)        # L[J, J]^-1 of block k
-    A = np.concatenate((Linv, Lc @ Linv[:, w - u:]), axis=1)   # [L[J, J]^-1; X]
-    Wc = Linv[:, :, :u].transpose(0, 2, 1) @ Linv[:, :, :u]
-    Xc = np.ascontiguousarray(A[:, w:, :u])
-    S = np.zeros((nb, u, u))                    # S[k] = Sigma[T0, T0] of block k
-    # each corner is made exactly symmetric from its lower triangle: an
-    # antisymmetric rounding error is not damped by the chain, and on an
-    # ill-conditioned factor (large X) it grew to 50x the error of the
-    # quadratic forms diag(K Sigma K') that VBA reads
-    for k in range(nb - 1, 0, -1):
-        x = Xc[k]
-        s = Wc[k] + x.T.dot(S[k].dot(x))
-        S[k - 1] = np.where(lower, s, s.T)
-    B = np.concatenate((Linv, S @ A[:, w:]), axis=1)   # [L[J, J]^-1; Sigma[T0, T0] X]
-    G = np.concatenate((A.transpose(0, 2, 1) @ B, -B[:, w:]), axis=1)
-    return G.ravel()[band]                      # G = [Sigma[J, J]; Sigma[T0, J]]
+    span = w * max(1, _SELINV_PASS // w)
+    out = np.empty((u + 1, m))
+    S = np.zeros((1, u, u))                     # no T0 after the last block
+    for start in range(span * ((m - 1) // span), -1, -span):
+        nb, cross, corner, eye, band, lower = _selinv_layout(u, w, min(span, m - start))
+        # ext[u - d, j] = L[j, j - d]: U, identity columns up to nb w, the
+        # next u columns of U (for L[T0, J] of the last block) and zeros
+        ext = np.zeros((u + 1, nb * w + u + 1))
+        ext[:, :min(nb * w + u, m - start)] = c[:, start:start + nb * w + u]
+        ext[u, m - start:nb * w] = 1.0
+        Lc = ext.flat[corner]   # L[T0, J] on the last u columns of each J
+        ext.flat[cross] = 0.0   # now the factor of the block diagonal of L
+        Y, info = dtbtrs(ext[:, :nb * w], eye, trans="T")
+        if info != 0:
+            raise SingularSystem(f"selected inversion failed: tbtrs info={info}")
+        Linv = Y.T.reshape(w, nb, w).transpose(1, 2, 0)        # L[J, J]^-1 of block k
+        A = np.concatenate((Linv, Lc @ Linv[:, w - u:]), axis=1)   # [L[J, J]^-1; X]
+        Wc = Linv[:, :, :u].transpose(0, 2, 1) @ Linv[:, :, :u]
+        Xc = np.ascontiguousarray(A[:, w:, :u])
+        # S[k + 1] = Sigma[T0, T0] of block k, S[0] that of the pass before.
+        # Each corner is made exactly symmetric from its lower triangle: an
+        # antisymmetric rounding error is not damped by the chain, and on an
+        # ill-conditioned factor (large X) it grew to 50x the error of the
+        # quadratic forms diag(K Sigma K') that VBA reads
+        S = np.concatenate((np.empty((nb, u, u)), S[:1]))
+        for k in range(nb - 1, -1 if start else 0, -1):
+            x = Xc[k]
+            s = Wc[k] + x.T.dot(S[k + 1].dot(x))
+            S[k] = np.where(lower, s, s.T)
+        B = np.concatenate((Linv, S[1:] @ A[:, w:]), axis=1)  # [L[J, J]^-1; Sigma[T0, T0] X]
+        G = np.concatenate((A.transpose(0, 2, 1) @ B, -B[:, w:]), axis=1)
+        out[:, start:start + span] = G.ravel()[band]   # G = [Sigma[J, J]; Sigma[T0, J]]
+    return out
 
 
 @functools.lru_cache(maxsize=16)
 def _selinv_layout(u, w, m):
-    """Index arrays of :func:`selected_inverse` on M columns in blocks of w,
-    half-bandwidth u, shared between calls and never written.
+    """Index arrays of one pass of :func:`selected_inverse` over M columns
+    in blocks of w, half-bandwidth u, shared between calls and never
+    written; M is at most one pass, so the cache holds no array that grows
+    with the problem.
 
-    With ``ext[u - d, j] = L[j, j - d]`` on ``nb w + u`` columns, returns
-    ``(nb, cross, corner, eye, band, lower)``: the block count; the flat
-    indices in ext of the entries that couple two blocks (c's unreferenced
-    corner among them); those of ``L[T0, J]`` on the last u columns of
-    every block, ``(nb, u, u)``, its zeros below the diagonal read from
-    ext's last entry, which stays zero; nb stacked w x w identities
-    (Fortran order, for ``tbtrs``); the flat index into the ``(nb, w + u,
-    w)`` stack of ``[Sigma[J, J]; Sigma[T0, J]]`` of every entry of the
-    band; and the u x u lower-triangle mask.
+    With ``ext[u - d, j] = L[j, j - d]`` on ``nb w + u + 1`` columns,
+    returns ``(nb, cross, corner, eye, band, lower)``: the block count;
+    the flat indices in ext of the entries that couple two blocks (c's
+    unreferenced corner among them); those of ``L[T0, J]`` on the last u
+    columns of every block, ``(nb, u, u)``, its zeros below the diagonal
+    read from ext's last entry, which stays zero; nb stacked w x w
+    identities (Fortran order, for ``tbtrs``); the flat index into the
+    ``(nb, w + u, w)`` stack of ``[Sigma[J, J]; Sigma[T0, J]]`` of every
+    entry of the band; and the u x u lower-triangle mask.
     """
     nb = -(-m // w)
-    n = nb * w + u
+    n = nb * w + u + 1
     d, j = u - np.arange(u + 1)[:, None], np.arange(n)
     k, a, b = np.ogrid[:nb, :u, :u]
     # L[(k + 1) w + a, k w + w - u + b] = ext[b - a, (k + 1) w + a] for b >= a
@@ -289,7 +307,6 @@ def dual_solve(op, L: np.ndarray, p: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return x
 
 
-@_silent_overflow
 def dual_roots(L: np.ndarray, KP: np.ndarray, w: np.ndarray):
     """``(B, R) = (L^-1 K diag(1/p), L^-1 diag(1/w))`` from the
     :func:`dual_factor` output (LAPACK ``trtrs`` and ``trtri``).
@@ -298,6 +315,7 @@ def dual_roots(L: np.ndarray, KP: np.ndarray, w: np.ndarray):
     K'))``: that is ``diag(W^-1 C^-1 G)`` for ``G = K diag(1/p) K'``,
     since ``K A^-1 K' = G - G C^-1 G = W^-1 C^-1 G``.  Raises
     SingularSystem unless each ``info`` is 0 and B and R are finite.
+    Only a VBA sweep calls it, under the overflow guard of the loop.
     """
     B, info = dtrtrs(L, KP, lower=1)
     Linv, info_inv = dtrtri(L, lower=1)

@@ -23,10 +23,10 @@ the iterate changes, and applies the stop test.  The variance families
 ``model._variance_families``, which also defines L; the JMAP variance
 block is the mode of each family, and every family starts at its mode
 for a zero residual, whatever the init.  The residuals are formed once
-per sweep: the indirect sweep's variance step forms them at the new
-(f, z) and the loop's L reads them; the direct sweep's variance step
-comes first and reads those the loop formed for L after the sweep
-before.
+per JMAP sweep: the indirect sweep's variance step forms them at the
+new (f, z) and the loop's L reads them; the direct sweep's variance
+step comes first and reads those the loop formed for L after the sweep
+before.  A VBA sweep returns none, and the loop forms them for L.
 """
 
 from __future__ import annotations
@@ -37,11 +37,12 @@ from typing import Optional
 
 import numpy as np
 
-from ._linalg import _TINY, rel_change, solve_normal
+from ._linalg import rel_change, solve_normal
 from .model import (
     ForwardProblem,
     HyperParams,
     JmapConfig,
+    NonPositiveVariance,
     RunTrace,
     SingularSystem,
     SolverState,
@@ -102,18 +103,20 @@ def jmap_update_variance(kind, alpha, beta, residual):
 def initial_iterates(problem, config):
     """Starting (f, z) per config.init; z is the least-squares pullback of f."""
     m = problem.n_coef
-    zeros = isinstance(config.init, str) and config.init == "zeros"
-    if zeros:
-        f0 = np.zeros(m)
-    elif isinstance(config.init, str):
-        f0 = np.linalg.lstsq(problem.H, problem.g, rcond=None)[0]
+    if isinstance(config.init, str):
+        if config.init == "zeros":
+            f0 = np.zeros(m)
+        else:
+            f0 = np.linalg.lstsq(problem.H, problem.g, rcond=None)[0]
     else:
         f0 = np.asarray(config.init, dtype=float).reshape(-1)
         if f0.shape != (m,):
             raise ValueError(f"init vector has length {f0.size}, expected {m}")
     if problem.is_direct:
         return f0, None
-    return f0, np.zeros(m) if zeros else np.linalg.lstsq(problem.D, f0, rcond=None)[0]
+    if isinstance(config.init, str) and config.init == "zeros":
+        return f0, np.zeros(m)
+    return f0, np.linalg.lstsq(problem.D, f0, rcond=None)[0]
 
 
 @_silent_overflow
@@ -142,15 +145,25 @@ def alternate(problem, hyper, config, order, state, sweep, tol_rel_L=None):
         prev, L_prev = state, L
         state, families = sweep(prev, families)
         families = families or _variance_families(problem, hyper, state.f_hat, state.z_hat)
-        L = _criterion(state, families)
+        L = _criterion(state, families, _positive)
         df = rel_change(state.f_hat, prev.f_hat)
         dz = None if state.z_hat is None else rel_change(state.z_hat, prev.z_hat)
         trace.append(L, df, dz, time.perf_counter() - tic)
         if df < config.tol_rel_f and (
-                tol_rel_L is None or (L_prev - L) / max(abs(L_prev), _TINY) < tol_rel_L):
-            trace.converged, trace.stop_reason = True, "tolerance"
+                tol_rel_L is None
+                or (L_prev - L) / max(abs(L_prev), np.finfo(float).tiny) < tol_rel_L):
+            trace.converged = True
+            trace.stop_reason = "tolerance"
             break
     return state, trace
+
+
+def _positive(v, name):
+    """The loop's check of a swept variance: v > 0, which one that
+    underflowed fails; the sweep's steps have checked the rest."""
+    if not (v > 0.0).all():
+        raise NonPositiveVariance(f"{name} must be strictly positive")
+    return v
 
 
 def _variance_modes(families):

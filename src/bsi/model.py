@@ -28,8 +28,10 @@ consumers must compare L differences or argmins, never absolute values.
 Every Gaussian block of both solvers solves the normal equations that
 :func:`_normal_system` forms, ``(K' diag(w) K + diag(p)) x = rhs`` with
 K = H (f block) or D (z block).  Each K is a :class:`_Operator`, built
-once per problem: its flags choose the dense, banded or dual path, and
-its ``matvec`` and ``rmatvec`` are every product with H or D.
+once per problem (``ForwardProblem._operators``): the dense array, its
+bandwidths, its band layout and the five measured flags that choose
+between the dense, banded and dual paths.  Every product with H or D in
+the solvers is its operator's ``matvec`` or ``rmatvec``.
 """
 
 from __future__ import annotations
@@ -69,11 +71,12 @@ class ModelMismatch(ValueError):
     """Operation requires the other sparsity model (direct vs indirect)."""
 
 
-# An extreme precision can overflow where it, a normal system or a
-# criterion term is formed, and so can a variance step's squared residual.
-# numpy's warnings are silenced there and over every solver sweep: the
-# result fails a positivity or finite-factor check (see ``_linalg``) or
-# the variance step's finite-scale check, so the typed error comes alone.
+# Where a normal system or a criterion term is formed, an extreme
+# precision can overflow, and so can the squared residual of a variance
+# step.  numpy's warnings are silenced there: the non-finite result fails
+# the finite-factor rule (see ``_linalg``) or the finite-scale check of
+# the variance step, so SingularSystem comes alone, and an overflowing L
+# is +inf.
 _silent_overflow = np.errstate(over="ignore", invalid="ignore")
 
 
@@ -189,8 +192,9 @@ class _Operator:
     tied, and stays dense in a few cases the band won (M = 512, u = 16;
     M = 1024, u = 64).  Its sums run in another order, so a banded product
     differs from the dense one in the last bits (within 1e-12 of
-    ``|K| @ |x|``).  ``banded_solve``'s rule would send 3-tap products
-    from M = 16 up to the band; dense was faster at M = 64-128.
+    ``|K| @ |x|``).  ``banded_solve``'s rule would not do here: it sends
+    3-tap products from M = 16 up to the band, and dense was faster at
+    M = 64-128 (2.4/7.1 and 4.1/7.0 us).
 
     ``dual``, not ``banded_solve``, and M >= 32 with 2 N <= M, or M >= 64
     with 4 N <= 3 M: a JMAP solve and a partial-scheme VBA block factor
@@ -296,7 +300,12 @@ class HyperParams:
     beta_f: float = 1.0
 
     def as_dict(self) -> dict:
-        return dict(vars(self))
+        return {
+            "alpha_eps": self.alpha_eps, "beta_eps": self.beta_eps,
+            "alpha_xi": self.alpha_xi, "beta_xi": self.beta_xi,
+            "alpha_z": self.alpha_z, "beta_z": self.beta_z,
+            "alpha_f": self.alpha_f, "beta_f": self.beta_f,
+        }
 
 
 @dataclass(frozen=True)
@@ -438,8 +447,9 @@ class RunTrace:
 
     def append(self, criterion, rel_change_f=None, rel_change_z=None, seconds=0.0):
         index = self.records[-1].iteration + 1 if self.records else 0
-        self.records.append(IterationRecord(index, float(criterion), rel_change_f,
-                                            rel_change_z, seconds))
+        self.records.append(
+            IterationRecord(index, float(criterion), rel_change_f, rel_change_z, seconds)
+        )
 
     def criterion_values(self) -> np.ndarray:
         return np.array([r.criterion for r in self.records])
@@ -466,7 +476,9 @@ def validate_problem(problem: ForwardProblem, hyper: HyperParams) -> None:
         raise DimensionMismatch(f"g has length {g.shape[0]}, H has {n} rows")
     if D is not None:
         if D.ndim != 2 or D.shape != (m, m):
-            raise DimensionMismatch(f"D must be {m}x{m} to match H, got shape {D.shape}")
+            raise DimensionMismatch(
+                f"D must be {m}x{m} to match H, got shape {D.shape}"
+            )
         if not np.all(np.isfinite(D)):
             raise NonFinite("D contains NaN or Inf entries")
     if not np.all(np.isfinite(H)):
@@ -535,19 +547,6 @@ def _variance_families(problem: ForwardProblem, hyper: HyperParams, f, z) -> tup
             ("z", hyper.alpha_z, hyper.beta_z, z))
 
 
-def _criterion(state: SolverState, families) -> float:
-    """L from a state's variance families; NonPositiveVariance unless each v > 0."""
-    total = 0.0
-    for kind, alpha, beta, residual in families:
-        v = np.asarray(getattr(state, "v_" + kind), dtype=float)
-        if not (v > 0.0).all():
-            raise NonPositiveVariance(f"v_{kind} must be strictly positive and finite")
-        # the quadratic and log-barrier terms of one variance family
-        total += float(0.5 * (residual * residual / v).sum()
-                       + (alpha + 1.5) * np.log(v).sum() + (beta / v).sum())
-    return total
-
-
 @_silent_overflow
 def neg_log_posterior(state: SolverState, problem: ForwardProblem, hyper: HyperParams) -> float:
     """Joint negative-log-posterior L at a state (constants dropped).
@@ -556,8 +555,17 @@ def neg_log_posterior(state: SolverState, problem: ForwardProblem, hyper: HyperP
     the dropped normalization constants.  A term that overflows makes L
     +inf.
     """
-    families = _variance_families(problem, hyper, _as_vector(state.f_hat, "f_hat"), None
-                                  if problem.is_direct else _as_vector(state.z_hat, "z_hat"))
-    for kind, *_ in families:
-        _check_positive(getattr(state, "v_" + kind), "v_" + kind)
-    return _criterion(state, families)
+    f = _as_vector(state.f_hat, "f_hat")
+    z = None if problem.is_direct else _as_vector(state.z_hat, "z_hat")
+    return _criterion(state, _variance_families(problem, hyper, f, z), _check_positive)
+
+
+def _criterion(state, families, check) -> float:
+    """L from a state's variance families, each v checked by ``check(v, name)``."""
+    total = 0.0
+    for kind, alpha, beta, residual in families:
+        v = check(getattr(state, "v_" + kind), "v_" + kind)
+        # the quadratic and log-barrier terms of one variance family
+        total += float(0.5 * (residual * residual / v).sum()
+                       + (alpha + 1.5) * np.log(v).sum() + (beta / v).sum())
+    return total

@@ -71,8 +71,9 @@ result are finite.  A coordinate pass has no factor, so its precision
 diagonal takes the factor's place: the pass, and
 :func:`vba_full_coordinate_update`, raise SingularSystem unless that
 diagonal (the denominator) and the new f are finite.  Both run with
-numpy's overflow warnings silenced, as the system's formation does, so
-the typed error comes alone.
+numpy's overflow warnings silenced, as the system's formation does (the
+pass, a step of the full sweep, under the guard ``jmap.alternate`` holds
+over every sweep), so the typed error comes alone.
 
 Every Gaussian block, partial or full, solves the normal equations
 ``(K' W K + diag(p)) x = rhs`` that ``model._normal_system`` forms for
@@ -418,7 +419,6 @@ def _partial_sweep(problem, hyper, kinds, state, _):
     return _vba_state(problem, hyper, kinds, f, z, Sigma_f, Sigma_z), None
 
 
-@_silent_overflow
 def _dense_coordinates(problem, w, p, f):
     """The coordinate pass on a dense H, j = 0..M-1, in blocks J of
     _PASS_BLOCK coordinates, on the rows of the contiguous H' that H's
@@ -428,7 +428,8 @@ def _dense_coordinates(problem, w, p, f):
     coordinate updates of J solve ``tril(G + diag(p_J)) x = H_J' W resid
     + tril(G) f_J``: one BLAS ``trsv``, then resid -= H_J (x - f_J).  This
     is the exact Gauss-Seidel sweep of ``_linalg.band_gauss_seidel`` on
-    a dense H.
+    a dense H.  Only the full sweep calls it, under the loop's overflow
+    guard.
     """
     HT = problem._operators["f"].KT
     HTw = HT * w

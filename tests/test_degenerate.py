@@ -31,6 +31,7 @@ from bsi import (
     solve_jmap,
     solve_vba,
 )
+from bsi.jmap import _positive
 from bsi.model import _criterion, _variance_families
 
 BSI_ERRORS = (DimensionMismatch, ModelMismatch, NonFinite, NonPositiveHyper,
@@ -73,7 +74,7 @@ def test_loop_criterion_rejects_a_variance_that_underflowed_to_zero():
     for bad in (0.0, np.nan, -1.0):
         state = SolverState(f_hat=np.zeros(2), v_eps=np.ones(2), v_f=np.array([1.0, bad]))
         with pytest.raises(NonPositiveVariance, match="v_f"):
-            _criterion(state, _variance_families(problem, hyper, state.f_hat, None))
+            _criterion(state, _variance_families(problem, hyper, state.f_hat, None), _positive)
 
 
 def test_jmap_on_the_same_input_raises_singular_system_alone():

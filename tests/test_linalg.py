@@ -1,4 +1,6 @@
+import tracemalloc
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -140,20 +142,17 @@ def test_band_kernels_match_dense_oracles(system):
     # diagonally scaled matrix, which p over 16 decades leaves unbounded.
     d = np.sqrt(np.diag(A))
     assume(np.linalg.cond(A / np.outer(d, d)) <= 1e3)
-    Sigma = spd_inverse(A)
+    # The oracle is the extended-precision inverse: a band entry far below
+    # the rest of its diagonal is known to spd_inverse only to its own
+    # rounding (in one draw Sigma[2, 0] = 3.5e-17, the only nonzero of its
+    # diagonal, was 1.9e-10 of itself off in spd_inverse and 8.9e-11 in
+    # the selected band, against Sherman-Morrison in long double).
+    Sigma = extended_oracle(K, w, p, rhs)[0].astype(float)
     op = _Operator(K, bands)
     S = selected_inverse(band_factor(op, w, p))
     assert S.shape == (u + 1, m)
-    # Each band entry against its natural scale sqrt(Sigma_jj Sigma_kk).
-    # An entry far below that scale is known to no float64 inverse better
-    # than about eps cond times it: in one draw Sigma[2, 0] = 3.5e-17,
-    # 1.7e-12 of its scale, where spd_inverse itself was 1.9e-10 of the
-    # entry off the exact value (Sherman-Morrison in long double) and the
-    # selected band 8.9e-11.
-    scale = np.sqrt(np.diag(Sigma))
     for k in range(u + 1):
-        gap = np.abs(S[k, :m - k] - np.diagonal(Sigma, -k))
-        assert (gap <= 1e-10 * scale[:m - k] * scale[k:]).all()
+        assert within(S[k, :m - k], np.diagonal(Sigma, -k), 1e-10)
     assert within(band_quad_diag(op, S), np.diag(K @ Sigma @ K.T), 1e-10)
     v = np.diag(Sigma)                          # a diagonal Sigma is the u = 0 band
     assert within(band_quad_diag(op, v[None]), np.diag(K @ np.diag(v) @ K.T), 1e-10)
@@ -329,19 +328,58 @@ def test_selected_inverse_matches_band_inverse(factor):
     """Each band entry within 10 eps kappa of ``band_inverse``'s, relative to
     sqrt(Sigma_ii Sigma_jj), with kappa the condition number of the
     diagonally scaled A; over 3000 such draws the largest gap was 1.7 eps
-    kappa.  Entries past the last row of Sigma are zero."""
+    kappa.  Entries past the last row of Sigma are zero.  The same holds
+    when every pass is one block wide, so that each block's corner is
+    carried from the pass after it."""
     c, A = factor
     u, m = c.shape[0] - 1, c.shape[1]
     S = selected_inverse(c)
-    assert S.shape == (u + 1, m)
+    with mock.patch.object(_linalg, "_SELINV_PASS", _linalg._SELINV_BLOCK):
+        one_block_passes = selected_inverse(c)
     full = band_inverse(c)
     d = np.sqrt(np.diag(A))
     bound = 10 * np.finfo(float).eps * np.linalg.cond(A / np.outer(d, d))
     sd = np.sqrt(np.diag(full))
-    for k in range(u + 1):
-        gap = np.abs(S[k, :m - k] - np.diagonal(full, -k)) / (sd[:m - k] * sd[k:])
-        assert (gap <= bound).all(), (k, gap.max() / bound)
-        assert (S[k, m - k:] == 0.0).all()
+    for S in (S, one_block_passes):
+        assert S.shape == (u + 1, m)
+        for k in range(u + 1):
+            gap = np.abs(S[k, :m - k] - np.diagonal(full, -k)) / (sd[:m - k] * sd[k:])
+            assert (gap <= bound).all(), (k, gap.max() / bound)
+            assert (S[k, m - k:] == 0.0).all()
+
+
+def selected_inverse_memory(u, m):
+    """(peak, held) bytes that selected_inverse traces past the band it
+    returns, from an empty layout cache, on a random band factor."""
+    ab = np.zeros((u + 1, m))
+    rng = np.random.RandomState(u)
+    for d in range(1, u + 1):
+        ab[u - d, d:] = rng.uniform(-1.0, 1.0, m - d)
+    ab[u] = 2.0 * u + 1.0
+    c, info = scipy.linalg.lapack.dpbtrf(ab)
+    assert info == 0
+    _linalg._selinv_layout.cache_clear()
+    tracemalloc.start()
+    try:
+        S = selected_inverse(c)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak - S.nbytes, held - S.nbytes
+
+
+@pytest.mark.parametrize("u", [2, 8])
+def test_selected_inverse_memory_does_not_grow_with_the_problem(u):
+    """Past the band it returns, selected_inverse peaks at M = 2^16 + 5 as
+    at M = 2^14, below 10 arrays of one pass's (u + w) x _SELINV_PASS
+    numbers (7.2 at u = 2, 8.0 at u = 8; 4 and 6 MiB), and its layout
+    cache keeps as much, below 2 of them."""
+    w = max(_linalg._SELINV_BLOCK, u)
+    unit = 8 * _linalg._SELINV_PASS * (u + w)
+    peak, held = selected_inverse_memory(u, 2 ** 14)
+    large_peak, large_held = selected_inverse_memory(u, 2 ** 16 + 5)
+    assert large_peak <= 1.25 * peak and large_peak < 10 * unit
+    assert large_held <= 1.25 * held and large_held < 2 * unit
 
 
 @pytest.mark.parametrize("bands", [(0, 0), (1, 1), (2, 0)])

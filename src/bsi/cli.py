@@ -21,7 +21,11 @@ bit-exact.  trace.csv columns are fixed: iter,L,rel_change_f,
 rel_change_z,millis; rel_change_z stays empty for the direct model and
 millis stays empty unless the config sets emit_timing (wall time is
 inherently non-reproducible, and identical config+seed must produce
-byte-identical outputs).
+byte-identical outputs).  That holds only at a fixed OpenBLAS thread
+count: ``solve`` does not pin it, and the count changes the last bits
+of BLAS results, which the solvers' iterations can amplify (a 17-tap
+VBA-partial solve at M = 300 ended up to 1.5e-8 apart between one and
+two threads).  Set ``OPENBLAS_NUM_THREADS`` for reproducible outputs.
 """
 
 from __future__ import annotations

@@ -29,7 +29,7 @@ Every Gaussian block of both solvers solves the normal equations that
 :func:`_normal_system` forms, ``(K' diag(w) K + diag(p)) x = rhs`` with
 K = H (f block) or D (z block).  Each K is a :class:`_Operator`, built
 once per problem (``ForwardProblem._operators``): the dense array, its
-bandwidths, its band layout and the five measured flags that choose
+bandwidths, its band layout and the four measured flags that choose
 between the dense, banded and dual paths.  Every product with H or D in
 the solvers is its operator's ``matvec`` or ``rmatvec``.
 """
@@ -152,35 +152,30 @@ class _Operator:
     dense path keeps its bits.  ``kl`` and ``ku`` count its sub- and
     super-diagonals (:func:`bandwidths` unless ``bands`` gives a pair at
     least as wide), and u = kl + ku is the half-bandwidth of
-    ``K' diag(w) K``.  Every dense-or-banded choice is one of four flags,
-    and the choice of the dual a fifth, each a measured rule on the shape
+    ``K' diag(w) K``.  Every dense-or-banded choice is one of three flags,
+    and the choice of the dual a fourth, each a measured rule on the shape
     and u, with one BLAS thread on random banded K:
 
-    ``banded_solve``, 8 u <= M: a JMAP solve, and ``diag(K Sigma K')`` of
-    a band or diagonal Sigma, run in band storage.  The banded solve beat
-    the dense one up to kl + ku of about M / 5 at M = 128 and M / 4 at
-    M = 1024, but only up to 2-3 at M = 16-32, where the kl + ku + 1
-    vector operations that form the band cost more than dense BLAS.
-    Requiring kl + ku <= M / 8 stays on the winning side at every M.
+    ``banded_solve``, u = 0 or max(4 u + 44, 6 u) <= M: every
+    partial-scheme Gaussian block, a JMAP solve and a VBA-partial block
+    alike, runs in band storage, and so does ``diag(K Sigma K')`` of a
+    band or diagonal Sigma.  ``tools/path_rules.py`` prints the banded /
+    dense time of 10-sweep solves of each solver (N = M, M = 16-512, u =
+    0-64; the README has its table).  The band's kl + ku + 1 vector
+    operations cost more than dense BLAS at small M, and the VBA block's
+    selected inversion makes it lose at a smaller u than JMAP.  The rule
+    keeps both within 1.25x of the faster path at every point of the
+    table.  6 u <= M holds it back at large M: at M = 768 and 1024 the
+    VBA block won at u = M / 6 and M / 5.3 (0.66 and 0.89) and lost at
+    u = M / 4.4 and M / 4.2 (1.33 and 1.49).
 
-    ``banded_block``, u = 0, or M >= 96 and 16 u <= M, or M >= 160 and
-    8 u <= M: a partial-scheme VBA block runs banded.  Measured (N = M)
-    for the block's mean, diag(Sigma) and diag(K Sigma K'), banded
-    against dense: the banded block costs about 1.5-3 us per column
-    (mostly the selected inversion), so it lost at M = 16-64 for every
-    u >= 1 (0.5-0.9x).  It won at M = 96 up to u = 4 (1.1-1.4x) and at
-    M = 128 up to u = 8 (1.1-2.3x), and lost at M = 96, u = 8-12
-    (0.7-0.9x) and M = 128, u = 16-32 (0.5-0.9x).  From M = 160 it won
-    up to u = M / 8 (1.3-6x at M = 160-512) and lost from about u = M / 5
-    (0.8-1.0x).  A diagonal block (u = 0) won from M = 16 up and tied
-    below.
-
-    ``banded_pass``, 8 u <= M and u^2 <= 4 M: the full-scheme coordinate
-    pass runs as one banded Gauss-Seidel solve.  Measured as for
-    ``banded_block``: the band won wherever 8 u <= M holds (1.0x at M = 8
-    up to 30x at M = 1024), except when u^2 outgrows M: at M = 1024 it won
-    at u = 64 (1.5x) and lost at u = 128 (0.4x), where building the band
-    costs O(M u^2) against the O(N M) of the dense pass.
+    ``banded_pass``, ``banded_solve`` and u^2 <= 4 M: the full-scheme
+    coordinate pass runs as one banded Gauss-Seidel solve.  In the same
+    table the pass the rule picks is within 1.2x of the faster one.
+    Where u^2 outgrows M the band lost, 1.4-2.3x at M = 128-512, u =
+    32-64, and at M = 1024 it won at u = 64 (1.5x) and lost at u = 128
+    (0.4x): building the band costs O(M u^2) against the O(N M) of the
+    dense pass.
 
     ``banded_product``, 16384 (u + 1) <= N M: :meth:`matvec` and
     :meth:`rmatvec` are one slice-axpy per diagonal of the band layout,
@@ -193,7 +188,7 @@ class _Operator:
     M = 1024, u = 64).  Its sums run in another order, so a banded product
     differs from the dense one in the last bits (within 1e-12 of
     ``|K| @ |x|``).  ``banded_solve``'s rule would not do here: it sends
-    3-tap products from M = 16 up to the band, and dense was faster at
+    3-tap products from M = 52 up to the band, and dense was faster at
     M = 64-128 (2.4/7.1 and 4.1/7.0 us).
 
     ``dual``, not ``banded_solve``, and M >= 32 with 2 N <= M, or M >= 64
@@ -219,8 +214,7 @@ class _Operator:
         self.K = K
         self.kl, self.ku = bands or bandwidths(K)
         u, (n, m) = self.kl + self.ku, K.shape
-        self.banded_solve = 8 * u <= m
-        self.banded_block = u == 0 or (m >= 96 and 16 * u <= m) or (m >= 160 and self.banded_solve)
+        self.banded_solve = u == 0 or max(4 * u + 44, 6 * u) <= m
         self.banded_pass = self.banded_solve and u * u <= 4 * m
         self.banded_product = 16384 * (u + 1) <= n * m
         self.dual = not self.banded_solve and ((m >= 32 and 2 * n <= m)
@@ -553,11 +547,14 @@ def neg_log_posterior(state: SolverState, problem: ForwardProblem, hyper: HyperP
 
     Compare L differences or argmins only; the absolute level depends on
     the dropped normalization constants.  A term that overflows makes L
-    +inf.
+    +inf.  Raises DimensionMismatch unless f_hat and z_hat have length M
+    and each v_<kind> the length of its family's residual (N for v_eps).
     """
-    f = _as_vector(state.f_hat, "f_hat")
-    z = None if problem.is_direct else _as_vector(state.z_hat, "z_hat")
-    return _criterion(state, _variance_families(problem, hyper, f, z), _check_positive)
+    m = problem.n_coef
+    f = _as_vector(state.f_hat, "f_hat", m)
+    z = None if problem.is_direct else _as_vector(state.z_hat, "z_hat", m)
+    return _criterion(state, _variance_families(problem, hyper, f, z), lambda v, name:
+                      _check_positive(v, name, problem.n_obs if name == "v_eps" else m))
 
 
 def _criterion(state, families, check) -> float:

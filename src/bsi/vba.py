@@ -88,10 +88,11 @@ its diagonal and quadratic-form diagonal.
 Banded, dual or dense is chosen from the operator alone (its shape and
 half-bandwidth u), per block: a dense H with D = I runs a dense f block
 and a banded z block.  Each block reads the choice from the flags of
-``model._Operator``, built once per problem: ``banded_block`` and
-``dual`` for a partial-scheme block, ``banded_pass`` for the coordinate
-pass and ``banded_solve`` for ``diag(K Sigma K')`` of a band or diagonal
-Sigma.
+``model._Operator``, built once per problem: ``banded_solve`` and
+``dual`` for a partial-scheme block, the flags JMAP's solve reads, so
+both solvers factor each operator the same way; ``banded_pass`` for the
+coordinate pass; and ``banded_solve`` for ``diag(K Sigma K')`` of a band
+or diagonal Sigma.
 The operator also keeps the band layout and the contiguous H' of the
 dense pass, each built once.
 
@@ -392,13 +393,13 @@ def _gaussian(problem, block, ig_w, ig_p, other):
     """One Gaussian block of the partial sweep: its mean and covariance.
 
     ``ig_w`` and ``ig_p`` are the IG families whose expectancies weight
-    the block.  A block whose operator is ``banded_block`` carries its
+    the block.  A block whose operator is ``banded_solve`` carries its
     covariance as a band, a ``dual`` one in the dual form; any other runs
     the public dense update and keeps its plain array.
     """
     w, p = ig_w.inv_expectation(), ig_p.inv_expectation()
     op = problem._operators[block]
-    if not (op.banded_block or op.dual):
+    if not (op.banded_solve or op.dual):
         return (vba_update_f if block == "f" else vba_update_z)(problem, w, p, other)
     op, w, p, rhs = _system(problem, block, w, p, other)
     if op.dual:

@@ -221,7 +221,7 @@ def test_partial_sweep_block_checks_precisions(K, banded, block):
     # the banded block solves on its own, the dense one calls the public
     # update: both reject a non-positive precision
     problem = ForwardProblem(g=[1.0, 2.0], H=K, D=K)
-    assert problem._operators[block].banded_block is banded
+    assert problem._operators[block].banded_solve is banded
     good, bad = IgFamily(ONES, 1.0), IgFamily([1.0, -1.0], 1.0)
     for ig_w, ig_p in ((bad, good), (good, bad)):
         with pytest.raises(NonPositiveVariance):
@@ -230,6 +230,6 @@ def test_partial_sweep_block_checks_precisions(K, banded, block):
 
 def test_probes_take_the_paths_they_name():
     op = ForwardProblem(g=G_PROBE, H=H_PROBE)._operators["f"]
-    assert not op.banded_solve and not op.banded_block and not op.banded_pass
+    assert not op.banded_solve and not op.banded_pass
     H, g = two_i_probe()
     assert ForwardProblem(g=g, H=H)._operators["f"].banded_pass

@@ -147,7 +147,7 @@ def operator_problem(operator, model):
     problem = ForwardProblem(g=H @ f + 0.05 * rng.randn(H.shape[0]), H=H,
                              D=D if model == "indirect" else None)
     op = problem._operators["f"]
-    assert {"banded": op.banded_block and op.banded_product, "dense": not op.banded_block
+    assert {"banded": op.banded_solve and op.banded_product, "dense": not op.banded_solve
             and not op.dual, "dual": op.dual}[operator]
     return problem
 

@@ -17,6 +17,7 @@ from bsi import (
     jmap_update_z,
     vba_full_coordinate_update,
 )
+import bsi.vba
 from bsi import _linalg
 from bsi._linalg import (
     _normal_band,
@@ -24,6 +25,7 @@ from bsi._linalg import (
     band_inverse,
     band_gauss_seidel,
     band_quad_diag,
+    band_solve,
     dual_factor,
     dual_roots,
     dual_solve,
@@ -34,7 +36,7 @@ from bsi._linalg import (
     spd_inverse,
     spd_solve,
 )
-from bsi.model import _Operator, bandwidths
+from bsi.model import IgFamily, _Operator, bandwidths
 from bsi.vba import _Covariance, _dense_coordinates
 
 
@@ -124,6 +126,7 @@ def test_solve_normal_matches_dense_oracle(system):
         assert rel_err(solve_normal(op, w, p, rhs), oracle) <= 1e-12
         u = b[0] + b[1]
         if u < m:                               # the band, whichever path runs
+            assert rel_err(band_solve(band_factor(op, w, p), rhs), oracle) <= 1e-12
             ab = _normal_band(op, w, p)
             for d in range(u + 1):
                 np.testing.assert_allclose(ab[u - d, d:], np.diagonal(A, d),
@@ -407,45 +410,46 @@ def test_bandwidths():
 
 
 def parent_rules(m, kl, ku):
-    """The three dense-or-banded rules as written before the operator owned
-    them: JMAP solve, VBA partial block, VBA full pass."""
+    """The two dense-or-banded rules written out apart from the operator:
+    every partial-scheme block (JMAP solve and VBA block), and the VBA
+    full pass."""
     u = kl + ku
-    solve = 8 * u <= m
-    return (solve,
-            u == 0 or (m >= 96 and 16 * u <= m) or (m >= 160 and solve),
-            solve and u * u <= 4 * m)
+    solve = u == 0 or (4 * u + 44 <= m and 6 * u <= m)
+    return solve, solve and u * u <= 4 * m
 
 
 # (N, M, kl, ku) on the banded and on the dense side of every boundary of
-# the rules, and which flag (0 solve, 1 block, 2 pass) the boundary flips
+# the rules, and which flag (0 solve, 1 pass) the boundary flips
 BOUNDARIES = {
-    "M=96/95": ((96, 96, 3, 3), (95, 95, 3, 3), 1),
-    "M=160/159": ((160, 160, 10, 9), (159, 159, 10, 9), 1),
-    "16u=M/M-1": ((112, 112, 4, 3), (111, 111, 4, 3), 1),
-    "8u=M/M+1": ((64, 64, 4, 4), (63, 63, 4, 4), 0),
-    "u^2=4M/4M+1": ((256, 256, 16, 16), (272, 272, 16, 17), 2),
+    "u=0/1": ((40, 40, 0, 0), (40, 40, 1, 0), 0),
+    "4u+44=M/M-1, u=1": ((48, 48, 1, 0), (47, 47, 1, 0), 0),
+    "4u+44=M/M-1, u=13": ((96, 96, 7, 6), (95, 95, 7, 6), 0),
+    "6u=M/M-1": ((192, 192, 16, 16), (191, 191, 16, 16), 0),
+    "u^2=4M/4M+1": ((256, 256, 16, 16), (272, 272, 16, 17), 1),
 }
 RULE_TABLE = [row for a, b, _ in BOUNDARIES.values() for row in (a, b)] + [
     (1, 1, 0, 0), (16, 16, 0, 0), (8, 8, 1, 0), (8, 8, 0, 1), (20, 16, 1, 1),
-    (96, 96, 4, 3), (100, 96, 6, 0), (159, 159, 10, 10), (160, 160, 10, 10),
+    (32, 32, 1, 1), (64, 64, 2, 2), (64, 64, 3, 3), (96, 96, 4, 3), (100, 96, 6, 0),
+    (128, 128, 6, 6), (128, 128, 11, 10), (128, 128, 11, 11), (159, 159, 10, 10),
     (160, 160, 0, 20), (150, 160, 11, 10), (70, 64, 8, 0), (63, 63, 0, 8),
     (256, 256, 16, 17), (272, 272, 17, 16), (300, 272, 33, 0),
-    (1024, 1024, 64, 64), (1024, 1024, 32, 32), (64, 128, 63, 127), (128, 128, 127, 127),
+    (1024, 1024, 64, 64), (1024, 1024, 85, 85), (1024, 1024, 86, 85),
+    (64, 128, 63, 127), (128, 128, 127, 127),
 ]
 
 
 @pytest.mark.parametrize("n, m, kl, ku", RULE_TABLE)
 def test_path_rules_are_the_parent_formulas(n, m, kl, ku):
     op = _Operator(np.zeros((n, m)), (kl, ku))
-    assert (op.banded_solve, op.banded_block, op.banded_pass) == parent_rules(m, kl, ku)
+    assert (op.banded_solve, op.banded_pass) == parent_rules(m, kl, ku)
 
 
 @pytest.mark.parametrize("n, m, kl, ku, dual", [
     (16, 32, 15, 31, True), (17, 32, 16, 31, False), (15, 31, 14, 30, False),
     (48, 64, 47, 63, True), (49, 64, 48, 63, False), (31, 63, 30, 62, True),
     (32, 63, 31, 62, False), (64, 128, 63, 127, True), (96, 128, 95, 127, True),
-    (128, 128, 127, 127, False), (16, 128, 1, 1, False), (16, 128, 8, 8, False),
-    (16, 128, 9, 8, True),
+    (128, 128, 127, 127, False), (16, 128, 1, 1, False), (16, 128, 11, 10, False),
+    (16, 128, 11, 11, True),
 ])
 def test_dual_rule(n, m, kl, ku, dual):
     """M >= 32 with 2 N <= M, or M >= 64 with 4 N <= 3 M, off the banded solve."""
@@ -463,9 +467,10 @@ def test_rule_table_straddles_every_boundary(boundary):
 @pytest.mark.parametrize("w_bad", [np.nan, np.inf, 1e300], ids=["nan", "inf", "overflow"])
 def test_solve_normal_rejects_non_finite_weights(bands, w_bad):
     rng = np.random.RandomState(1)
-    m = 40
+    m = 64
     K = banded(rng, m, m, 1, 1) * 1e10
     op = _Operator(K, bands)
+    assert op.banded_solve is (bands == (1, 1))
     w = np.ones(m)
     w[7] = w_bad
     # the system is formed with overflow silenced: SingularSystem comes alone
@@ -509,6 +514,50 @@ def test_banded_path_is_taken_by_structure(monkeypatch):
     jmap_update_z(ForwardProblem(g=rng.randn(m), H=dense, D=np.eye(m)),
                   v_eps, v_f, rng.randn(m))
     assert len(calls) == 1                     # D = I is a diagonal solve
+
+
+@pytest.mark.parametrize("n, m, kl, ku", [row for a, b, flag in BOUNDARIES.values()
+                                           if flag == 0 for row in (a, b)]
+                         + [(128, 128, 6, 6), (112, 112, 8, 8), (64, 128, 63, 127)])
+def test_one_path_per_operator(monkeypatch, n, m, kl, ku):
+    """JMAP's f solve and VBA's partial-scheme f block factor an operator
+    the same way: both call the banded factor, or neither does."""
+    calls = []
+    real = _linalg.band_factor
+
+    def counted(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(_linalg, "band_factor", counted)
+    monkeypatch.setattr(bsi.vba, "band_factor", counted)
+    rng = np.random.RandomState(m + kl)
+    problem = ForwardProblem(g=rng.randn(n), H=banded(rng, n, m, kl, ku))
+    v_eps, v_f = rng.uniform(0.5, 2.0, n), rng.uniform(0.5, 2.0, m)
+    jmap_update_f(problem, v_eps, v_f)
+    jmap_calls = len(calls)
+    bsi.vba._gaussian(problem, "f", IgFamily(np.ones(n), v_eps), IgFamily(np.ones(m), v_f),
+                      None)
+    assert jmap_calls == len(calls) - jmap_calls == problem._operators["f"].banded_solve
+
+
+def test_benchmark_operators_keep_their_paths():
+    """The 3-tap deconvolution H is banded at M = 128 and 1024 and dense at
+    the M = 32 of the harness's smoke run (which records the dense VBA
+    spans); the sensing H (64 x 128, and 16 x 32 in the smoke run) is dual
+    and its square D dense."""
+    def conv(m):
+        return _Operator(generate_operator(OperatorSpec(
+            kind="convolution", n_rows=m, n_cols=m, kernel=(0.25, 0.5, 0.25))))
+
+    assert conv(128).banded_solve and conv(128).banded_pass
+    assert conv(1024).banded_solve and conv(1024).banded_pass
+    assert not (conv(32).banded_solve or conv(32).banded_pass or conv(32).dual)
+    for n, m in ((64, 128), (16, 32)):
+        H, D = (_Operator(generate_operator(OperatorSpec(
+            kind="gaussian_random", n_rows=rows, n_cols=m, seed=rows))) for rows in (n, m))
+        assert H.dual and not H.banded_solve
+        assert not (D.banded_solve or D.dual)
 
 
 def test_rel_change_returns_python_floats_without_warnings():

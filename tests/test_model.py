@@ -91,6 +91,36 @@ class TestNegLogPosterior:
         with pytest.raises(NonPositiveVariance):
             neg_log_posterior(scalar_state(v_z=-1.0), scalar_problem(), unit_hyper())
 
+    def test_length_one_variances_do_not_broadcast(self):
+        # [2.0] used to broadcast in the quadratic term and count once in
+        # the log term: L = 5.778 against 14.710 at length 3, which is
+        # |g|^2 / 4 plus, per family, (1 + 3/2) 3 ln 2 and 3 / 2
+        problem = ForwardProblem(g=[1.0, -2.0, 0.5], H=np.eye(3))
+        state = SolverState(f_hat=np.zeros(3), v_eps=np.full(3, 2.0), v_f=np.full(3, 2.0))
+        assert neg_log_posterior(state, problem, unit_hyper()) == pytest.approx(
+            5.25 / 4 + 2 * (7.5 * math.log(2.0) + 1.5), rel=1e-14)
+        with pytest.raises(DimensionMismatch):
+            neg_log_posterior(SolverState(f_hat=np.zeros(3), v_eps=[2.0], v_f=[2.0]),
+                              problem, unit_hyper())
+
+    @pytest.mark.parametrize("m", [3, 128], ids=["dense", "banded"])
+    @pytest.mark.parametrize("model", ["direct", "indirect"])
+    def test_rejects_vectors_of_the_wrong_length(self, model, m):
+        # N = M + 1, so a v_eps of length M is wrong too; f_hat and z_hat
+        # of the wrong length raised numpy's own ValueError on a dense H or D
+        problem = ForwardProblem(g=np.ones(m + 1), H=np.eye(m + 1, m),
+                                 D=None if model == "direct" else np.eye(m))
+        assert all(op.banded_product is (m == 128) for op in problem._operators.values())
+        good = {"f_hat": np.zeros(m), "v_eps": np.full(m + 1, 2.0)}
+        good.update({"v_f": np.full(m, 2.0)} if model == "direct" else
+                    {"z_hat": np.zeros(m), "v_xi": np.full(m, 2.0), "v_z": np.full(m, 2.0)})
+        assert np.isfinite(neg_log_posterior(SolverState(**good), problem, unit_hyper()))
+        for name, value in good.items():
+            for bad in (value[:1], value[:-1], np.append(value, value[0])):
+                with pytest.raises(DimensionMismatch, match=name):
+                    neg_log_posterior(SolverState(**dict(good, **{name: bad})), problem,
+                                      unit_hyper())
+
 
 def random_instance(rng, n=None, m=None):
     n = n or rng.randint(2, 7)

@@ -671,7 +671,7 @@ def test_ill_conditioned_banded_block_ends_near_the_dense_block(seed):
     for bands in (None, (m - 1, m - 1)):       # wide bands make every block dense
         case = ForwardProblem(g=problem.g, H=problem.H)
         case.__dict__["_operators"] = {"f": _Operator(case.H, bands)}
-        assert case._operators["f"].banded_block == (bands is None)
+        assert case._operators["f"].banded_solve == (bands is None)
         states.append(solve_vba(case, hyper, VbaConfig(
             max_iter=15, tol_rel_f=1e-300, init="least-squares"))[0])
     banded, dense = states

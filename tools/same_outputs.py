@@ -10,10 +10,13 @@ with ``PYTHONPATH`` set to that tree and ``OPENBLAS_NUM_THREADS=1``,
 and writes its outputs to a temporary directory only.  Three groups are
 compared:
 
-- ``solves``: 90 solves.  The operators are a 3-tap convolution H at
-  M = 24, 128, 300 and 1024, a 5-tap one at M = 96, and dense random H
-  of 64 x 128, 12 x 9, 40 x 40 and 48 x 200 (wide, with M not a
-  multiple of the 32-coordinate blocks of the dense coordinate pass).
+- ``solves``: 120 solves.  The operators are a 3-tap convolution H at
+  M = 24, 48, 128, 300 and 1024, a 5-tap one at M = 96, a 13-tap one at
+  M = 128 and a 17-tap one at M = 112 (taps 0.6^|k|, well conditioned),
+  and dense random H of 64 x 128, 12 x 9, 40 x 40 and 48 x 200 (wide,
+  with M not a multiple of the 32-coordinate blocks of the dense
+  coordinate pass).  The 3-tap H at M = 24 and 48 and the 13- and
+  17-tap ones sit near the edges of the operator's dense-or-banded rule.
   Each runs JMAP, VBA-partial and VBA-full on the direct model and JMAP
   and VBA-partial on the indirect one, from zeros and from the
   least-squares start.  The arrays are
@@ -72,9 +75,12 @@ def _convolution(m, kernel):
 def _operators():
     """(name, H, D) of every operator in the grid; D is the indirect model's."""
     rng = np.random.RandomState(11)
-    for m in (24, 128, 300, 1024):
+    for m in (24, 48, 128, 300, 1024):
         yield f"3tap-{m}", _convolution(m, (0.25, 0.5, 0.25)), np.eye(m)
     yield "5tap-96", _convolution(96, (0.1, 0.2, 0.4, 0.2, 0.1)), np.eye(96)
+    for taps, m in ((13, 128), (17, 112)):
+        kernel = [0.6 ** abs(k - taps // 2) for k in range(taps)]
+        yield f"{taps}tap-{m}", _convolution(m, kernel), np.eye(m)
     for n, m in ((64, 128), (12, 9), (40, 40), (48, 200)):
         H = rng.randn(n, m) / np.sqrt(n)
         yield f"dense-{n}x{m}", H, np.eye(m) + 0.3 * rng.randn(m, m) / np.sqrt(m)

@@ -265,7 +265,9 @@ def _variance_gamma(x, alpha, lam, beta=0.0, mu=0.0):
 
     gamma = _gh_gamma(alpha, beta)
     ax = np.abs(x - mu)
-    at_mu = ax == 0.0
+    # x = mu, or x so near mu that alpha |x - mu| underflows to zero, where
+    # K_{lam-1/2} has no finite value: both take the analytic limit below
+    at_mu = alpha * ax == 0.0
     if np.any(at_mu) and lam <= 0.5:
         raise SingularDensity("variance_gamma diverges at x = mu for lam <= 1/2")
     lognorm = 2.0 * lam * math.log(gamma) - 0.5 * math.log(math.pi) \

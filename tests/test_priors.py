@@ -302,6 +302,16 @@ class TestReferencePdf:
                              {"alpha": 1.0, "beta": 0.0, "lam": 0.8, "mu": 0.0}, 1e-7)
         assert at_mu == pytest.approx(near, rel=1e-3)
 
+    def test_variance_gamma_underflowing_argument_is_the_limit(self):
+        # alpha |x - mu| = 0.5 * 5e-324 rounds to zero: the Bessel argument
+        # is that of x = mu, so the density is its analytic limit there
+        params = {"alpha": 0.5, "beta": 0.0, "lam": 0.8, "mu": 0.0}
+        tiny = 5e-324
+        assert reference_pdf("variance_gamma", params, tiny) \
+            == reference_pdf("variance_gamma", params, 0.0)
+        with pytest.raises(SingularDensity):
+            reference_pdf("variance_gamma", dict(params, lam=0.3), np.array([1.0, tiny]))
+
     def test_domain_errors(self):
         for family, params in [
             ("student_t", {"nu": -1.0}),

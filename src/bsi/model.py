@@ -156,18 +156,18 @@ class _Operator:
     and the choice of the dual a fourth, each a measured rule on the shape
     and u, with one BLAS thread on random banded K:
 
-    ``banded_solve``, u = 0 or max(4 u + 44, 6 u) <= M: every
-    partial-scheme Gaussian block, a JMAP solve and a VBA-partial block
-    alike, runs in band storage, and so does ``diag(K Sigma K')`` of a
-    band or diagonal Sigma.  ``tools/path_rules.py`` prints the banded /
-    dense time of 10-sweep solves of each solver (N = M, M = 16-512, u =
-    0-64; the README has its table).  The band's kl + ku + 1 vector
-    operations cost more than dense BLAS at small M, and the VBA block's
-    selected inversion makes it lose at a smaller u than JMAP.  The rule
-    keeps both within 1.25x of the faster path at every point of the
-    table.  6 u <= M holds it back at large M: at M = 768 and 1024 the
-    VBA block won at u = M / 6 and M / 5.3 (0.66 and 0.89) and lost at
-    u = M / 4.4 and M / 4.2 (1.33 and 1.49).
+    ``banded_solve``, u = 0 or 4 u + 44 <= M: every partial-scheme
+    Gaussian block, a JMAP solve and a VBA-partial block alike, runs in
+    band storage, and so does ``diag(K Sigma K')`` of a band or diagonal
+    Sigma.  ``tools/path_rules.py`` prints the banded / dense time of
+    10-sweep solves of each solver (N = M, M = 16-512 at u = 0-64, and
+    M = 512-1024 at u = 96-256; the README has its tables).  The band's
+    kl + ku + 1 vector operations cost more than dense BLAS at small M,
+    and the VBA block's selected inversion makes it lose at a smaller u
+    than JMAP.  On the first table the rule keeps both within 1.25x of
+    the faster path.  On the second the solvers part near 4 u = M (JMAP's
+    band wins up to u = M / 4, the VBA block's loses from about u = M / 5),
+    and one of them misses by up to 1.4x whichever path is picked.
 
     ``banded_pass``, ``banded_solve`` and u^2 <= 4 M: the full-scheme
     coordinate pass runs as one banded Gauss-Seidel solve.  In the same
@@ -214,7 +214,7 @@ class _Operator:
         self.K = K
         self.kl, self.ku = bands or bandwidths(K)
         u, (n, m) = self.kl + self.ku, K.shape
-        self.banded_solve = u == 0 or max(4 * u + 44, 6 * u) <= m
+        self.banded_solve = u == 0 or 4 * u + 44 <= m
         self.banded_pass = self.banded_solve and u * u <= 4 * m
         self.banded_product = 16384 * (u + 1) <= n * m
         self.dual = not self.banded_solve and ((m >= 32 and 2 * n <= m)

@@ -144,28 +144,29 @@ def bessel_k(lam: float, x: float) -> float:
     return float(scipy.special.kv(lam, x))
 
 
-def log_bessel_k(lam, x):
-    """log K_lambda(x) for positive x, stable for small and large x.
+def log_bessel_k(lam, x, scale=1.0):
+    """log K_lambda(scale x) for positive scale x, stable for small and large x.
 
     Vectorized over x.  Falls back to the small-argument asymptote
-    Gamma(|lambda|) 2^{|lambda|-1} x^{-|lambda|} when the scaled Bessel
-    value overflows.
+    Gamma(|lambda|) 2^{|lambda|-1} z^{-|lambda|} (-log(z/2) - euler_gamma
+    at lambda = 0) when the scaled Bessel value overflows, with log z taken
+    as log x + log scale, so that it holds where scale x underflows to zero.
     """
     import scipy.special
 
     if abs(lam) < _TINY_ORDER:
         lam = 0.0
     x = np.asarray(x, dtype=float)
-    out = np.log(scipy.special.kve(lam, x)) - x
+    z = scale * x
+    out = np.log(scipy.special.kve(lam, z)) - z
     bad = ~np.isfinite(out)
     if bad.any():
         out = np.array(out)  # writable, also for a 0-d x
-        a = abs(lam)
+        a, log_z = abs(lam), np.log(x[bad]) + math.log(scale)
         if a > 0:
-            out[bad] = scipy.special.gammaln(a) + (a - 1.0) * math.log(2.0) \
-                - a * np.log(x[bad])
+            out[bad] = scipy.special.gammaln(a) + (a - 1.0) * math.log(2.0) - a * log_z
         else:
-            out[bad] = np.log(-np.log(x[bad] / 2.0) - np.euler_gamma)
+            out[bad] = np.log(math.log(2.0) - log_z - np.euler_gamma)
     return out
 
 
@@ -265,16 +266,14 @@ def _variance_gamma(x, alpha, lam, beta=0.0, mu=0.0):
 
     gamma = _gh_gamma(alpha, beta)
     ax = np.abs(x - mu)
-    # x = mu, or x so near mu that alpha |x - mu| underflows to zero, where
-    # K_{lam-1/2} has no finite value: both take the analytic limit below
-    at_mu = alpha * ax == 0.0
+    at_mu = ax == 0.0
     if np.any(at_mu) and lam <= 0.5:
         raise SingularDensity("variance_gamma diverges at x = mu for lam <= 1/2")
     lognorm = 2.0 * lam * math.log(gamma) - 0.5 * math.log(math.pi) \
         - scipy.special.gammaln(lam) - (lam - 0.5) * math.log(2.0 * alpha)
     safe = np.where(at_mu, 1.0, ax)
     logval = lognorm + (lam - 0.5) * np.log(safe) \
-        + log_bessel_k(lam - 0.5, alpha * safe) + beta * (x - mu)
+        + log_bessel_k(lam - 0.5, safe, alpha) + beta * (x - mu)
     out = np.exp(logval)
     if np.any(at_mu):
         # analytic limit of |t|^{lam-1/2} K_{lam-1/2}(alpha |t|) as t -> 0

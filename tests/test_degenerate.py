@@ -87,14 +87,16 @@ def test_jmap_on_the_same_input_raises_singular_system_alone():
 
 @st.composite
 def degenerate_problems(draw):
-    """(problem, hyper, method, init): H up to 9 x 9, dense, diagonal or
-    bidiagonal (the last two take the banded blocks), with zero columns (all
-    of them, at times); |g| up to 1e150; each alpha in 1e-3..1e5 and each
-    beta in 1e-309..1e3, log-uniform; D = I or dense for the indirect model;
+    """(problem, hyper, method, init): H dense or diagonal up to 9 x 9, or
+    bidiagonal from 48 x 48 to 60 x 60, where kl + ku = 1 takes the banded
+    blocks (the diagonal H takes them at u = 0), with zero columns (all of
+    them, at times); |g| up to 1e150; each alpha in 1e-3..1e5 and each beta
+    in 1e-309..1e3, log-uniform; D = I or dense for the indirect model;
     JMAP, VBA-partial and, on the direct model, VBA-full."""
     rng = np.random.RandomState(draw(st.integers(0, 2**32 - 1)))
-    n, m = draw(st.integers(1, 9)), draw(st.integers(1, 9))
     kind = draw(st.sampled_from(["dense", "diagonal", "bidiagonal"]))
+    sizes = st.integers(48, 60) if kind == "bidiagonal" else st.integers(1, 9)
+    n, m = draw(sizes), draw(sizes)
     H = rng.randn(n, m) if kind == "dense" else np.eye(n, m) * rng.uniform(-2.0, 2.0, m)
     if kind == "bidiagonal":
         H += np.eye(n, m, 1) * rng.uniform(-2.0, 2.0, m)
@@ -116,6 +118,9 @@ def degenerate_problems(draw):
 @given(degenerate_problems())
 def test_degenerate_inputs_end_in_a_typed_error_or_a_finite_state(case):
     problem, hyper, method, init = case
+    op = problem._operators["f"]
+    if problem.n_coef >= 48:   # a bidiagonal H: the banded solve and pass
+        assert op.kl + op.ku <= 1 and op.banded_solve and op.banded_pass
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         try:

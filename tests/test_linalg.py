@@ -414,7 +414,7 @@ def parent_rules(m, kl, ku):
     every partial-scheme block (JMAP solve and VBA block), and the VBA
     full pass."""
     u = kl + ku
-    solve = u == 0 or (4 * u + 44 <= m and 6 * u <= m)
+    solve = u == 0 or 4 * u + 44 <= m
     return solve, solve and u * u <= 4 * m
 
 
@@ -424,7 +424,7 @@ BOUNDARIES = {
     "u=0/1": ((40, 40, 0, 0), (40, 40, 1, 0), 0),
     "4u+44=M/M-1, u=1": ((48, 48, 1, 0), (47, 47, 1, 0), 0),
     "4u+44=M/M-1, u=13": ((96, 96, 7, 6), (95, 95, 7, 6), 0),
-    "6u=M/M-1": ((192, 192, 16, 16), (191, 191, 16, 16), 0),
+    "4u+44=M/M-1, u=176": ((748, 748, 88, 88), (747, 747, 88, 88), 0),
     "u^2=4M/4M+1": ((256, 256, 16, 16), (272, 272, 16, 17), 1),
 }
 RULE_TABLE = [row for a, b, _ in BOUNDARIES.values() for row in (a, b)] + [

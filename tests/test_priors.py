@@ -302,15 +302,28 @@ class TestReferencePdf:
                              {"alpha": 1.0, "beta": 0.0, "lam": 0.8, "mu": 0.0}, 1e-7)
         assert at_mu == pytest.approx(near, rel=1e-3)
 
-    def test_variance_gamma_underflowing_argument_is_the_limit(self):
-        # alpha |x - mu| = 0.5 * 5e-324 rounds to zero: the Bessel argument
-        # is that of x = mu, so the density is its analytic limit there
-        params = {"alpha": 0.5, "beta": 0.0, "lam": 0.8, "mu": 0.0}
-        tiny = 5e-324
-        assert reference_pdf("variance_gamma", params, tiny) \
-            == reference_pdf("variance_gamma", params, 0.0)
+    def test_variance_gamma_where_the_bessel_argument_underflows(self):
+        # alpha |x - mu| = 0.5 * 5e-324 rounds to zero.  Near mu the density
+        # goes as |x - mu|^{2 lam - 1} for lam < 1/2, as log|x - mu| at
+        # lam = 1/2 and to its finite limit for lam > 1/2; x = 1e-300 keeps
+        # the argument normal, and both points are deep in the asymptote
+        tiny, small = 5e-324, 1e-300
+        for lam in (0.3, 0.5, 0.8, 1.0):
+            params = {"alpha": 0.5, "beta": 0.0, "lam": lam, "mu": 0.0}
+            got = reference_pdf("variance_gamma", params, np.array([tiny, small]))
+            if lam < 0.5:
+                ratio = (tiny / small) ** (2.0 * lam - 1.0)
+            elif lam == 0.5:
+                ratio = (math.log(4.0) - math.log(tiny) - np.euler_gamma) \
+                    / (math.log(4.0) - math.log(small) - np.euler_gamma)
+            else:
+                ratio = 1.0
+                assert got[0] == pytest.approx(
+                    reference_pdf("variance_gamma", params, 0.0), rel=1e-12)
+            assert np.isfinite(got).all()
+            assert got[0] / got[1] == pytest.approx(ratio, rel=1e-12)
         with pytest.raises(SingularDensity):
-            reference_pdf("variance_gamma", dict(params, lam=0.3), np.array([1.0, tiny]))
+            reference_pdf("variance_gamma", dict(params, lam=0.3), np.array([1.0, 0.0]))
 
     def test_domain_errors(self):
         for family, params in [
@@ -555,12 +568,16 @@ def quadpack_mixture(x, mu, beta, gig):
     integral is split at the largest v f(v) on a grid of u = log v: the
     left part is taken in v, where QUADPACK's extrapolation handles the
     algebraic singularities of f at v = 0, the right part in u, so that
-    the map of the half line sees the mass wherever it lies.  Where x !=
-    mu, the normal's factor exp(-(x - mu)^2 / 2v) cuts f off below the
-    cut v = (x - mu)^2, and above it f grows like v^(lam - 3/2).  A cut
-    below the peak is a cusp QUADPACK misses in v (at x - mu = 4e-38 it
-    returned the x = mu value, 1.3e-9 off, with an error estimate of
-    5e-12), so the left part is then taken in u too, split at the cut.
+    the map of the half line sees the mass wherever it lies.  Where q^2 =
+    delta^2 + (x - mu)^2 > 0, the factor exp(-q^2 / 2v) of the normal and
+    the GIG cuts f off below the cut v = q^2, and above it f grows like
+    v^(lam - 3/2).  A cut below the peak is a cusp QUADPACK misses in v
+    (at x - mu = 4e-38, delta = 0, it returned the x = mu value, 1.3e-9
+    off, with an error estimate of 5e-12), so the left part is then taken
+    in u too, split at the cut.  The cut is q^2, not (x - mu)^2: below
+    delta^2 the u interval up to the peak is hundreds long, and at
+    x - mu = 6e-150, delta^2 = 76 QUADPACK found 0.313 of a 0.376
+    integral on it, with an error estimate of 1.5e-11.
     A QUADPACK warning makes the error estimate inf.
     """
     lam, gamma_sq, delta_sq = gig.lam, gig.gamma_sq, gig.delta_sq
@@ -581,7 +598,7 @@ def quadpack_mixture(x, mu, beta, gig):
     with np.errstate(all="ignore"), warnings.catch_warnings():
         warnings.simplefilter("error", scipy.integrate.IntegrationWarning)
         peak = float(grid[np.nanargmax(log_f(grid) + grid)])
-        cut = (x - mu) ** 2
+        cut = delta_sq + (x - mu) ** 2
         if 0.0 < cut < math.exp(peak):
             left = [(in_u, -np.inf, math.log(cut)), (in_u, math.log(cut), peak)]
         else:
@@ -605,9 +622,12 @@ def no_rule(monkeypatch):
 
 
 def composed_integrand(x, mu, beta, gig, v):
-    """N(x | mu + beta v, v) times gig_pdf(v): the integrand before fusing."""
-    mean = mu + beta * v
-    normal = np.exp(-0.5 * (x - mean) ** 2 / v) / np.sqrt(2.0 * math.pi * v)
+    """N(x | mu + beta v, v) times gig_pdf(v): the integrand before fusing.
+
+    x - mu is taken first: x - (mu + beta v) rounds mu + beta v, which the
+    difference can magnify (at x = -10, mu = -9.9375, beta v = 1e-5 its
+    square over 2v, about 195, was 2.4e-12 off)."""
+    normal = np.exp(-0.5 * ((x - mu) - beta * v) ** 2 / v) / np.sqrt(2.0 * math.pi * v)
     return normal * gig_pdf(v, gig)
 
 

@@ -4,10 +4,12 @@ Usage::
 
     python tools/path_rules.py                 # M = 16 to 512
     python tools/path_rules.py 32 64           # any M
+    python tools/path_rules.py 512 1024 --bands 96 128 192
 
-For each M and each u in 0, 1, 2, 4, 6, 8, 12, 16, 32 and 64 with
-8 u <= 2 M, the operator is a random banded M x M H (N = M, entries
-uniform in [-1, 1], kl = u // 2 sub- and ku = u - kl super-diagonals),
+For each M and each u in 0, 1, 2, 4, 6, 8, 12, 16, 32 and 64 (or each u
+given after ``--bands``) with 8 u <= 2 M, the operator is a random banded
+M x M H (N = M, entries uniform in [-1, 1], kl = u // 2 sub- and ku =
+u - kl super-diagonals),
 on the direct model with a sparse f and Gaussian noise (fixed seeds).
 Each solver runs one 10-sweep solve on the band and one on the dense
 path, with one flag of H's operator forced on and off and every other
@@ -95,12 +97,16 @@ def ratio(solver, m, u):
 
 
 def main(argv) -> int:
+    bands = BANDS
+    if "--bands" in argv:
+        k = argv.index("--bands")
+        argv, bands = argv[:k], tuple(int(a) for a in argv[k + 1:])
     sizes = [int(a) for a in argv] or SIZES
-    grid = {m: [u for u in BANDS if 8 * u <= 2 * m] for m in sizes}
+    grid = {m: [u for u in bands if 8 * u <= 2 * m] for m in sizes}
     for solver, flag in SOLVERS.items():
         print(f"\n{solver}, banded / dense time; B or D: the path `{flag}` picks\n")
-        print("| M | " + " | ".join(f"u = {u}" for u in BANDS) + " |")
-        print("|---" * (len(BANDS) + 1) + "|")
+        print("| M | " + " | ".join(f"u = {u}" for u in bands) + " |")
+        print("|---" * (len(bands) + 1) + "|")
         worst = (1.0, "")
         for m in sizes:
             cells = []
@@ -111,7 +117,7 @@ def main(argv) -> int:
                 cell = f"{r:.2f} {'B' if banded else 'D'}"
                 cells.append(f"**{cell}**" if miss > 1.0 else cell)
                 worst = max(worst, (miss, f"M = {m}, u = {u}"))
-            cells += ["-"] * (len(BANDS) - len(cells))
+            cells = [cells.pop(0) if u in grid[m] else "-" for u in bands]
             print(f"| {m} | " + " | ".join(cells) + " |", flush=True)
         print(f"\nworst miss: {worst[0]:.2f}x" + (f" at {worst[1]}" if worst[1] else ""))
     return 0

@@ -315,7 +315,8 @@ def dual_roots(L: np.ndarray, KP: np.ndarray, w: np.ndarray):
     K'))``: that is ``diag(W^-1 C^-1 G)`` for ``G = K diag(1/p) K'``,
     since ``K A^-1 K' = G - G C^-1 G = W^-1 C^-1 G``.  Raises
     SingularSystem unless each ``info`` is 0 and B and R are finite.
-    Only a VBA sweep calls it, under the overflow guard of the loop.
+    Only VBA's partial-scheme block (``vba._gaussian``) calls it; a sweep
+    runs it under the overflow guard of the loop.
     """
     B, info = dtrtrs(L, KP, lower=1)
     Linv, info_inv = dtrtri(L, lower=1)

@@ -48,6 +48,7 @@ from .model import (
     SolverState,
     neg_log_posterior,
     validate_problem,
+    _as_vector,
     _check_ig,
     _check_positive,
     _criterion,
@@ -101,7 +102,10 @@ def jmap_update_variance(kind, alpha, beta, residual):
 
 
 def initial_iterates(problem, config):
-    """Starting (f, z) per config.init; z is the least-squares pullback of f."""
+    """Starting (f, z) per config.init; z is the least-squares pullback of f.
+
+    A vector init must be one-dimensional of length M (DimensionMismatch).
+    """
     m = problem.n_coef
     if isinstance(config.init, str):
         if config.init == "zeros":
@@ -109,9 +113,7 @@ def initial_iterates(problem, config):
         else:
             f0 = np.linalg.lstsq(problem.H, problem.g, rcond=None)[0]
     else:
-        f0 = np.asarray(config.init, dtype=float).reshape(-1)
-        if f0.shape != (m,):
-            raise ValueError(f"init vector has length {f0.size}, expected {m}")
+        f0 = _as_vector(config.init, "init", m)
     if problem.is_direct:
         return f0, None
     if isinstance(config.init, str) and config.init == "zeros":

@@ -94,7 +94,8 @@ class ForwardProblem:
     """Observations g (length N), operator H (N x M), optional transform D (M x M).
 
     D absent selects the direct-sparsity model (f itself sparse); D present
-    selects the indirect model (z sparse, f = D z + xi).
+    selects the indirect model (z sparse, f = D z + xi).  g must be
+    one-dimensional (DimensionMismatch).
     """
 
     g: np.ndarray
@@ -102,7 +103,7 @@ class ForwardProblem:
     D: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        object.__setattr__(self, "g", np.asarray(self.g, dtype=float).reshape(-1))
+        object.__setattr__(self, "g", _as_vector(self.g, "g"))
         object.__setattr__(self, "H", np.asarray(self.H, dtype=float))
         if self.D is not None:
             object.__setattr__(self, "D", np.asarray(self.D, dtype=float))

@@ -36,9 +36,9 @@ u = kl + ku the half-bandwidth of K' W K for a banded operator K:
              factor by selected inversion in blocks of w columns, batched
              over the blocks but for a u x u corner chain, and diag(Sigma) and
              diag(K Sigma K') read only that band.  The whole Sigma is
-             never formed in a solve: the returned state keeps the band
-             and the factor, and ``np.asarray`` forms the matrix from the
-             factor (O(M^2 u)) on each conversion.
+             never formed by the block: it returns the band and the
+             factor, and ``np.asarray`` forms the matrix from the factor
+             (O(M^2 u)) on each conversion.
     partial, dense K:  O(N M^2 + M^3).  The precision is formed with one
              gemm and inverted through its Cholesky factor (LAPACK potrf,
              then potri); each quadratic-form diagonal is one gemm plus a
@@ -81,9 +81,16 @@ JMAP too, with the expectancies <v^-1> where JMAP has 1/v.  Every IG
 factor is ``model.IgFamily.posterior``, whose mode is JMAP's variance
 block.
 
-Every block's covariance is a :class:`_Covariance` in the form the block
-produced (dense, band, dual or diagonal); the scale updates read only
-its diagonal and quadratic-form diagonal.
+Every block keeps its covariance in the form it produced: a plain array
+from a dense block, else a :class:`_Covariance` in band, dual or
+diagonal form.  The scale updates read only its diagonal and
+quadratic-form diagonal.
+
+The public :func:`vba_update_f` and :func:`vba_update_z` are the partial
+sweep's Gaussian blocks: the sweep calls them with the expectancies of
+its IG factors, so a library caller runs the same code, on the same
+path and at the same cost.  They return Sigma in their block's form;
+``np.asarray(Sigma)`` gives the whole matrix.
 
 Banded, dual or dense is chosen from the operator alone (its shape and
 half-bandwidth u), per block: a dense H with D = I runs a dense f block
@@ -188,40 +195,55 @@ def ig_inv_expectation(alpha: float, beta: float) -> float:
 _PRECISIONS = {"f": ("vtilde_eps", "vtilde_xi"), "z": ("vtilde_xi", "vtilde_z")}
 
 
-def _system(problem, block, w, p, other):
-    """``model._normal_system`` of a block, its precisions checked positive."""
-    w_name, p_name = _PRECISIONS[block]
-    return _normal_system(problem, block, _check_positive(w, w_name),
-                          _check_positive(p, p_name), other)
-
-
-def _dense_gaussian(op, w, p, rhs):
-    """Mean and dense covariance of a Gaussian block."""
-    Sigma = spd_inverse(normal_matrix(op.K, w, p))
-    return Sigma @ rhs, Sigma
-
-
 def vba_update_f(problem, vtilde_eps, vtilde_xi, z_hat=None):
-    """Normal factor of f: mean and full covariance.
+    """Normal factor of f: its mean and covariance, the partial sweep's f block.
 
     ``vtilde_*`` are precision expectancies <v^-1>, not variances.  For
     the direct model pass the f-family expectancies as ``vtilde_xi`` and
-    leave z_hat None.  Sigma_f is materialized whole, by a dense
-    inverse, whatever the operator.
+    leave z_hat None.  The block takes the path of H's operator (see
+    :func:`_gaussian`), so Sigma_f is a plain M x M array on the dense
+    path and a :class:`_Covariance` in band or dual form otherwise;
+    ``np.asarray(Sigma_f)`` gives the whole matrix in every case.
     """
-    return _dense_gaussian(*_system(problem, "f", vtilde_eps, vtilde_xi, z_hat))
+    return _gaussian(problem, "f", vtilde_eps, vtilde_xi, z_hat)
 
 
 def vba_update_z(problem, vtilde_xi, vtilde_z, f_hat):
-    """Normal factor of z: mean and full covariance; indirect model only."""
-    return _dense_gaussian(*_system(problem, "z", vtilde_xi, vtilde_z, f_hat))
+    """Normal factor of z: its mean and covariance, the partial sweep's z
+    block; indirect model only.  Sigma_z as in :func:`vba_update_f`, on
+    D's operator."""
+    return _gaussian(problem, "z", vtilde_xi, vtilde_z, f_hat)
+
+
+def _gaussian(problem, block, w, p, other):
+    """Mean and covariance of the Gaussian block ``block`` at the precisions
+    w and p, which are checked positive under the ``_PRECISIONS`` names:
+    the one body of :func:`vba_update_f` and :func:`vba_update_z`.
+
+    A block whose operator is ``banded_solve`` factors its precision in
+    band storage and carries the covariance as a band and the factor, a
+    ``dual`` one factors the N x N dual and carries the dual form; any
+    other inverts the dense precision and returns the plain array.
+    """
+    w_name, p_name = _PRECISIONS[block]
+    op, w, p, rhs = _normal_system(problem, block, _check_positive(w, w_name),
+                                   _check_positive(p, p_name), other)
+    if op.banded_solve:
+        c = band_factor(op, w, p)
+        return band_solve(c, rhs), _Covariance(band=selected_inverse(c), factor=c)
+    if op.dual:
+        L, KP = dual_factor(op, w, p)
+        return dual_solve(op, L, p, rhs), _Covariance(prior=1.0 / p, roots=dual_roots(L, KP, w))
+    Sigma = spd_inverse(normal_matrix(op.K, w, p))
+    return Sigma @ rhs, Sigma
 
 
 @dataclass(frozen=True)
 class _Covariance:
     """Covariance of a Gaussian block, kept in the form its block produced.
 
-    A dense block gives ``dense``, the whole matrix.  A banded block gives
+    A dense block returns its plain array, which :meth:`of` keeps as
+    ``dense``, the whole matrix.  A banded block gives
     ``band``, the lower band storage ``band[d, j] = Sigma[j + d, j]``, and
     ``factor``, the banded Cholesky factor of the precision.  A diagonal
     covariance is a ``band`` of one row with no factor.  A dual block
@@ -239,11 +261,21 @@ class _Covariance:
 
     @classmethod
     def of(cls, Sigma, m, name):
-        """``Sigma`` as this type: a 2-D array is dense, a 1-D one a diagonal.
+        """``Sigma`` as this type: a 2-D array is dense, a 1-D one a diagonal,
+        and an instance is kept.
 
-        Raises DimensionMismatch unless the array is M x M or of length M.
+        Raises DimensionMismatch unless the array is M x M or of length M,
+        or the instance is of size M.  An instance's size is read from its
+        fields (the last axis of ``band``, ``dense`` or ``prior``), not from
+        :meth:`diag`, which costs O(N M) in the dual form.
         """
-        if Sigma is None or isinstance(Sigma, cls):
+        if Sigma is None:
+            return None
+        if isinstance(Sigma, cls):
+            size = (Sigma.band if Sigma.band is not None
+                    else Sigma.dense if Sigma.dense is not None else Sigma.prior).shape[-1]
+            if size != m:
+                raise DimensionMismatch(f"{name} is a covariance of size {size}, expected {m}")
             return Sigma
         Sigma = np.asarray(Sigma, dtype=float)
         if Sigma.shape not in ((m,), (m, m)):
@@ -389,34 +421,16 @@ def _vba_state(problem, hyper, kinds, f, z, Sigma_f, Sigma_z, families=None):
                        **{"ig_" + kind: fam for kind, fam in families.items()})
 
 
-def _gaussian(problem, block, ig_w, ig_p, other):
-    """One Gaussian block of the partial sweep: its mean and covariance.
-
-    ``ig_w`` and ``ig_p`` are the IG families whose expectancies weight
-    the block.  A block whose operator is ``banded_solve`` carries its
-    covariance as a band, a ``dual`` one in the dual form; any other runs
-    the public dense update and keeps its plain array.
-    """
-    w, p = ig_w.inv_expectation(), ig_p.inv_expectation()
-    op = problem._operators[block]
-    if not (op.banded_solve or op.dual):
-        return (vba_update_f if block == "f" else vba_update_z)(problem, w, p, other)
-    op, w, p, rhs = _system(problem, block, w, p, other)
-    if op.dual:
-        L, KP = dual_factor(op, w, p)
-        return dual_solve(op, L, p, rhs), _Covariance(prior=1.0 / p, roots=dual_roots(L, KP, w))
-    c = band_factor(op, w, p)
-    return band_solve(c, rhs), _Covariance(band=selected_inverse(c), factor=c)
-
-
 def _partial_sweep(problem, hyper, kinds, state, _):
     """q(f), then q(z) (indirect model), then the IG families ``kinds``;
     (state, None) in the sweep protocol of ``jmap.alternate``."""
     prior = state.ig_f if problem.is_direct else state.ig_xi
-    f, Sigma_f = _gaussian(problem, "f", state.ig_eps, prior, state.z_hat)
+    f, Sigma_f = vba_update_f(problem, state.ig_eps.inv_expectation(), prior.inv_expectation(),
+                              state.z_hat)
     z = Sigma_z = None
     if not problem.is_direct:
-        z, Sigma_z = _gaussian(problem, "z", state.ig_xi, state.ig_z, f)
+        z, Sigma_z = vba_update_z(problem, state.ig_xi.inv_expectation(),
+                                  state.ig_z.inv_expectation(), f)
     return _vba_state(problem, hyper, kinds, f, z, Sigma_f, Sigma_z), None
 
 

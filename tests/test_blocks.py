@@ -11,12 +11,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import bsi.vba
 from bsi import (
     DimensionMismatch,
     ForwardProblem,
     HyperParams,
-    IgFamily,
     NonPositiveVariance,
     SingularSystem,
     VbaConfig,
@@ -29,6 +27,7 @@ from bsi import (
     vba_update_ig,
     vba_update_z,
 )
+from bsi.vba import _Covariance
 
 
 def three_tap(rng, m):
@@ -38,28 +37,50 @@ def three_tap(rng, m):
             + np.diag(np.full(m - 1, upper), 1))
 
 
+def path(op):
+    """The partial-scheme path the operator ``op`` takes."""
+    return "band" if op.banded_solve else "dual" if op.dual else "dense"
+
+
 @st.composite
 def block_problems(draw):
-    """(problem, w_f, p_f, w_z, p_z, z): a small problem, its block
-    precisions and a non-zero z (None in the direct model)."""
+    """(problem, w_f, p_f, w_z, p_z, z, paths): a small problem, its block
+    precisions, a non-zero z (None in the direct model) and the paths its
+    f and z blocks must take.
+
+    Small draws (M <= 24) are dense but for a 1 x 1 K (u = 0, banded); a
+    3-tap H at M = 52..64 (u = 2) is banded, and a dense H with 2 N <= M
+    at M = 32..40 is dual.  D = I is banded, and a dense D is dense.
+    """
     rng = np.random.RandomState(draw(st.integers(0, 2**32 - 1)))
-    m = draw(st.integers(1, 24))
-    if draw(st.sampled_from(["dense", "3-tap"])) == "dense":
-        H = rng.randn(draw(st.integers(1, 12)), m)
+    kind = draw(st.sampled_from(["dense", "3-tap", "banded 3-tap", "dual"]))
+    if kind == "banded 3-tap":
+        m = draw(st.integers(52, 64))
+        H, f_path = three_tap(rng, m), "band"
+    elif kind == "dual":
+        m = draw(st.integers(32, 40))
+        H, f_path = rng.randn(draw(st.integers(1, m // 2)), m), "dual"
     else:
-        H = three_tap(rng, m)
+        m = draw(st.integers(1, 24))
+        H = rng.randn(draw(st.integers(1, 12)), m) if kind == "dense" else three_tap(rng, m)
+        f_path = "band" if H.size == 1 else "dense"
+    model = draw(st.sampled_from(["direct", "identity", "dense"]))
     D = {"direct": None, "identity": np.eye(m),
-         "dense": np.eye(m) + 0.3 * rng.randn(m, m) / np.sqrt(m)}[
-        draw(st.sampled_from(["direct", "identity", "dense"]))]
+         "dense": np.eye(m) + 0.3 * rng.randn(m, m) / np.sqrt(m)}[model]
+    z_path = {"direct": None, "identity": "band", "dense": "band" if m == 1 else "dense"}[model]
     n = H.shape[0]
     problem = ForwardProblem(g=rng.randn(n), H=H, D=D)
     z = None if D is None else rng.randn(m)
     return (problem, 10.0 ** rng.uniform(-1, 1, n), 10.0 ** rng.uniform(-1, 1, m),
-            10.0 ** rng.uniform(-1, 1, m), 10.0 ** rng.uniform(-1, 1, m), z)
+            10.0 ** rng.uniform(-1, 1, m), 10.0 ** rng.uniform(-1, 1, m), z, (f_path, z_path))
+
+
+def precision(K, w, p):
+    return K.T @ (K * w[:, None]) + np.diag(p)
 
 
 def oracle(K, w, p, rhs):
-    return np.linalg.solve(K.T @ (K * w[:, None]) + np.diag(p), rhs)
+    return np.linalg.solve(precision(K, w, p), rhs)
 
 
 def within(x, expected, rtol=1e-10):
@@ -69,23 +90,28 @@ def within(x, expected, rtol=1e-10):
 @settings(max_examples=200, deadline=None)
 @given(block_problems())
 def test_block_means_solve_the_normal_equations(case):
-    problem, w_f, p_f, w_z, p_z, z = case
+    """Both solvers' public blocks, which are the blocks their sweeps run,
+    against the normal equations on every path: the means, and VBA's
+    covariance against the dense inverse."""
+    problem, w_f, p_f, w_z, p_z, z, (f_path, z_path) = case
     H, D, g = problem.H, problem.D, problem.g
+    assert path(problem._operators["f"]) == f_path
     rhs = H.T @ (w_f * g)
     if z is not None:
         rhs = rhs + p_f * (D @ z)                       # the coupling term
     f_star = oracle(H, w_f, p_f, rhs)
     assert within(jmap_update_f(problem, 1.0 / w_f, 1.0 / p_f, z), f_star)
-    assert within(vba_update_f(problem, w_f, p_f, z)[0], f_star)
-    f_block = bsi.vba._gaussian(problem, "f", IgFamily(w_f, 1.0), IgFamily(p_f, 1.0), z)
-    assert within(f_block[0], f_star)
+    f, Sigma_f = vba_update_f(problem, w_f, p_f, z)
+    assert within(f, f_star)
+    assert within(np.asarray(Sigma_f), np.linalg.inv(precision(H, w_f, p_f)))
     if z is None:
         return
+    assert path(problem._operators["z"]) == z_path
     z_star = oracle(D, w_z, p_z, D.T @ (w_z * f_star))
     assert within(jmap_update_z(problem, 1.0 / w_z, 1.0 / p_z, f_star), z_star)
-    assert within(vba_update_z(problem, w_z, p_z, f_star)[0], z_star)
-    z_block = bsi.vba._gaussian(problem, "z", IgFamily(w_z, 1.0), IgFamily(p_z, 1.0), f_star)
-    assert within(z_block[0], z_star)
+    z_hat, Sigma_z = vba_update_z(problem, w_z, p_z, f_star)
+    assert within(z_hat, z_star)
+    assert within(np.asarray(Sigma_z), np.linalg.inv(precision(D, w_z, p_z)))
 
 
 ONES, ONES3, ONE = [1.0, 1.0], [1.0, 1.0, 1.0], [1.0]
@@ -157,6 +183,35 @@ def test_covariance_the_kind_does_not_read_may_be_none():
     np.testing.assert_array_equal(got.beta_hat, expected.beta_hat)
 
 
+
+def covariance(form, m):
+    """A covariance of size m in one form of ``vba._Covariance``."""
+    if form == "solved":    # the band (u = 0) and factor of a solve's last block
+        problem = ForwardProblem(g=np.ones(m), H=2.0 * np.eye(m))
+        return solve_vba(problem, HYPER, VbaConfig(max_iter=2))[0].Sigma_f
+    return {"dense": _Covariance(dense=np.eye(m)),
+            "band": _Covariance(band=np.ones((3, m)), factor=np.ones((3, m))),
+            "diagonal": _Covariance(band=np.ones((1, m))),
+            "dual": _Covariance(prior=np.ones(m), roots=(np.zeros((1, m)), np.ones((1, 1))))}[form]
+
+
+@pytest.mark.parametrize("size, m", [(1, 3), (10, 3), (1, 12), (10, 12)])
+@pytest.mark.parametrize("form", ["solved", "dense", "band", "diagonal", "dual"])
+@pytest.mark.parametrize("kind, model, slot", [
+    ("eps", "direct", "Sigma_f"), ("f", "direct", "Sigma_f"), ("eps", "indirect", "Sigma_f"),
+    ("xi", "indirect", "Sigma_f"), ("xi", "indirect", "Sigma_z"), ("z", "indirect", "Sigma_z")])
+def test_covariance_object_of_the_wrong_size_is_dimension_mismatch(size, m, form, kind,
+                                                                    model, slot):
+    """A covariance object of another size used to broadcast into the scale
+    update; read in the slot its kind reads, it raises as an array does."""
+    indirect = model == "indirect"
+    problem = ForwardProblem(g=np.ones(m), H=np.eye(m), D=np.eye(m) if indirect else None)
+    Sigma = {"Sigma_f": np.eye(m), "Sigma_z": np.eye(m) if indirect else None}
+    Sigma[slot] = covariance(form, size)
+    with pytest.raises(DimensionMismatch):
+        vba_update_ig(kind, HYPER, np.zeros(m), Sigma["Sigma_f"],
+                      np.zeros(m) if indirect else None, Sigma["Sigma_z"], problem=problem)
+
 # A precision of 1e308 on a column of 2 overflows the normal matrix's
 # diagonal to inf.  Cholesky passes it with info 0 and yields a finite,
 # meaningless result; every block must raise instead.
@@ -218,14 +273,14 @@ def test_overflowing_residual_is_singular_system(method):
                          ids=["banded", "dense"])
 @pytest.mark.parametrize("block", ["f", "z"])
 def test_partial_sweep_block_checks_precisions(K, banded, block):
-    # the banded block solves on its own, the dense one calls the public
-    # update: both reject a non-positive precision
+    # the banded block and the dense one both reject a non-positive precision
     problem = ForwardProblem(g=[1.0, 2.0], H=K, D=K)
     assert problem._operators[block].banded_solve is banded
-    good, bad = IgFamily(ONES, 1.0), IgFamily([1.0, -1.0], 1.0)
-    for ig_w, ig_p in ((bad, good), (good, bad)):
+    update = vba_update_f if block == "f" else vba_update_z
+    good, bad = ONES, [1.0, -1.0]
+    for w, p in ((bad, good), (good, bad)):
         with pytest.raises(NonPositiveVariance):
-            bsi.vba._gaussian(problem, block, ig_w, ig_p, ONES)
+            update(problem, w, p, ONES)
 
 
 def test_probes_take_the_paths_they_name():

@@ -44,6 +44,26 @@ def solve(problem, hyper, method, **config):
     return solve_vba(problem, hyper, VbaConfig(separability=method, **config))
 
 
+
+def test_non_vector_g_is_dimension_mismatch():
+    """A 2-D g used to be flattened into N = 4 observations."""
+    with pytest.raises(DimensionMismatch):
+        ForwardProblem(g=np.arange(4.0).reshape(2, 2), H=np.eye(4))
+
+
+@pytest.mark.parametrize("model, method", [("direct", "jmap"), ("direct", "partial"),
+                                           ("direct", "full"), ("indirect", "jmap"),
+                                           ("indirect", "partial")])
+@pytest.mark.parametrize("init", [np.ones((2, 2)), np.ones((4, 1)), np.ones(3)],
+                         ids=["2x2", "4x1", "length-3"])
+def test_non_vector_or_wrong_length_init_is_dimension_mismatch(model, method, init):
+    """On M = 4 a 2-D init used to be flattened and solved from, and a
+    wrong length raised a bare ValueError."""
+    problem = ForwardProblem(g=[1.0, 2.0, 0.5, -1.0], H=np.eye(4),
+                             D=np.eye(4) if model == "indirect" else None)
+    with pytest.raises(DimensionMismatch):
+        solve(problem, HyperParams(), method, init=init, max_iter=2)
+
 @pytest.mark.parametrize("separability,model,error", [
     ("partial", "direct", NonPositiveVariance),
     ("partial", "indirect", NonPositiveVariance),

@@ -16,6 +16,7 @@ from bsi import (
     jmap_update_f,
     jmap_update_z,
     vba_full_coordinate_update,
+    vba_update_f,
 )
 import bsi.vba
 from bsi import _linalg
@@ -36,7 +37,7 @@ from bsi._linalg import (
     spd_inverse,
     spd_solve,
 )
-from bsi.model import IgFamily, _Operator, bandwidths
+from bsi.model import _Operator, bandwidths
 from bsi.vba import _Covariance, _dense_coordinates
 
 
@@ -536,8 +537,7 @@ def test_one_path_per_operator(monkeypatch, n, m, kl, ku):
     v_eps, v_f = rng.uniform(0.5, 2.0, n), rng.uniform(0.5, 2.0, m)
     jmap_update_f(problem, v_eps, v_f)
     jmap_calls = len(calls)
-    bsi.vba._gaussian(problem, "f", IgFamily(np.ones(n), v_eps), IgFamily(np.ones(m), v_f),
-                      None)
+    vba_update_f(problem, 1.0 / v_eps, 1.0 / v_f)
     assert jmap_calls == len(calls) - jmap_calls == problem._operators["f"].banded_solve
 
 

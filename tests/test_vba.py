@@ -70,13 +70,13 @@ class TestUpdateF:
         p = ForwardProblem(g=[4.0], H=[[1.0]], D=[[1.0]])
         f, Sigma = vba_update_f(p, [2.0], [2.0], [0.0])
         assert f == pytest.approx([2.0])
-        assert Sigma[0, 0] == pytest.approx(0.25)
+        assert np.asarray(Sigma)[0, 0] == pytest.approx(0.25)
 
     def test_zero_data(self):
         p = ForwardProblem(g=[0.0], H=[[1.0]], D=[[1.0]])
         f, Sigma = vba_update_f(p, [2.0], [2.0], [0.0])
         assert f == pytest.approx([0.0])
-        assert Sigma[0, 0] > 0
+        assert np.asarray(Sigma)[0, 0] > 0
 
     def test_dense_oracle(self):
         H = np.diag([1.0, 3.0])
@@ -93,7 +93,7 @@ class TestUpdateZ:
         p = ForwardProblem(g=[0.0], H=[[1.0]], D=[[1.0]])
         z, Sigma = vba_update_z(p, [1.0], [1.0], [3.0])
         assert z == pytest.approx([1.5])
-        assert Sigma[0, 0] == pytest.approx(0.5)
+        assert np.asarray(Sigma)[0, 0] == pytest.approx(0.5)
 
     def test_zero_input(self):
         p = ForwardProblem(g=[0.0], H=[[1.0]], D=[[1.0]])
@@ -616,6 +616,35 @@ def test_banded_solve_allocates_no_whole_covariance(model, separability):
     # the whole matrix is still there on demand
     assert np.asarray(state.Sigma_f).shape == (m, m)
 
+
+
+def test_public_updates_hold_no_whole_covariance_on_a_band():
+    """vba_update_f and vba_update_z on a 3-tap H and D = I at M = 2048
+    are the sweep's banded blocks: together they peak far below one M x M
+    array (32 MiB)."""
+    m = 2048
+    H = generate_operator(OperatorSpec(kind="convolution", n_rows=m, n_cols=m,
+                                       kernel=(0.25, 0.5, 0.25)))
+    rng = np.random.RandomState(6)
+    problem = ForwardProblem(g=rng.randn(m), H=H, D=np.eye(m))
+    w, p = 10.0 ** rng.uniform(-1, 1, (2, m))
+    z = rng.randn(m)
+
+    def updates():
+        f, Sigma_f = vba_update_f(problem, w, p, z)
+        return Sigma_f, vba_update_z(problem, p, w, f)[1]
+
+    # the first call builds the operators, which scan the whole of H and D
+    updates()
+    tracemalloc.start()
+    try:
+        Sigma_f, Sigma_z = updates()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert problem._operators["f"].banded_solve and problem._operators["z"].banded_solve
+    assert peak < 8 * 2 ** 20
+    assert np.asarray(Sigma_f).shape == np.asarray(Sigma_z).shape == (m, m)
 
 def hann_problem(seed, m=300):
     """A 17-tap Hann kernel (u = 16) at M = 300 and its hyperparameters: the

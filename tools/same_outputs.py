@@ -7,7 +7,7 @@ Usage::
 Each ``*_SRC`` is a directory that holds the ``bsi`` package (for
 example ``src`` of a checkout).  Each tree runs in its own subprocess,
 with ``PYTHONPATH`` set to that tree and ``OPENBLAS_NUM_THREADS=1``,
-and writes its outputs to a temporary directory only.  Three groups are
+and writes its outputs to a temporary directory only.  Five groups are
 compared:
 
 - ``solves``: 120 solves.  The operators are a 3-tap convolution H at
@@ -24,6 +24,14 @@ compared:
   Inverse-Gamma family array, and the trace's L and relative changes.
   A solve that raises gives its error type and message instead, and
   the line says how many of the parent's solves raised.
+- ``blocks``: the public Gaussian blocks, ``jmap_update_f``/``jmap_update_z``
+  and ``vba_update_f``/``vba_update_z``, at seeded precisions on every
+  operator of the ``solves`` grid: the f block of the direct and the
+  indirect model (with the coupling term) and the z block.  The arrays
+  are each mean and ``np.asarray`` of each VBA covariance, named
+  ``operator/block/solver-path/...`` with the path (band, dual or dense)
+  the block's operator takes; the line lists the ``block/solver-path``
+  of every output that differs.
 - ``priors``: ``priors_report.json`` of ``verify-priors`` for four
   ``priors`` sections (default, light, tiny and one non-default) at
   seeds 0, 7 and 4242.
@@ -142,6 +150,30 @@ def _solves(out_dir):
     np.savez(out_dir / "solves.npz", **arrays)
 
 
+def _blocks(out_dir):
+    import bsi
+
+    arrays = {}
+    for name, H, D in _operators():
+        n, m = H.shape
+        rng = np.random.RandomState(n + 2 * m)
+        g, z, f = rng.randn(n), rng.randn(m), rng.randn(m)
+        w, p, w_z, p_z = (10.0 ** rng.uniform(-1, 1, size) for size in (n, m, m, m))
+        direct, indirect = bsi.ForwardProblem(g=g, H=H), bsi.ForwardProblem(g=g, H=H, D=D)
+        for label, problem, jmap, vba, w_b, p_b, other in (
+                ("f-direct", direct, bsi.jmap_update_f, bsi.vba_update_f, w, p, None),
+                ("f", indirect, bsi.jmap_update_f, bsi.vba_update_f, w, p, z),
+                ("z", indirect, bsi.jmap_update_z, bsi.vba_update_z, w_z, p_z, f)):
+            op = problem._operators[label[0]]
+            path = "band" if op.banded_solve else "dual" if op.dual else "dense"
+            arrays[f"{name}/{label}/jmap-{path}/mean"] = jmap(problem, 1.0 / w_b, 1.0 / p_b,
+                                                              other)
+            mean, Sigma = vba(problem, w_b, p_b, other)
+            arrays[f"{name}/{label}/vba-{path}/mean"] = mean
+            arrays[f"{name}/{label}/vba-{path}/Sigma"] = np.asarray(Sigma)
+    np.savez(out_dir / "blocks.npz", **arrays)
+
+
 _PRIORS_SECTIONS = {
     "default": {},
     "light": {"grid_step": 0.05, "mixture_draws": 2},
@@ -199,6 +231,7 @@ def worker(out_dir):
     """Write every output of the ``bsi`` on ``sys.path`` under ``out_dir``."""
     out_dir = Path(out_dir)
     _solves(out_dir)
+    _blocks(out_dir)
     _priors(out_dir)
     _cli(out_dir)
 
@@ -250,12 +283,15 @@ def _json_paths(a, b, path=""):
 
 
 def _compare(pairs):
-    """(compared, identical, worst, fields) of (name, a, b); worst is the
-    largest (elementwise, name) and (normwise, name) difference, fields
-    the differing key paths of the JSON files, in order of appearance."""
+    """(compared, identical, worst, fields, differing) of (name, a, b);
+    worst is the largest (elementwise, name) and (normwise, name)
+    difference, fields the differing key paths of the JSON files, in
+    order of appearance, and differing the names of the outputs that
+    differ."""
     compared = identical = 0
     worst = [(0.0, "-"), (0.0, "-")]
     fields = {}
+    differing = []
     for name, a, b in pairs:
         compared += 1
         if isinstance(a, bytes):
@@ -270,11 +306,12 @@ def _compare(pairs):
         identical += same
         if same:
             continue
+        differing.append(name)
         diffs = (float("inf"),) * 2 if a is None or b is None else _rel_diff(a, b)
         for k, diff in enumerate(diffs):
             if diff > worst[k][0] or worst[k][1] == "-":
                 worst[k] = (diff, name)
-    return compared, identical, worst, list(fields)
+    return compared, identical, worst, list(fields), differing
 
 
 def _array_pairs(left, right):
@@ -324,17 +361,22 @@ def main(argv) -> int:
         left, right = dirs
         groups = {
             "solves": _array_pairs(left / "solves.npz", right / "solves.npz"),
+            "blocks": _array_pairs(left / "blocks.npz", right / "blocks.npz"),
             "priors": _file_pairs(left, right, "priors/*/priors_report.json"),
             "cli": _file_pairs(left, right, "cli/*/*"),
             "simulate": _file_pairs(left, right, "sim*/*"),
         }
         all_same = True
         for group, pairs in groups.items():
-            compared, identical, ((worst, name), (norm, norm_name)), fields = _compare(pairs)
+            (compared, identical, ((worst, name), (norm, norm_name)), fields,
+             differing) = _compare(pairs)
             all_same &= compared == identical and compared > 0
             notes = []
             if group == "solves":
                 notes.append("{} of {} solves raised".format(*_raised(left / "solves.npz")))
+            if group == "blocks" and differing:
+                notes.append("differing blocks: " + ", ".join(sorted(
+                    {d.split("/", 1)[1].rsplit("/", 1)[0] for d in differing})))
             if fields:
                 notes.append("differing JSON fields: " + ", ".join(fields[:5])
                              + (f" and {len(fields) - 5} more" if len(fields) > 5 else ""))

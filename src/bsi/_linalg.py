@@ -138,7 +138,10 @@ def selected_inverse(c: np.ndarray) -> np.ndarray:
     """Band of ``Sigma = (U' U)^-1`` from the banded factor U.
 
     Returns the lower band storage ``S[d, j] = Sigma[j + d, j]``,
-    ``(u + 1) x M``.  This is the recurrence of Takahashi, Fagan & Chin
+    ``(u + 1) x M``.  A factor of denormal entries has an inverse past the
+    float range: the only caller, VBA's block (``vba._gaussian``), runs
+    it under its overflow guard and raises SingularSystem unless the band
+    is finite.  This is the recurrence of Takahashi, Fagan & Chin
     (1973) (Rue & Held, *Gaussian Markov Random Fields*, 2005, sec. 2.3;
     Lin et al., "SelInv", *ACM TOMS* 37, 2011), taken a block of columns
     J at a time.  With L = U', T0 the u columns after J (the only rows
@@ -315,8 +318,8 @@ def dual_roots(L: np.ndarray, KP: np.ndarray, w: np.ndarray):
     K'))``: that is ``diag(W^-1 C^-1 G)`` for ``G = K diag(1/p) K'``,
     since ``K A^-1 K' = G - G C^-1 G = W^-1 C^-1 G``.  Raises
     SingularSystem unless each ``info`` is 0 and B and R are finite.
-    Only VBA's partial-scheme block (``vba._gaussian``) calls it; a sweep
-    runs it under the overflow guard of the loop.
+    Only VBA's partial-scheme block (``vba._gaussian``) calls it, under
+    that block's overflow guard.
     """
     B, info = dtrtrs(L, KP, lower=1)
     Linv, info_inv = dtrtri(L, lower=1)

@@ -73,7 +73,11 @@ diagonal takes the factor's place: the pass, and
 diagonal (the denominator) and the new f are finite.  Both run with
 numpy's overflow warnings silenced, as the system's formation does (the
 pass, a step of the full sweep, under the guard ``jmap.alternate`` holds
-over every sweep), so the typed error comes alone.
+over every sweep), so the typed error comes alone.  The partial-scheme
+block, the public :func:`vba_update_f` and :func:`vba_update_z`, holds
+that guard itself, and also checks the mean on the dense path and the
+covariance band on the banded one, so a library call gets the typed
+error alone too.
 
 Every Gaussian block, partial or full, solves the normal equations
 ``(K' W K + diag(p)) x = rhs`` that ``model._normal_system`` forms for
@@ -215,6 +219,7 @@ def vba_update_z(problem, vtilde_xi, vtilde_z, f_hat):
     return _gaussian(problem, "z", vtilde_xi, vtilde_z, f_hat)
 
 
+@_silent_overflow
 def _gaussian(problem, block, w, p, other):
     """Mean and covariance of the Gaussian block ``block`` at the precisions
     w and p, which are checked positive under the ``_PRECISIONS`` names:
@@ -223,19 +228,28 @@ def _gaussian(problem, block, w, p, other):
     A block whose operator is ``banded_solve`` factors its precision in
     band storage and carries the covariance as a band and the factor, a
     ``dual`` one factors the N x N dual and carries the dual form; any
-    other inverts the dense precision and returns the plain array.
+    other inverts the dense precision and returns the plain array.  On
+    every path the factor, the mean and the covariance are finite or the
+    block raises SingularSystem, with numpy's overflow warnings silenced
+    (``model._silent_overflow``), as in ``jmap_update_f``.
     """
     w_name, p_name = _PRECISIONS[block]
     op, w, p, rhs = _normal_system(problem, block, _check_positive(w, w_name),
                                    _check_positive(p, p_name), other)
     if op.banded_solve:
         c = band_factor(op, w, p)
-        return band_solve(c, rhs), _Covariance(band=selected_inverse(c), factor=c)
+        S = selected_inverse(c)
+        if not np.isfinite(S).all():
+            raise SingularSystem(f"{block} block: the covariance band is not finite")
+        return band_solve(c, rhs), _Covariance(band=S, factor=c)
     if op.dual:
         L, KP = dual_factor(op, w, p)
         return dual_solve(op, L, p, rhs), _Covariance(prior=1.0 / p, roots=dual_roots(L, KP, w))
     Sigma = spd_inverse(normal_matrix(op.K, w, p))
-    return Sigma @ rhs, Sigma
+    mean = Sigma @ rhs
+    if not np.isfinite(mean).all():
+        raise SingularSystem(f"{block} block: the dense mean is not finite")
+    return mean, Sigma
 
 
 @dataclass(frozen=True)

@@ -252,6 +252,42 @@ def test_non_finite_block_is_singular_system(run):
             run()
 
 
+TINY = 1e-320
+# a 3-tap kernel of ones: a column sum of squares of 3 overflows w = 1e308;
+# 64 >= 4 u + 44, so it is banded
+TAP_PROBE = np.eye(64) + np.eye(64, k=1) + np.eye(64, k=-1)
+
+
+@pytest.mark.parametrize("block, expected, problem, w, p", [
+    # precisions of 1e-320 factor into denormals whose inverse overflows
+    ("f", "band", ForwardProblem(g=np.ones(4), H=np.eye(4)), TINY, TINY),        # u = 0
+    ("z", "band", ForwardProblem(g=np.ones(4), H=np.eye(4), D=np.eye(4)), TINY, TINY),
+    ("f", "band", ForwardProblem(g=np.ones(64), H=TAP_PROBE), TINY, TINY),       # u = 2
+    ("z", "band", ForwardProblem(g=np.ones(64), H=np.eye(64), D=TAP_PROBE), TINY, TINY),
+    ("f", "band", ForwardProblem(g=np.ones(64), H=TAP_PROBE), 1e308, 1.0),
+    ("z", "band", ForwardProblem(g=np.ones(64), H=np.eye(64), D=TAP_PROBE), 1e308, 1.0),
+    # D is square, so only an f block can be dual
+    ("f", "dual", ForwardProblem(g=np.ones(16), H=np.random.RandomState(0).randn(16, 64)),
+     1.0, TINY),
+    # w g overflows the right-hand side, so the dense mean is not finite
+    ("f", "dense", ForwardProblem(g=[1e200, 1e200], H=H_PROBE), 1e150, 1.0),
+    ("z", "dense", ForwardProblem(g=[1.0, 1.0], H=EYE, D=H_PROBE), 1e150, 1.0),
+], ids=["f_u0", "z_u0", "f_band", "z_band", "f_band_huge", "z_band_huge", "f_dual",
+        "f_dense_mean", "z_dense_mean"])
+def test_public_vba_block_is_singular_system_on_every_path(block, expected, problem, w, p):
+    op = problem._operators[block]
+    assert path(op) == expected
+    n, m = op.K.shape
+    w, p, other = np.full(n, w), np.full(m, p), np.full(m, 1e200)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SingularSystem):
+            if block == "f":
+                vba_update_f(problem, w, p, None if problem.is_direct else other)
+            else:
+                vba_update_z(problem, w, p, other)
+
+
 @pytest.mark.parametrize("method", ["jmap", "partial", "full"])
 def test_overflowing_residual_is_singular_system(method):
     # r * r overflows in the variance step (JMAP) or the seed (VBA): the

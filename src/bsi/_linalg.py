@@ -26,13 +26,10 @@ Each factorization is one direct LAPACK call: ``posv`` for the dense
 solve (:func:`spd_solve`, JMAP), ``potrf`` then ``potri`` for the dense
 inverse (:func:`spd_inverse`, VBA), ``pbtrf`` for the banded factor and
 ``pbtrs`` for its solves, ``potrf`` for the dual factor and ``potrs``
-for its solves.  Every one follows one failure rule: it
-raises SingularSystem unless LAPACK's ``info`` is 0 and both the factor
-and the result are finite.  An infinite diagonal entry passes Cholesky
-with ``info`` 0 and yields a finite, meaningless result; the factor
-holds the infinity, so the rule catches it.  The coordinate pass has no
-factor; its caller applies the rule to the precision diagonal it
-returns, in the factor's place.  The matrix and the right-hand side
+for its solves.  Each passes LAPACK's ``info``, its factor and its
+result to the failure rule, ``model._solved``.  The coordinate pass has
+no factor; its caller passes the precision diagonal it returns in the
+factor's place.  The matrix and the right-hand side
 are formed with numpy's overflow warnings silenced
 (``model._silent_overflow``): an extreme precision makes them
 non-finite, and the rule raises SingularSystem with no warning before
@@ -55,7 +52,7 @@ from scipy.linalg.blas import dtbsv
 from scipy.linalg.lapack import (dpbtrf, dpbtrs, dposv, dpotrf, dpotri, dpotrs, dtbtrs,
                                  dtrtri, dtrtrs)
 
-from .model import SingularSystem, _silent_overflow
+from .model import _silent_overflow, _solved
 
 _TINY = float(np.finfo(float).tiny)
 # columns per block of selected_inverse: of 8, 12, 16, 24 and 32, 16 was the
@@ -73,13 +70,11 @@ _SELINV_PASS = 4096
 def spd_solve(A: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Solve A x = b for symmetric positive-definite A: one LAPACK ``posv``.
 
-    Raises SingularSystem unless ``info`` is 0 and both the factor (with
-    A's other triangle, which ``posv`` leaves as is) and x are finite.
+    The failure rule (``model._solved``) reads ``info``, the factor (with
+    A's other triangle, which ``posv`` leaves as is) and x.
     """
     c, x, info = dposv(A, b)
-    if info != 0 or not (np.isfinite(c).all() and np.isfinite(x).all()):
-        raise SingularSystem(f"SPD solve failed: posv info={info}")
-    return x
+    return _solved("SPD solve (posv)", x, c, info=info)
 
 
 @_silent_overflow
@@ -110,22 +105,18 @@ def band_factor(op, w: np.ndarray, p: np.ndarray) -> np.ndarray:
     """Banded Cholesky factor U (``A = U' U``) of ``A = K' diag(w) K + diag(p)``.
 
     ``op`` is the operator of K.  U is in the upper band storage of
-    LAPACK ``pbtrf``, ``(kl + ku + 1) x M``.  Raises SingularSystem when
-    A is not positive definite or the factor is not finite (an infinite
-    diagonal passes Cholesky and yields a finite, meaningless solve).
+    LAPACK ``pbtrf``, ``(kl + ku + 1) x M``.  The failure rule
+    (``model._solved``) reads ``info`` and the factor.
     """
     c, info = dpbtrf(_normal_band(op, w, p), overwrite_ab=1)
-    if info != 0 or not np.isfinite(c).all():
-        raise SingularSystem(f"banded Cholesky failed: pbtrf info={info}")
-    return c
+    return _solved("banded Cholesky (pbtrf)", c, info=info)
 
 
 def band_solve(c: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve ``U' U x = rhs`` for the :func:`band_factor` output U."""
+    """Solve ``U' U x = rhs`` for the :func:`band_factor` output U; the
+    failure rule (``model._solved``) reads ``info`` and x."""
     x, info = dpbtrs(c, rhs)
-    if info != 0 or not np.isfinite(x).all():
-        raise SingularSystem(f"banded SPD solve failed: pbtrs info={info}")
-    return x
+    return _solved("banded SPD solve (pbtrs)", x, info=info)
 
 
 def band_inverse(c: np.ndarray) -> np.ndarray:
@@ -188,8 +179,7 @@ def selected_inverse(c: np.ndarray) -> np.ndarray:
         Lc = ext.flat[corner]   # L[T0, J] on the last u columns of each J
         ext.flat[cross] = 0.0   # now the factor of the block diagonal of L
         Y, info = dtbtrs(ext[:, :nb * w], eye, trans="T")
-        if info != 0:
-            raise SingularSystem(f"selected inversion failed: tbtrs info={info}")
+        _solved("selected inversion (tbtrs)", info=info)
         Linv = Y.T.reshape(w, nb, w).transpose(1, 2, 0)        # L[J, J]^-1 of block k
         A = np.concatenate((Linv, Lc @ Linv[:, w - u:]), axis=1)   # [L[J, J]^-1; X]
         Wc = Linv[:, :, :u].transpose(0, 2, 1) @ Linv[:, :, :u]
@@ -283,8 +273,8 @@ def dual_factor(op, w: np.ndarray, p: np.ndarray):
     Returns ``(L, K diag(1/p))`` with L the lower Cholesky factor of C
     (LAPACK ``potrf``).  By the Woodbury identity ``A^-1 = diag(1/p) -
     diag(1/p) K' C^-1 K diag(1/p)``, so C stands in for A at O(N^2 M)
-    instead of O(N M^2 + M^3).  Raises SingularSystem unless ``info`` is
-    0 and L, w and p are finite: an infinite precision, which the factor
+    instead of O(N M^2 + M^3).  The failure rule (``model._solved``)
+    reads ``info``, L, w and p: an infinite precision, which the factor
     of A would hold, is a zero variance in C.
     """
     KP = op.K / p
@@ -292,22 +282,18 @@ def dual_factor(op, w: np.ndarray, p: np.ndarray):
     C.flat[::C.shape[0] + 1] += 1.0 / w
     # C.T is C's buffer in Fortran order: potrf factors it in place
     L, info = dpotrf(C.T, lower=1, overwrite_a=1)
-    if info != 0 or not (np.isfinite(L).all() and np.isfinite(w).all()
-                         and np.isfinite(p).all()):
-        raise SingularSystem(f"dual Cholesky failed: potrf info={info}")
-    return L, KP
+    return _solved("dual Cholesky (potrf)", L, w, p, info=info), KP
 
 
 @_silent_overflow
 def dual_solve(op, L: np.ndarray, p: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """``A^-1 rhs = y - diag(1/p) K' C^-1 K y``, ``y = rhs / p``, from the
-    :func:`dual_factor` L of C (LAPACK ``potrs``)."""
+    :func:`dual_factor` L of C (LAPACK ``potrs``); the failure rule
+    (``model._solved``) reads ``info`` and x."""
     y = rhs / p
     s, info = dpotrs(L, op.K @ y, lower=1)
     x = y - (op.K.T @ s) / p
-    if info != 0 or not np.isfinite(x).all():
-        raise SingularSystem(f"dual SPD solve failed: potrs info={info}")
-    return x
+    return _solved("dual SPD solve (potrs)", x, info=info)
 
 
 def dual_roots(L: np.ndarray, KP: np.ndarray, w: np.ndarray):
@@ -316,18 +302,15 @@ def dual_roots(L: np.ndarray, KP: np.ndarray, w: np.ndarray):
 
     ``A^-1 = diag(1/p) - B' B``, and ``diag(K A^-1 K') = colsum(R * (B
     K'))``: that is ``diag(W^-1 C^-1 G)`` for ``G = K diag(1/p) K'``,
-    since ``K A^-1 K' = G - G C^-1 G = W^-1 C^-1 G``.  Raises
-    SingularSystem unless each ``info`` is 0 and B and R are finite.
-    Only VBA's partial-scheme block (``vba._gaussian``) calls it, under
-    that block's overflow guard.
+    since ``K A^-1 K' = G - G C^-1 G = W^-1 C^-1 G``.  The failure rule
+    (``model._solved``) reads both ``info`` values, B and R.  Only VBA's
+    partial-scheme block (``vba._gaussian``) calls it, under that
+    block's overflow guard.
     """
     B, info = dtrtrs(L, KP, lower=1)
     Linv, info_inv = dtrtri(L, lower=1)
     R = Linv / w
-    if info != 0 or info_inv != 0 or not (np.isfinite(B).all() and np.isfinite(R).all()):
-        raise SingularSystem(f"dual triangular solve failed: trtrs info={info}, "
-                             f"trtri info={info_inv}")
-    return B, R
+    return _solved("dual triangular solve (trtrs, trtri)", B, R, info=info or info_inv), R
 
 
 def solve_normal(op, w: np.ndarray, p: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -348,24 +331,19 @@ def solve_normal(op, w: np.ndarray, p: np.ndarray, rhs: np.ndarray) -> np.ndarra
 def spd_inverse(A: np.ndarray) -> np.ndarray:
     """Full inverse of a symmetric positive-definite matrix, exactly symmetric.
 
-    One LAPACK ``potrf`` factor, then ``potri``.  Raises SingularSystem
-    unless each ``info`` is 0 and both the factor and the inverse are
-    finite.
+    One LAPACK ``potrf`` factor, then ``potri``.  The failure rule
+    (``model._solved``) reads each ``info``, the factor and the inverse.
     """
     L, info = dpotrf(A, lower=1)
-    if info != 0 or not np.isfinite(L).all():
-        raise SingularSystem(f"SPD inverse failed: potrf info={info}")
+    _solved("SPD inverse (potrf)", L, info=info)
     low, info = dpotri(L, lower=1, overwrite_c=1)
-    if info != 0:
-        raise SingularSystem(f"SPD inverse failed: potri info={info}")
+    _solved("SPD inverse (potri)", info=info)
     # potri writes the lower triangle and leaves the factor's zero upper
     # triangle as is; adding the transpose doubles only the diagonal,
     # and halving it again is exact
     inv = low + low.T
     inv.flat[::inv.shape[0] + 1] *= 0.5
-    if not np.isfinite(inv).all():
-        raise SingularSystem("SPD inverse produced non-finite values")
-    return inv
+    return _solved("SPD inverse", inv)
 
 
 def rel_change(new: np.ndarray, old: np.ndarray) -> float:

@@ -44,7 +44,6 @@ from .model import (
     JmapConfig,
     NonPositiveVariance,
     RunTrace,
-    SingularSystem,
     SolverState,
     neg_log_posterior,
     validate_problem,
@@ -54,6 +53,7 @@ from .model import (
     _criterion,
     _normal_system,
     _silent_overflow,
+    _solved,
     _variance_families,
 )
 
@@ -88,16 +88,15 @@ def jmap_update_variance(kind, alpha, beta, residual):
     (f_direct); scalar or vector.  This is the mode of the family's
     posterior ``model.IgFamily.posterior(alpha, beta, r^2)``, i.e. of
     IG(alpha + 1/2, beta + r^2/2), whose mean VBA uses instead.  alpha
-    and beta must be finite and > 0 (ValueError).  A residual whose
-    square overflows raises SingularSystem, with no numpy warning.
+    and beta must be finite and > 0 (ValueError).  The new variances
+    follow the failure rule (``model._solved``): a residual whose square
+    overflows raises SingularSystem, with no numpy warning.
     """
     if kind not in _VARIANCE_KINDS:
         raise ValueError(f"kind must be one of {_VARIANCE_KINDS}, got {kind!r}")
     _check_ig(alpha, beta)
     r = np.asarray(residual, dtype=float)
-    out = (beta + 0.5 * r * r) / (alpha + 1.5)
-    if not np.isfinite(out).all():
-        raise SingularSystem("variance update produced non-finite values")
+    out = _solved("variance update", (beta + 0.5 * r * r) / (alpha + 1.5))
     return out if r.ndim else float(out)
 
 

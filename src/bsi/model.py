@@ -32,6 +32,10 @@ once per problem (``ForwardProblem._operators``): the dense array, its
 bandwidths, its band layout and the four measured flags that choose
 between the dense, banded and dual paths.  Every product with H or D in
 the solvers is its operator's ``matvec`` or ``rmatvec``.
+
+Every solver step, in ``_linalg``, ``jmap``, ``vba`` and here, ends a
+degenerate solve in SingularSystem through one helper, :func:`_solved`,
+which holds the failure rule.
 """
 
 from __future__ import annotations
@@ -71,12 +75,31 @@ class ModelMismatch(ValueError):
     """Operation requires the other sparsity model (direct vs indirect)."""
 
 
+def _solved(what: str, *arrays, info=0):
+    """The failure rule of every solver step; returns the first array.
+
+    Raises SingularSystem unless LAPACK's ``info`` is 0 and every array
+    is finite.  ``what`` names the step in the message.  Each step passes
+    the factor it made (an infinite diagonal passes Cholesky with
+    ``info`` 0 and yields a finite, meaningless result, but the factor
+    holds the infinity) and its result; a step with no factor, such as
+    the VBA coordinate pass, passes its precision diagonal in the
+    factor's place, and a variance step its new variances or scales.
+    No other code raises SingularSystem.
+    """
+    if info != 0:
+        raise SingularSystem(f"{what} failed: info={info}")
+    for a in arrays:
+        if not np.isfinite(a).all():
+            raise SingularSystem(f"{what} is not finite")
+    return arrays[0] if arrays else None
+
+
 # Where a normal system or a criterion term is formed, an extreme
 # precision can overflow, and so can the squared residual of a variance
 # step.  numpy's warnings are silenced there: the non-finite result fails
-# the finite-factor rule (see ``_linalg``) or the finite-scale check of
-# the variance step, so SingularSystem comes alone, and an overflowing L
-# is +inf.
+# the failure rule (:func:`_solved`), so SingularSystem comes alone, and
+# an overflowing L is +inf.
 _silent_overflow = np.errstate(over="ignore", invalid="ignore")
 
 
@@ -366,12 +389,11 @@ class IgFamily:
         squared residual, plus its covariance terms under VBA).
 
         Its mode (beta + spread / 2) / (alpha + 3/2) is the JMAP variance
-        block; VBA keeps the whole factor.  Raises SingularSystem unless
-        every scale is finite (a spread that overflowed).
+        block; VBA keeps the whole factor.  The scales follow the failure
+        rule (:func:`_solved`): a spread that overflowed raises
+        SingularSystem.
         """
-        beta_hat = beta + 0.5 * spread
-        if not np.isfinite(beta_hat).all():
-            raise SingularSystem("variance update produced non-finite values")
+        beta_hat = _solved("variance update", beta + 0.5 * spread)
         return cls(np.full(spread.size, alpha + 0.5), beta_hat)
 
     def inv_expectation(self) -> np.ndarray:
@@ -549,12 +571,17 @@ def neg_log_posterior(state: SolverState, problem: ForwardProblem, hyper: HyperP
     Compare L differences or argmins only; the absolute level depends on
     the dropped normalization constants.  A term that overflows makes L
     +inf.  Raises DimensionMismatch unless f_hat and z_hat have length M
-    and each v_<kind> the length of its family's residual (N for v_eps).
+    and each v_<kind> the length of its family's residual (N for v_eps),
+    and ValueError unless the alpha and beta of every family the model
+    has are finite and > 0.
     """
     m = problem.n_coef
     f = _as_vector(state.f_hat, "f_hat", m)
     z = None if problem.is_direct else _as_vector(state.z_hat, "z_hat", m)
-    return _criterion(state, _variance_families(problem, hyper, f, z), lambda v, name:
+    families = _variance_families(problem, hyper, f, z)
+    for _, alpha, beta, _ in families:
+        _check_ig(alpha, beta)
+    return _criterion(state, families, lambda v, name:
                       _check_positive(v, name, problem.n_obs if name == "v_eps" else m))
 
 

@@ -32,8 +32,8 @@ Each reference density is a function of x and its parameters by name;
 parameter names against the function's own, so a missing, unknown,
 non-numeric or non-finite parameter raises DomainError.  The GH
 parameter rule (alpha > 0 and finite, |beta| < alpha) is written once,
-in the helper that returns gamma for :meth:`GhParams.validate` and the
-GH-type references.
+in the helper that returns gamma for :meth:`GhParams.validate`,
+:attr:`GhParams.gamma` and the GH-type references.
 
 :func:`priors_report` runs all of these checks on seeded random draws;
 it is the body of the ``verify-priors`` command.  ``scipy.special`` is
@@ -93,11 +93,9 @@ class GhParams:
 
     @property
     def gamma(self) -> float:
-        """sqrt(alpha^2 - beta^2), always recomputed."""
-        s = self.alpha * self.alpha - self.beta * self.beta
-        if s < 0:
-            raise DomainError(f"|beta| must not exceed alpha, got {self}")
-        return math.sqrt(s)
+        """sqrt(alpha^2 - beta^2), always recomputed, after the GH parameter
+        rule of :func:`_gh_gamma` (DomainError)."""
+        return _gh_gamma(self.alpha, self.beta)
 
     def validate(self):
         _gh_gamma(self.alpha, self.beta)

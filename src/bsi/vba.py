@@ -65,19 +65,17 @@ u = kl + ku the half-bandwidth of K' W K for a banded operator K:
     H' (Ve g), which ``model._Operator.matvec``/``rmatvec`` run on the
     diagonals of a large banded K, in O(M u).
 
-Every Gaussian block follows the failure rule of ``_linalg``: it raises
-SingularSystem unless LAPACK's ``info`` is 0 and both the factor and the
-result are finite.  A coordinate pass has no factor, so its precision
-diagonal takes the factor's place: the pass, and
-:func:`vba_full_coordinate_update`, raise SingularSystem unless that
-diagonal (the denominator) and the new f are finite.  Both run with
-numpy's overflow warnings silenced, as the system's formation does (the
-pass, a step of the full sweep, under the guard ``jmap.alternate`` holds
-over every sweep), so the typed error comes alone.  The partial-scheme
-block, the public :func:`vba_update_f` and :func:`vba_update_z`, holds
-that guard itself, and also checks the mean on the dense path and the
-covariance band on the banded one, so a library call gets the typed
-error alone too.
+Every Gaussian block passes LAPACK's ``info``, its factor and its
+results to the failure rule, ``model._solved``.  A coordinate pass has
+no factor, so the pass, and :func:`vba_full_coordinate_update`, pass
+the precision diagonal (the denominator) in its place, with the new f.
+Both run with numpy's overflow warnings silenced, as the system's
+formation does (the pass, a step of the full sweep, under the guard
+``jmap.alternate`` holds over every sweep), so the typed error comes
+alone.  The partial-scheme block, the public :func:`vba_update_f` and
+:func:`vba_update_z`, holds that guard itself, and also passes the mean
+on the dense path and the covariance band on the banded one to the
+rule, so a library call gets the typed error alone too.
 
 Every Gaussian block, partial or full, solves the normal equations
 ``(K' W K + diag(p)) x = rhs`` that ``model._normal_system`` forms for
@@ -142,7 +140,6 @@ from .model import (
     HyperParams,
     IgFamily,
     ModelMismatch,
-    SingularSystem,
     SolverState,
     validate_problem,
     _as_vector,
@@ -152,6 +149,7 @@ from .model import (
     _is_integer,
     _normal_system,
     _silent_overflow,
+    _solved,
     _variance_families,
 )
 
@@ -229,8 +227,8 @@ def _gaussian(problem, block, w, p, other):
     band storage and carries the covariance as a band and the factor, a
     ``dual`` one factors the N x N dual and carries the dual form; any
     other inverts the dense precision and returns the plain array.  On
-    every path the factor, the mean and the covariance are finite or the
-    block raises SingularSystem, with numpy's overflow warnings silenced
+    every path the factor, the mean and the covariance pass the failure
+    rule (``model._solved``), with numpy's overflow warnings silenced
     (``model._silent_overflow``), as in ``jmap_update_f``.
     """
     w_name, p_name = _PRECISIONS[block]
@@ -238,18 +236,13 @@ def _gaussian(problem, block, w, p, other):
                                    _check_positive(p, p_name), other)
     if op.banded_solve:
         c = band_factor(op, w, p)
-        S = selected_inverse(c)
-        if not np.isfinite(S).all():
-            raise SingularSystem(f"{block} block: the covariance band is not finite")
+        S = _solved(f"{block} block: the covariance band", selected_inverse(c))
         return band_solve(c, rhs), _Covariance(band=S, factor=c)
     if op.dual:
         L, KP = dual_factor(op, w, p)
         return dual_solve(op, L, p, rhs), _Covariance(prior=1.0 / p, roots=dual_roots(L, KP, w))
     Sigma = spd_inverse(normal_matrix(op.K, w, p))
-    mean = Sigma @ rhs
-    if not np.isfinite(mean).all():
-        raise SingularSystem(f"{block} block: the dense mean is not finite")
-    return mean, Sigma
+    return _solved(f"{block} block: the dense mean", Sigma @ rhs), Sigma
 
 
 @dataclass(frozen=True)
@@ -351,14 +344,17 @@ def vba_update_ig(kind, hyper, f_hat, Sigma_f, z_hat=None, Sigma_z=None, *, prob
     Raises DimensionMismatch unless ``f_hat``, ``z_hat`` (xi and z) and
     the covariance arrays match the M coefficients, or when a covariance
     the kind reads is None (``Sigma_f`` for eps, f and xi, ``Sigma_z``
-    for xi and z); one the kind does not read may be None.  A spread
-    that overflows raises SingularSystem, with no numpy warning.
+    for xi and z); one the kind does not read may be None.  The kind's
+    alpha and beta in ``hyper`` must be finite and > 0 (ValueError).  A
+    spread that overflows raises SingularSystem, with no numpy warning.
     """
     if kind not in _IG_KINDS:
         raise ValueError(f"kind must be one of {_IG_KINDS}, got {kind!r}")
     if kind != "eps" and (kind == "f") != problem.is_direct:
         model = "direct" if kind == "f" else "indirect"
         raise ModelMismatch(f"{kind}-family update requires the {model} model")
+    alpha, beta = getattr(hyper, "alpha_" + kind), getattr(hyper, "beta_" + kind)
+    _check_ig(alpha, beta)
     m = problem.n_coef
     f_hat = _as_vector(f_hat, "f_hat", m)
     if kind in ("xi", "z"):
@@ -376,8 +372,7 @@ def vba_update_ig(kind, hyper, f_hat, Sigma_f, z_hat=None, Sigma_z=None, *, prob
         spread = r * r + Sigma_f.diag() + Sigma_z.quad_diag(problem._operators["z"])
     else:  # z
         spread = z_hat * z_hat + Sigma_z.diag()
-    return IgFamily.posterior(getattr(hyper, "alpha_" + kind), getattr(hyper, "beta_" + kind),
-                              spread)
+    return IgFamily.posterior(alpha, beta, spread)
 
 
 @_silent_overflow
@@ -391,7 +386,7 @@ def vba_full_coordinate_update(problem, hyper, f_hat, vtilde_eps, vtilde_f, j):
     IndexOutOfRange unless j is an integer (numpy integers too, bool
     not) in 0..M-1, DimensionMismatch unless f_hat and vtilde_f have
     length M and vtilde_eps length N, and SingularSystem unless the
-    denominator and f_hat_j are finite.
+    denominator and f_hat_j pass the failure rule (``model._solved``).
     """
     if not problem.is_direct:
         raise ModelMismatch("coordinate update is defined for the direct model")
@@ -405,9 +400,7 @@ def vba_full_coordinate_update(problem, hyper, f_hat, vtilde_eps, vtilde_f, j):
     partial_resid = problem.g - problem._operators["f"].matvec(f_hat) + col * f_hat[j]
     denom = float(col @ (vtilde_eps * col)) + vtilde_f[j]
     f_j = float(col @ (vtilde_eps * partial_resid)) / denom
-    if not (np.isfinite(denom) and np.isfinite(f_j)):
-        raise SingularSystem(f"coordinate {j} update produced non-finite values")
-    return f_j, 1.0 / denom
+    return _solved(f"coordinate {j} update", f_j, denom), 1.0 / denom
 
 
 @_silent_overflow
@@ -485,17 +478,15 @@ def _full_sweep(problem, hyper, kinds, state, _):
     (state, None) as :func:`_partial_sweep`.
 
     The pass is one banded Gauss-Seidel solve when H's operator is
-    ``banded_pass``, else the blocked dense pass.  Raises
-    SingularSystem unless the precision diagonal and the new f are
-    finite.  The covariance stays the vector of coordinate variances, a
-    diagonal.
+    ``banded_pass``, else the blocked dense pass.  The precision diagonal
+    and the new f pass the failure rule (``model._solved``).  The
+    covariance stays the vector of coordinate variances, a diagonal.
     """
     w, p = state.ig_eps.inv_expectation(), state.ig_f.inv_expectation()
     f, denom = (band_gauss_seidel(*_normal_system(problem, "f", w, p), state.f_hat)
                 if problem._operators["f"].banded_pass
                 else _dense_coordinates(problem, w, p, state.f_hat))
-    if not (np.isfinite(denom).all() and np.isfinite(f).all()):
-        raise SingularSystem("coordinate pass produced non-finite values")
+    _solved("coordinate pass", denom, f)
     return _vba_state(problem, hyper, kinds, f, None,
                       _Covariance(band=(1.0 / denom)[None]), None), None
 

@@ -288,6 +288,21 @@ def test_public_vba_block_is_singular_system_on_every_path(block, expected, prob
                 vba_update_z(problem, w, p, other)
 
 
+@pytest.mark.parametrize("H, expected, step", [
+    (TAP_PROBE, "band", "banded SPD solve"),
+    (np.random.RandomState(0).randn(16, 64), "dual", "dual SPD solve"),
+], ids=["band", "dual"])
+def test_overflowing_right_hand_side_is_singular_system_at_the_solve(H, expected, step):
+    # w g overflows the right-hand side while the factor stays finite: only
+    # the failure rule on the solve's result, x, catches it
+    problem = ForwardProblem(g=np.full(H.shape[0], 1e200), H=H)
+    assert path(problem._operators["f"]) == expected
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SingularSystem, match=step):
+            jmap_update_f(problem, np.full(H.shape[0], 1e-150), np.ones(64))
+
+
 @pytest.mark.parametrize("method", ["jmap", "partial", "full"])
 def test_overflowing_residual_is_singular_system(method):
     # r * r overflows in the variance step (JMAP) or the seed (VBA): the

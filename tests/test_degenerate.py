@@ -6,12 +6,15 @@ Every solver sweep runs with numpy's overflow warnings silenced
 properties here hold the solvers to that.
 """
 
+import ast
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import bsi
 from bsi import (
     DimensionMismatch,
     ForwardProblem,
@@ -211,3 +214,25 @@ def test_trace_criterion_is_neg_log_posterior_of_the_state(operator, model, meth
         assert trace.iterations == sweeps
         assert trace.records[0].criterion == first
         assert trace.records[-1].criterion == neg_log_posterior(state, problem, hyper)
+
+
+def singular_raises(tree):
+    """The ``raise SingularSystem...`` statements under the AST node ``tree``."""
+    return {node for node in ast.walk(tree) if isinstance(node, ast.Raise) and node.exc
+            and "SingularSystem" in {getattr(n, "id", None) or getattr(n, "attr", None)
+                                     for n in ast.walk(node.exc)}}
+
+
+def test_only_the_failure_rule_raises_singular_system():
+    """Every solver step raises SingularSystem through ``model._solved``,
+    the one place the failure rule is written."""
+    helper, elsewhere = set(), []
+    for path in sorted(Path(bsi.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        if path.name == "model.py":
+            helper = set().union(*(singular_raises(node) for node in ast.walk(tree)
+                                   if isinstance(node, ast.FunctionDef)
+                                   and node.name == "_solved"))
+        elsewhere += [f"{path.name}:{node.lineno}" for node in singular_raises(tree) - helper]
+    assert helper
+    assert not elsewhere

@@ -69,6 +69,15 @@ def test_spd_inverse_rejects_non_spd(A):
         spd_inverse(A)
 
 
+def test_spd_inverse_rejects_an_inverse_past_the_float_range():
+    # the factor of diag(1e-320) is finite (1e-160), its inverse is not;
+    # at block level the dense mean's check would mask this one
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SingularSystem, match="SPD inverse is not finite"):
+            spd_inverse(np.diag([1e-320, 1e-320]))
+
+
 def banded(rng, n, m, kl, ku):
     K = rng.uniform(-1.0, 1.0, (n, m))
     i, j = np.indices((n, m))

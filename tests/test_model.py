@@ -103,6 +103,26 @@ class TestNegLogPosterior:
             neg_log_posterior(SolverState(f_hat=np.zeros(3), v_eps=[2.0], v_f=[2.0]),
                               problem, unit_hyper())
 
+    @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf],
+                             ids=["zero", "negative", "nan", "inf"])
+    @pytest.mark.parametrize("name", list(HyperParams().as_dict()))
+    @pytest.mark.parametrize("model", ["direct", "indirect"])
+    def test_rejects_bad_hyperparameters_of_the_families_it_reads(self, model, name, bad):
+        # alpha_eps = -1 with beta_f = -2 used to give L = -1.5 at unit
+        # variances, a NaN gave nan; a family the model does not have is
+        # not read
+        direct = model == "direct"
+        problem = ForwardProblem(g=np.ones(3), H=np.eye(3), D=None if direct else np.eye(3))
+        state = SolverState(f_hat=np.zeros(3), z_hat=None if direct else np.zeros(3),
+                            v_eps=np.ones(3), v_f=np.ones(3), v_xi=np.ones(3), v_z=np.ones(3))
+        hyper = HyperParams(**{name: bad})
+        if name.split("_")[1] in (("eps", "f") if direct else ("eps", "xi", "z")):
+            with pytest.raises(ValueError, match="finite and strictly positive"):
+                neg_log_posterior(state, problem, hyper)
+        else:
+            L = neg_log_posterior(state, problem, hyper)
+            assert L == pytest.approx(7.5 if direct else 10.5)
+
     @pytest.mark.parametrize("m", [3, 128], ids=["dense", "banded"])
     @pytest.mark.parametrize("model", ["direct", "indirect"])
     def test_rejects_vectors_of_the_wrong_length(self, model, m):

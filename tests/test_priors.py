@@ -238,6 +238,14 @@ class TestGhPdf:
                                                    "lam": lam, "mu": mu}, xs)
             assert np.max(np.abs(got - ref)) < 1e-4
 
+    @pytest.mark.parametrize("alpha, beta", [(-2.0, 1.0), (1.0, 1.0), (math.nan, 0.0)],
+                             ids=["negative-alpha", "beta-equals-alpha", "nan-alpha"])
+    def test_gamma_follows_the_gh_rule(self, alpha, beta):
+        # used to give 1.732, 0.0 and nan
+        assert GhParams(lam=1.0, alpha=2.0, beta=1.0).gamma == math.sqrt(3.0)
+        with pytest.raises(DomainError):
+            GhParams(lam=1.0, alpha=alpha, beta=beta).gamma
+
     def test_domain_errors(self):
         with pytest.raises(DomainError):
             gh_pdf(0.0, GhParams(lam=1.0, alpha=1.0, beta=1.5, delta=1.0))

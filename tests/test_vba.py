@@ -139,6 +139,26 @@ class TestUpdateIg:
                             problem=p)
         assert fam.beta_hat == pytest.approx([1.5])
 
+    @pytest.mark.parametrize("bad", [0.0, -1.0, np.nan, np.inf],
+                             ids=["zero", "negative", "nan", "inf"])
+    @pytest.mark.parametrize("param", ["alpha", "beta"])
+    @pytest.mark.parametrize("kind, model", [("eps", "direct"), ("f", "direct"),
+                                             ("eps", "indirect"), ("xi", "indirect"),
+                                             ("z", "indirect")])
+    def test_rejects_bad_hyperparameters(self, kind, model, param, bad):
+        # used to return alpha_hat = alpha + 1/2 < 0, or a scale from a
+        # negative beta, or SingularSystem for a NaN; another family's
+        # hyperparameter is not read
+        problem = ForwardProblem(g=np.ones(3), H=np.eye(3),
+                                 D=None if model == "direct" else np.eye(3))
+        args = (np.zeros(3), np.eye(3), np.zeros(3), np.eye(3))
+        with pytest.raises(ValueError, match="finite and strictly positive"):
+            vba_update_ig(kind, HyperParams(**{f"{param}_{kind}": bad}), *args, problem=problem)
+        other = "z" if kind == "eps" else "eps"
+        fam = vba_update_ig(kind, HyperParams(**{f"{param}_{other}": bad}), *args,
+                            problem=problem)
+        assert fam.alpha_hat == pytest.approx([1.5] * 3)
+
     def test_model_mismatch(self):
         direct = ForwardProblem(g=[0.0], H=[[1.0]])
         with pytest.raises(ModelMismatch):

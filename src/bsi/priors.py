@@ -35,10 +35,15 @@ parameter rule (alpha > 0 and finite, |beta| < alpha) is written once,
 in the helper that returns gamma for :meth:`GhParams.validate`,
 :attr:`GhParams.gamma` and the GH-type references.
 
-:func:`priors_report` runs all of these checks on seeded random draws;
-it is the body of the ``verify-priors`` command.  ``scipy.special`` is
-imported only by the functions that call it, so the settings and error
-types load with numpy alone; the quadrature needs numpy alone.
+:func:`bessel_k` and :func:`gh_marginal_quadrature` take arrays (the
+quadrature one mixture per row), and an entry of an array call has the
+bits of its scalar or one-row call.  :func:`priors_report` runs all of
+these checks on seeded random draws, in batches: one call per Bessel
+order for its 50 identity draws, and one exp-sinh rule that integrates
+every mixture draw.  It is the body of the ``verify-priors`` command.
+``scipy.special`` is imported only by the functions that call it, so
+the settings and error types load with numpy alone; the quadrature
+needs numpy alone.
 """
 
 from __future__ import annotations
@@ -50,6 +55,7 @@ from typing import Mapping
 
 import numpy as np
 
+from .model import _is_integer
 from .rng import SplitMix64
 
 _HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
@@ -126,20 +132,26 @@ class GigParams:
 _TINY_ORDER = 1e-154
 
 
-def bessel_k(lam: float, x: float) -> float:
+def bessel_k(lam, x):
     """Modified Bessel function of the second kind K_lambda(x), x > 0.
 
     Symmetric in the order (K_lambda = K_{-lambda}).  For tiny x with
     large |lambda| the value exceeds the double range and +inf is
-    returned.
+    returned.  ``lam`` and ``x`` broadcast against each other: arrays give
+    an array whose entries have the bits of the scalar calls, scalars a
+    float.  DomainError unless every order is finite and every x is
+    positive and finite.
     """
     import scipy.special
 
-    if not (x > 0 and math.isfinite(x)):
+    lam_arr = np.asarray(lam, dtype=float)
+    x_arr = np.asarray(x, dtype=float)
+    if not np.isfinite(lam_arr).all():
+        raise DomainError(f"bessel_k needs a finite order, got {lam}")
+    if not ((x_arr > 0).all() and np.isfinite(x_arr).all()):
         raise DomainError(f"bessel_k needs x > 0, got {x}")
-    if abs(lam) < _TINY_ORDER:
-        lam = 0.0
-    return float(scipy.special.kv(lam, x))
+    out = scipy.special.kv(np.where(np.abs(lam_arr) < _TINY_ORDER, 0.0, lam_arr), x_arr)
+    return out if out.ndim else float(out)
 
 
 def log_bessel_k(lam, x, scale=1.0):
@@ -149,9 +161,12 @@ def log_bessel_k(lam, x, scale=1.0):
     Gamma(|lambda|) 2^{|lambda|-1} z^{-|lambda|} (-log(z/2) - euler_gamma
     at lambda = 0) when the scaled Bessel value overflows, with log z taken
     as log x + log scale, so that it holds where scale x underflows to zero.
+    DomainError unless the order is finite.
     """
     import scipy.special
 
+    if not math.isfinite(lam):
+        raise DomainError(f"log_bessel_k needs a finite order, got {lam}")
     if abs(lam) < _TINY_ORDER:
         lam = 0.0
     x = np.asarray(x, dtype=float)
@@ -426,36 +441,59 @@ def _exp_sinh(log_f, centre, tol):
     return result
 
 
-def _mixture_integrand(x, mu: float, beta: float, gig: GigParams):
-    """(log_f, centre) of the mixture integrals at the points ``x`` (1-D).
+def _mixture_integrand(x, mu, beta, gig):
+    """(log_f, centre) of the mixture integrals at the points ``x``.
 
-    The integrand v -> N(x | mu + beta v, v) GIG(v) is, up to a constant,
-    a GIG(alpha^2, q^2, lambda - 1/2) density in v, with alpha^2 =
-    gamma^2 + beta^2 and q^2 = delta^2 + (x - mu)^2:
+    ``x`` holds one mixture per row (a scalar or 1-D ``x`` is one row),
+    and ``mu``, ``beta`` and ``gig`` are one value shared by every row or
+    one per row.  The integrand v -> N(x | mu + beta v, v) GIG(v) is, up
+    to a constant, a GIG(alpha^2, q^2, lambda - 1/2) density in v, with
+    alpha^2 = gamma^2 + beta^2 and q^2 = delta^2 + (x - mu)^2:
 
         log f(v) = c + beta (x - mu) + (lambda - 3/2) log v
                    - q^2 / (2 v) - alpha^2 v / 2,
 
     c the GIG log normalizer minus log(2 pi) / 2.  ``log_f`` takes log v
-    with one row per point.  ``centre`` is the column of the modes of
-    v f(v), written so that they do not cancel.  Validates ``gig`` and
-    raises SingularDensity if some x = mu while delta^2 = 0 and lambda
-    <= 1/2, where the integral diverges, before any evaluation.
+    with one row per point, the points of a row after those of the row
+    before.  ``centre`` is the column of the modes of v f(v), written so
+    that they do not cancel.  Each row is worked out on its own, with the
+    operations of a one-row call, so a point has the same bits in any
+    batch.  DomainError unless x, mu and beta are finite and every row
+    has its parameters; then row by row, before any evaluation, the GIG
+    check and SingularDensity if some x = mu while delta^2 = 0 and lambda
+    <= 1/2, where the integral diverges.
     """
-    c = _gig_log_norm(gig) - _HALF_LOG_2PI
-    dx = (x - mu)[:, None]
-    if gig.delta_sq == 0.0 and gig.lam <= 0.5 and np.any(dx == 0.0):
-        raise SingularDensity("the mixture diverges at x = mu for delta_sq = 0, lam <= 1/2")
-    q_sq = gig.delta_sq + dx * dx
-    alpha_sq = gig.gamma_sq + beta * beta
-    p = gig.lam - 0.5
-    s = np.sqrt(p * p + alpha_sq * q_sq)
-    centre = (p + s) / alpha_sq if p >= 0 else q_sq / (s - p)
-    const = c + beta * dx
-    shape = gig.lam - 1.5
-    with np.errstate(divide="ignore"):  # log 0 = -inf drops a vanishing term
-        log_hq = np.log(0.5 * q_sq)
-        log_ha = np.log(0.5 * alpha_sq)
+    rows = np.atleast_2d(np.asarray(x, dtype=float))
+    n, points = len(rows), math.prod(rows.shape[1:])
+    rows = rows.reshape(n, points)
+    gigs = [gig] * n if isinstance(gig, GigParams) else list(gig)
+    try:
+        mus, betas = (np.broadcast_to(np.asarray(v, dtype=float), (n,)) for v in (mu, beta))
+    except ValueError:
+        raise DomainError(f"mu and beta must be scalars or one per row of x, "
+                          f"got {(mu, beta)} for {n} rows") from None
+    if len(gigs) != n:
+        raise DomainError(f"gig must be one GigParams or one per row of x, "
+                          f"got {len(gigs)} for {n} rows")
+    if not (np.isfinite(rows).all() and np.isfinite(mus).all() and np.isfinite(betas).all()):
+        raise DomainError(f"x, mu and beta must be finite, got {(x, mu, beta)}")
+    columns = np.empty((5, n, points))
+    const, shape, log_hq, log_ha, centre = columns
+    for i, (dx, beta_i, gig_i) in enumerate(zip(rows - mus[:, None], betas, gigs)):
+        c = _gig_log_norm(gig_i) - _HALF_LOG_2PI
+        if gig_i.delta_sq == 0.0 and gig_i.lam <= 0.5 and np.any(dx == 0.0):
+            raise SingularDensity("the mixture diverges at x = mu for delta_sq = 0, lam <= 1/2")
+        q_sq = gig_i.delta_sq + dx * dx
+        alpha_sq = gig_i.gamma_sq + beta_i * beta_i
+        p = gig_i.lam - 0.5
+        s = np.sqrt(p * p + alpha_sq * q_sq)
+        centre[i] = (p + s) / alpha_sq if p >= 0 else q_sq / (s - p)
+        const[i] = c + beta_i * dx
+        shape[i] = gig_i.lam - 1.5
+        with np.errstate(divide="ignore"):  # log 0 = -inf drops a vanishing term
+            log_hq[i] = np.log(0.5 * q_sq)
+            log_ha[i] = np.log(0.5 * alpha_sq)
+    const, shape, log_hq, log_ha, centre = columns.reshape(5, -1, 1)
 
     def log_f(log_v):
         return const + shape * log_v - np.exp(log_hq - log_v) - np.exp(log_ha + log_v)
@@ -463,23 +501,27 @@ def _mixture_integrand(x, mu: float, beta: float, gig: GigParams):
     return log_f, centre
 
 
-def gh_marginal_quadrature(x, mu: float, beta: float, gig: GigParams, tol: float = 1e-9):
+def gh_marginal_quadrature(x, mu, beta, gig, tol: float = 1e-9):
     """Normal variance-mean mixture integral, evaluated by quadrature.
 
     Integrates N(x | mu + beta v, v) GIG(v | gamma^2, delta^2, lambda)
     over v in (0, inf) to absolute tolerance ``tol`` at each point of
-    ``x`` (scalar or array; a scalar gives a float with the bits of the
-    same point in an array call), with one exp-sinh rule for all points.
-    Serves as the independent oracle for :func:`gh_pdf`.  DomainError
-    unless x, mu and beta are finite and 0 < tol < inf; SingularDensity
-    where the integral diverges; QuadratureFailure if ``tol`` is not met.
+    ``x``, with one exp-sinh rule for all points.  ``x`` is a scalar, a
+    1-D array of points of one mixture, or a 2-D array with one mixture
+    per row; ``mu`` and ``beta`` are scalars or one per row, ``gig`` one
+    :class:`GigParams` or a sequence of one per row.  The result has the
+    shape of ``x`` (a float for a scalar), and each point has the bits of
+    the same point in a one-row call.  Serves as the independent oracle
+    for :func:`gh_pdf`.  DomainError unless x, mu and beta are finite,
+    every row has its parameters and 0 < tol < inf; then, row by row,
+    the GIG check (DomainError) and SingularDensity where the integral
+    diverges, all before any evaluation; QuadratureFailure if ``tol`` is
+    not met.
     """
-    x_arr = np.asarray(x, dtype=float)
-    if not (np.isfinite(x_arr).all() and math.isfinite(mu) and math.isfinite(beta)):
-        raise DomainError(f"x, mu and beta must be finite, got {(x, mu, beta)}")
     if not 0 < tol < math.inf:
         raise DomainError(f"tol must be positive and finite, got {tol}")
-    out = _exp_sinh(*_mixture_integrand(x_arr.ravel(), mu, beta, gig), tol)
+    x_arr = np.asarray(x, dtype=float)
+    out = _exp_sinh(*_mixture_integrand(x_arr, mu, beta, gig), tol)
     return out.reshape(x_arr.shape) if x_arr.ndim else float(out[0])
 
 
@@ -531,8 +573,9 @@ class PriorsSettings:
 
     Raises ValueError unless the grid bounds are finite with grid_lo <
     grid_hi, grid_step, nu and b are finite and positive, the grid has
-    at most ``_MAX_GRID_POINTS`` points, mixture_draws is >= 0 and the
-    levels are finite, positive and strictly decreasing.
+    at most ``_MAX_GRID_POINTS`` points, mixture_draws is an integer >= 0
+    (numpy integers too, bool not) and the levels are finite, positive and
+    strictly decreasing.
     """
 
     levels: tuple = (1.0, 0.1, 0.01, 0.001)
@@ -554,6 +597,8 @@ class PriorsSettings:
             raise ValueError(f"the grid must have at most {_MAX_GRID_POINTS} points")
         if not (0 < self.nu < math.inf and 0 < self.b < math.inf):
             raise ValueError("nu and b must be finite and > 0")
+        if not _is_integer(self.mixture_draws):
+            raise ValueError(f"mixture_draws must be an integer, got {self.mixture_draws!r}")
         if self.mixture_draws < 0:
             raise ValueError("mixture_draws must be >= 0")
         _check_levels(self.levels)
@@ -563,7 +608,13 @@ def priors_report(settings: PriorsSettings, seed: int) -> dict:
     """Bessel, GH identity, limit and quadrature checks as one report.
 
     Every random parameter is drawn from ``SplitMix64(seed)`` in a fixed
-    order, so equal settings and seed give an identical report.
+    order, so equal settings and seed give an identical report.  The
+    checks run in batches, with the bits of one call per value: the 50
+    Bessel draws in one :func:`bessel_k` call per order (K_lambda serves
+    both identities), the mixture draws in one
+    :func:`gh_marginal_quadrature` call with a row of 21 points per draw,
+    and the 20 Inverse-Gamma draws in one exp-sinh rule.  Each maximum is
+    Python's ``max`` over the draws, which skips a NaN after the first.
     """
     levels = list(settings.levels)
     step = settings.grid_step
@@ -571,16 +622,17 @@ def priors_report(settings: PriorsSettings, seed: int) -> dict:
     rng = SplitMix64(seed)
 
     half_order = abs(bessel_k(0.5, 1.0) - math.sqrt(math.pi / 2.0) * math.exp(-1.0))
-    sym_max = 0.0
-    rec_max = 0.0
-    for _ in range(50):
-        lam = -5.0 + 10.0 * rng.uniform()
-        x = 0.1 + 5.0 * rng.uniform()
-        k0, k1 = bessel_k(lam, x), bessel_k(-lam, x)
-        sym_max = max(sym_max, abs(k0 - k1) / abs(k0))
-        lhs = bessel_k(lam + 1.0, x)
-        rhs = bessel_k(lam - 1.0, x) + 2.0 * lam / x * bessel_k(lam, x)
-        rec_max = max(rec_max, abs(lhs - rhs) / abs(lhs))
+    # 50 (lambda, x) draws, each checked for K_lambda = K_-lambda and
+    # K_{lambda+1} = K_{lambda-1} + 2 lambda / x K_lambda in one call per order
+    lam, x = (np.array(column) for column in zip(*[
+        (-5.0 + 10.0 * rng.uniform(), 0.1 + 5.0 * rng.uniform()) for _ in range(50)]))
+    k = bessel_k(lam, x)
+    sym = np.abs(k - bessel_k(-lam, x)) / np.abs(k)
+    lhs = bessel_k(lam + 1.0, x)
+    rhs = bessel_k(lam - 1.0, x) + 2.0 * lam / x * k
+    rec = np.abs(lhs - rhs) / np.abs(lhs)
+    # Python's max, which skips a NaN after the first value
+    sym_max, rec_max = max([0.0, *sym.tolist()]), max([0.0, *rec.tolist()])
 
     def draw_gh():
         alpha = 0.6 + 2.0 * rng.uniform()
@@ -604,14 +656,14 @@ def priors_report(settings: PriorsSettings, seed: int) -> dict:
     deviations = {case: limit_deviation(case, levels, grid, nu=settings.nu, b=settings.b)
                   for case in _LIMIT_CASES}
 
-    mix_max = 0.0
-    for _ in range(settings.mixture_draws):
-        params = draw_gh()
-        gig = GigParams(gamma_sq=params.gamma ** 2, delta_sq=params.delta ** 2,
-                        lam=params.lam)
-        xs = np.linspace(params.mu - 3.0, params.mu + 3.0, 21)
-        mix = gh_marginal_quadrature(xs, params.mu, params.beta, gig)
-        mix_max = max(mix_max, float(np.max(np.abs(mix - gh_pdf(xs, params)))))
+    # one exp-sinh rule integrates every draw's 21 points, a row per draw
+    mixtures = [draw_gh() for _ in range(settings.mixture_draws)]
+    xs = np.array([np.linspace(p.mu - 3.0, p.mu + 3.0, 21) for p in mixtures]).reshape(-1, 21)
+    mix = gh_marginal_quadrature(
+        xs, [p.mu for p in mixtures], [p.beta for p in mixtures],
+        [GigParams(gamma_sq=p.gamma ** 2, delta_sq=p.delta ** 2, lam=p.lam) for p in mixtures])
+    mix_max = max([0.0, *(float(np.max(np.abs(row - gh_pdf(points, p))))
+                          for row, points, p in zip(mix, xs, mixtures))])
 
     draws = []
     for _ in range(20):

@@ -1,6 +1,9 @@
+import dataclasses
+import json
 import math
 import sys
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -19,9 +22,12 @@ from bsi import (
     gh_pdf,
     gig_pdf,
     limit_deviation,
+    priors_report,
     reference_pdf,
 )
+import bsi.priors
 from bsi.priors import _exp_sinh, _gig_log_norm, _mixture_integrand, log_bessel_k
+from bsi.rng import SplitMix64
 
 # high-precision values frozen from an arbitrary-precision evaluation of
 # K_lambda(x) (independent of the scipy code path under test)
@@ -100,6 +106,45 @@ class TestBesselK:
             lhs = bessel_k(lam + 1.0, x)
             rhs = bessel_k(lam - 1.0, x) + 2.0 * lam / x * bessel_k(lam, x)
             assert lhs == pytest.approx(rhs, rel=1e-9)
+
+    @settings(max_examples=100, deadline=None)
+    @given(pairs=st.lists(st.tuples(st.floats(-80.0, 80.0), st.floats(1e-12, 800.0)),
+                          min_size=1, max_size=12))
+    # orders below _TINY_ORDER, read as 0, and K_60(1e-8) past the double range
+    @example(pairs=[(5e-324, 1.0), (-1e-160, 0.3), (9e-155, 2.0), (-0.0, 1.0),
+                    (60.0, 1e-8), (-60.0, 1e-8), (0.5, 1.0)])
+    def test_vector_is_scalars(self, pairs):
+        lam, x = (np.array(column) for column in zip(*pairs))
+        scalars = [bessel_k(float(a), float(b)) for a, b in pairs]
+        assert all(type(value) is float for value in scalars)
+        assert bessel_k(lam, x).tobytes() == np.array(scalars).tobytes()  # bit for bit
+        # both broadcast: one order over every x, every order at one x
+        assert bessel_k(lam[0], x).tobytes() == \
+            np.array([bessel_k(float(lam[0]), float(b)) for b in x]).tobytes()
+        grid = bessel_k(lam[:, None], x[None, :])
+        assert grid.shape == (len(lam), len(x))
+        assert grid[:, 0].tobytes() == bessel_k(lam, x[0]).tobytes()
+        assert type(bessel_k(np.float64(lam[0]), np.float64(x[0]))) is float
+
+    @pytest.mark.parametrize("lam,x", [
+        (math.nan, 1.0), (math.inf, 1.0), (-math.inf, 2.0),
+        ([0.5, math.nan], [1.0, 1.0]), ([0.5, math.inf], 1.0), (math.inf, [1.0, 2.0]),
+    ])
+    def test_nonfinite_order_is_domain_error(self, lam, x):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")    # raised with no numpy or scipy warning
+            with pytest.raises(DomainError, match="finite order"):
+                bessel_k(lam, x)
+            for order in np.atleast_1d(lam):
+                if not math.isfinite(order):
+                    with pytest.raises(DomainError, match="finite order"):
+                        log_bessel_k(order, np.atleast_1d(x))
+
+    def test_bad_argument_anywhere_is_domain_error(self):
+        with pytest.raises(DomainError, match="x > 0"):
+            bessel_k(0.5, [1.0, 0.0])
+        with pytest.raises(DomainError, match="x > 0"):
+            bessel_k([0.5, 1.5], [1.0, math.nan])
 
     def test_integral_representation(self):
         # K_lambda(x) = int_0^inf exp(-x cosh t) cosh(lambda t) dt
@@ -568,6 +613,59 @@ class TestMarginalQuadrature:
             if err <= 1e-10:
                 assert abs(value - oracle) <= 1e-9  # the default tol
 
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), rows=st.integers(1, 12), points=st.integers(1, 4))
+    def test_batch_rows_are_one_row_calls(self, data, rows, points):
+        mixtures = [(data.draw(st.lists(st.floats(-10.0, 10.0), min_size=points,
+                                        max_size=points)),
+                     data.draw(st.floats(-10.0, 10.0)), data.draw(st.floats(-3.0, 3.0)),
+                     data.draw(gig_params())) for _ in range(rows)]
+        singles = []
+        for args in mixtures:
+            try:
+                singles.append(gh_marginal_quadrature(*args))
+            except (SingularDensity, QuadratureFailure) as error:
+                singles.append(error)
+        xs, mus, betas, gigs = (list(column) for column in zip(*mixtures))
+        errors = {type(row) for row in singles if isinstance(row, Exception)}
+        if errors:
+            # a divergent row is refused before any row is integrated
+            with pytest.raises(SingularDensity if SingularDensity in errors
+                               else QuadratureFailure):
+                gh_marginal_quadrature(np.array(xs), mus, betas, gigs)
+            return
+        batch = gh_marginal_quadrature(np.array(xs), mus, betas, gigs)
+        assert batch.shape == (rows, points)
+        assert batch.tobytes() == np.array(singles).tobytes()  # bit for bit
+
+    def test_shared_parameters_broadcast_over_rows(self):
+        gig = GigParams(1.0, 1.0, 0.5)
+        xs = np.array([[0.0, 0.5], [1.0, -2.0], [3.0, 0.25]])
+        shared = gh_marginal_quadrature(xs, 0.2, -0.3, gig)
+        assert shared.tobytes() == gh_marginal_quadrature(xs.ravel(), 0.2, -0.3, gig).tobytes()
+        per_row = gh_marginal_quadrature(xs, [0.2] * 3, np.full(3, -0.3), [gig] * 3)
+        assert per_row.tobytes() == shared.tobytes()
+        assert gh_marginal_quadrature(np.empty((0, 21)), [], [], []).shape == (0, 21)
+
+    @pytest.mark.parametrize("mu,beta,gig", [
+        ([0.0, 1.0, 2.0], 0.0, GigParams(1.0, 1.0, 0.5)),
+        (0.0, [[0.0], [1.0]], GigParams(1.0, 1.0, 0.5)),
+        (0.0, 0.0, [GigParams(1.0, 1.0, 0.5)]),
+        (0.0, 0.0, [GigParams(1.0, 1.0, 0.5)] * 3),
+    ])
+    def test_parameters_not_one_per_row_rejected(self, mu, beta, gig, no_rule):
+        with pytest.raises(DomainError, match="per row"):
+            gh_marginal_quadrature(np.zeros((2, 3)), mu, beta, gig)
+
+    def test_every_row_is_checked_before_quadrature(self, no_rule):
+        good, xs = GigParams(1.0, 1.0, 0.5), np.zeros((2, 3))
+        with pytest.raises(DomainError, match="nonnegative"):
+            gh_marginal_quadrature(xs, 0.0, 0.0, [good, GigParams(-1.0, 1.0, 0.5)])
+        with pytest.raises(SingularDensity):
+            gh_marginal_quadrature(xs, [1.0, 0.0], 0.0, [good, GigParams(1.0, 0.0, 0.5)])
+        with pytest.raises(DomainError, match="finite"):
+            gh_marginal_quadrature(xs, [0.0, math.nan], 0.0, good)
+
 
 def quadpack_mixture(x, mu, beta, gig):
     """(value, error estimate) of the mixture integral by QUADPACK.
@@ -699,3 +797,99 @@ class TestPriorsSettings:
 
     def test_edge_settings_accepted(self):
         PriorsSettings(levels=(), grid_lo=0.0, grid_hi=1e-9, grid_step=1.0, mixture_draws=0)
+        PriorsSettings(mixture_draws=np.int64(3))
+
+    @pytest.mark.parametrize("draws", [2.5, math.nan, True, 3.0, "2"])
+    def test_mixture_draws_must_be_an_integer(self, draws):
+        with pytest.raises(ValueError, match="mixture_draws must be an integer"):
+            PriorsSettings(mixture_draws=draws)
+
+
+def reference_report(settings, seed):
+    """priors_report as a loop over draws: five scalar bessel_k calls per
+    identity draw and one gh_marginal_quadrature call per mixture draw."""
+    levels = list(settings.levels)
+    step = settings.grid_step
+    grid = np.arange(settings.grid_lo, settings.grid_hi + 0.5 * step, step)
+    rng = SplitMix64(seed)
+    half_order = abs(bessel_k(0.5, 1.0) - math.sqrt(math.pi / 2.0) * math.exp(-1.0))
+    sym_max = rec_max = 0.0
+    for _ in range(50):
+        lam = -5.0 + 10.0 * rng.uniform()
+        x = 0.1 + 5.0 * rng.uniform()
+        k0, k1 = bessel_k(lam, x), bessel_k(-lam, x)
+        sym_max = max(sym_max, abs(k0 - k1) / abs(k0))
+        lhs = bessel_k(lam + 1.0, x)
+        rhs = bessel_k(lam - 1.0, x) + 2.0 * lam / x * bessel_k(lam, x)
+        rec_max = max(rec_max, abs(lhs - rhs) / abs(lhs))
+
+    def draw_gh():
+        alpha = 0.6 + 2.0 * rng.uniform()
+        beta = (2.0 * rng.uniform() - 1.0) * 0.7 * alpha
+        delta = 0.5 + 1.5 * rng.uniform()
+        lam = -1.5 + 3.0 * rng.uniform()
+        mu = -0.5 + rng.uniform()
+        return GhParams(lam=lam, alpha=alpha, beta=beta, delta=delta, mu=mu)
+
+    ident_grid = np.linspace(-8.0, 8.0, 201)
+    ident_max = {"hyperbolic": 0.0, "nig": 0.0}
+    for _ in range(5):
+        params = draw_gh()
+        ref = {"alpha": params.alpha, "beta": params.beta,
+               "delta": params.delta, "mu": params.mu}
+        for family, lam in (("hyperbolic", 1.0), ("nig", -0.5)):
+            gap = gh_pdf(ident_grid, dataclasses.replace(params, lam=lam)) \
+                - reference_pdf(family, ref, ident_grid)
+            ident_max[family] = max(ident_max[family], float(np.max(np.abs(gap))))
+    cases = ("student_t_alpha", "laplace_delta")
+    deviations = {case: limit_deviation(case, levels, grid, nu=settings.nu, b=settings.b)
+                  for case in cases}
+    mix_max = 0.0
+    for _ in range(settings.mixture_draws):
+        params = draw_gh()
+        gig = GigParams(gamma_sq=params.gamma ** 2, delta_sq=params.delta ** 2,
+                        lam=params.lam)
+        xs = np.linspace(params.mu - 3.0, params.mu + 3.0, 21)
+        mix = gh_marginal_quadrature(xs, params.mu, params.beta, gig)
+        mix_max = max(mix_max, float(np.max(np.abs(mix - gh_pdf(xs, params)))))
+    draws = []
+    for _ in range(20):
+        alpha = 0.5 + 9.5 * rng.uniform()
+        beta = 0.5 + 9.5 * rng.uniform()
+        draws.append((alpha, beta, alpha * math.log(beta) - math.lgamma(alpha)))
+    alpha, beta, log_norm = (np.array(column)[:, None] for column in zip(*draws))
+    inverse_mean = _exp_sinh(
+        lambda log_x: log_norm - (alpha + 2.0) * log_x - beta * np.exp(-log_x),
+        beta / (alpha + 1.0), 1e-12)
+    return {
+        "bessel": {"half_order_abs_error": half_order, "symmetry_max_rel": sym_max,
+                   "recurrence_max_rel": rec_max},
+        "identities": {family + "_max_abs": gap for family, gap in ident_max.items()},
+        "limits": {case: {"levels": levels, "sup_deviation": devs,
+                          "strictly_decreasing": all(a > b for a, b in zip(devs, devs[1:]))}
+                   for case, devs in deviations.items()},
+        "scale_mixture": {"draws": settings.mixture_draws, "grid_points": 21,
+                          "max_abs_deviation": mix_max},
+        "ig_inverse_expectation": {
+            "max_abs_error": float(np.max(np.abs(inverse_mean - (alpha / beta)[:, 0])))},
+    }
+
+
+class TestPriorsReport:
+    @pytest.mark.parametrize("draws", [0, 1, 2, 10])
+    @pytest.mark.parametrize("seed", [0, 4242])
+    def test_equals_the_per_draw_loop(self, draws, seed):
+        settings = PriorsSettings(grid_step=0.1, mixture_draws=draws)
+        assert json.dumps(priors_report(settings, seed)) == \
+            json.dumps(reference_report(settings, seed))
+
+    @pytest.mark.parametrize("draws", [0, 3])
+    def test_one_call_per_order_and_one_quadrature(self, draws):
+        # the bench spans of both functions still record, in five and one calls
+        with mock.patch.object(bsi.priors, "bessel_k", wraps=bessel_k) as bessel, \
+                mock.patch.object(bsi.priors, "gh_marginal_quadrature",
+                                  wraps=gh_marginal_quadrature) as quadrature:
+            priors_report(PriorsSettings(grid_step=0.5, mixture_draws=draws), 1)
+        assert bessel.call_count == 5
+        assert quadrature.call_count == 1
+

@@ -32,9 +32,10 @@ compared:
   ``operator/block/solver-path/...`` with the path (band, dual or dense)
   the block's operator takes; the line lists the ``block/solver-path``
   of every output that differs.
-- ``priors``: ``priors_report.json`` of ``verify-priors`` for four
-  ``priors`` sections (default, light, tiny and one non-default) at
-  seeds 0, 7 and 4242.
+- ``priors``: ``priors_report.json`` of ``verify-priors`` for six
+  ``priors`` sections (default, light, tiny, one non-default, and the
+  default grid with 0 and with 1 mixture draw, the edges of the one
+  quadrature call that integrates every draw) at seeds 0, 7 and 4242.
 - ``cli``: ``result.json`` and ``trace.csv`` of the acceptance
   criterion-11 ``simulate`` + ``solve`` config, run as jmap,
   vba-partial and vba-full, and of the same config at M = 1024 with 32
@@ -178,6 +179,9 @@ _PRIORS_SECTIONS = {
     "default": {},
     "light": {"grid_step": 0.05, "mixture_draws": 2},
     "tiny": {"grid_step": 0.5, "mixture_draws": 1},
+    # the edges of the one batched quadrature call: no row and one row
+    "no-draws": {"mixture_draws": 0},
+    "one-draw": {"mixture_draws": 1},
     "custom": {"levels": [2.0, 0.5, 0.05], "grid_lo": -6.0, "grid_hi": 6.0,
                "grid_step": 0.02, "nu": 3.0, "b": 0.5, "mixture_draws": 3},
 }

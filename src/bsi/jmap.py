@@ -14,7 +14,10 @@ indirect model and v_f, v_eps, f for the direct one.
 
 Both Gaussian blocks solve the normal equations that
 ``model._normal_system`` forms, the system VBA's blocks use too, with
-the precisions 1/v in place of VBA's <v^-1>.
+the precisions 1/v in place of VBA's <v^-1>.  Each takes the mean of
+``_linalg.gaussian_block``, which VBA's blocks call for a covariance
+too; that routine chooses the banded, dual or dense path, so this module
+reads no operator flag.
 
 JMAP and VBA share one loop, :func:`alternate`: it applies a solver's
 sweep (one update of every block, state in, state out), records L and
@@ -37,7 +40,7 @@ from typing import Optional
 
 import numpy as np
 
-from ._linalg import rel_change, solve_normal
+from ._linalg import gaussian_block, rel_change
 from .model import (
     ForwardProblem,
     HyperParams,
@@ -70,14 +73,14 @@ def jmap_update_f(problem, v_eps, v_xi, z=None) -> np.ndarray:
     numpy warning (``model._silent_overflow``).
     """
     w, p = 1.0 / _check_positive(v_eps, "v_eps"), 1.0 / _check_positive(v_xi, "v_xi")
-    return solve_normal(*_normal_system(problem, "f", w, p, z))
+    return gaussian_block(*_normal_system(problem, "f", w, p, z))[0]
 
 
 @_silent_overflow
 def jmap_update_z(problem, v_xi, v_z, f) -> np.ndarray:
     """Exact minimizer of L over z; indirect model only."""
     w, p = 1.0 / _check_positive(v_xi, "v_xi"), 1.0 / _check_positive(v_z, "v_z")
-    return solve_normal(*_normal_system(problem, "z", w, p, f))
+    return gaussian_block(*_normal_system(problem, "z", w, p, f))[0]
 
 
 @_silent_overflow

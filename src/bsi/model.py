@@ -30,8 +30,10 @@ Every Gaussian block of both solvers solves the normal equations that
 K = H (f block) or D (z block).  Each K is a :class:`_Operator`, built
 once per problem (``ForwardProblem._operators``): the dense array, its
 bandwidths, its band layout and the four measured flags that choose
-between the dense, banded and dual paths.  Every product with H or D in
-the solvers is its operator's ``matvec`` or ``rmatvec``.
+between the dense, banded and dual paths.  Only ``_linalg`` reads the
+flags and the layout: its ``gaussian_block`` and ``coordinate_pass`` make
+every path choice of both solvers.  Every product with H or D in the
+solvers is its operator's ``matvec`` or ``rmatvec``.
 
 Every solver step, in ``_linalg``, ``jmap``, ``vba`` and here, ends a
 degenerate solve in SingularSystem through one helper, :func:`_solved`,
@@ -181,10 +183,11 @@ class _Operator:
     and u, with one BLAS thread on random banded K:
 
     ``banded_solve``, u = 0 or 4 u + 44 <= M: every partial-scheme
-    Gaussian block, a JMAP solve and a VBA-partial block alike, runs in
-    band storage, and so does ``diag(K Sigma K')`` of a band or diagonal
-    Sigma.  ``tools/path_rules.py`` prints the banded / dense time of
-    10-sweep solves of each solver (N = M, M = 16-512 at u = 0-64, and
+    Gaussian block (``_linalg.gaussian_block``), a JMAP solve and a
+    VBA-partial block alike, runs in band storage, and so does
+    ``diag(K Sigma K')`` of a band or diagonal Sigma.
+    ``tools/path_rules.py`` prints the banded / dense time of 10-sweep
+    solves of each solver (N = M, M = 16-512 at u = 0-64, and
     M = 512-1024 at u = 96-256; the README has its tables).  The band's
     kl + ku + 1 vector operations cost more than dense BLAS at small M,
     and the VBA block's selected inversion makes it lose at a smaller u
@@ -194,8 +197,9 @@ class _Operator:
     and one of them misses by up to 1.4x whichever path is picked.
 
     ``banded_pass``, ``banded_solve`` and u^2 <= 4 M: the full-scheme
-    coordinate pass runs as one banded Gauss-Seidel solve.  In the same
-    table the pass the rule picks is within 1.2x of the faster one.
+    coordinate pass (``_linalg.coordinate_pass``) runs as one banded
+    Gauss-Seidel solve.  In the same table the pass the rule picks is
+    within 1.2x of the faster one.
     Where u^2 outgrows M the band lost, 1.4-2.3x at M = 128-512, u =
     32-64, and at M = 1024 it won at u = 64 (1.5x) and lost at u = 128
     (0.4x): building the band costs O(M u^2) against the O(N M) of the
@@ -230,8 +234,8 @@ class _Operator:
     386 and 155.  D is square, so a z block is never dual.
 
     The band layout (:attr:`layout`), its diagonals as slices, and the
-    contiguous K' of the dense coordinate pass (:attr:`KT`) are built on
-    first use, once.
+    contiguous K' of the dense coordinate pass (:attr:`KT`,
+    ``_linalg.dense_gauss_seidel``) are built on first use, once.
     """
 
     def __init__(self, K: np.ndarray, bands=None):
@@ -350,20 +354,26 @@ def _is_integer(value) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
+def _is_bool(value) -> bool:
+    """Whether value is a Python or numpy bool, which no number of the
+    library's inputs may be (True would read as 1)."""
+    return isinstance(value, (bool, np.bool_))
+
+
 def _check_limits(max_iter, init, **tolerances):
     """Checks shared by JmapConfig and VbaConfig; raises ValueError.
 
     max_iter must be an integer >= 1 (numpy integers too, bool not),
-    every tolerance strictly positive (NaN is not), a string init known
-    and a vector init finite.
+    every tolerance a strictly positive number (NaN is not, nor a bool),
+    a string init known and a vector init finite.
     """
     if not _is_integer(max_iter):
         raise ValueError(f"max_iter must be an integer, got {max_iter!r}")
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
     for name, tol in tolerances.items():
-        if not tol > 0:
-            raise ValueError(f"{name} must be strictly positive, got {tol!r}")
+        if _is_bool(tol) or not tol > 0:
+            raise ValueError(f"{name} must be a strictly positive number, got {tol!r}")
     if isinstance(init, str):
         if init not in ("zeros", "least-squares"):
             raise ValueError(f"unknown init {init!r}")
@@ -480,8 +490,9 @@ class RunTrace:
 def validate_problem(problem: ForwardProblem, hyper: HyperParams) -> None:
     """Check type invariants and mutual shape consistency.
 
-    Raises DimensionMismatch, NonFinite or NonPositiveHyper; returns None
-    when the pair is usable by the solvers.
+    Raises DimensionMismatch, NonFinite or NonPositiveHyper (a bool
+    hyperparameter too); returns None when the pair is usable by the
+    solvers.
     """
     g, H, D = problem.g, problem.H, problem.D
     if H.ndim != 2:
@@ -503,7 +514,7 @@ def validate_problem(problem: ForwardProblem, hyper: HyperParams) -> None:
     if not np.all(np.isfinite(g)):
         raise NonFinite("g contains NaN or Inf entries")
     for name, value in hyper.as_dict().items():
-        if not np.isfinite(value) or value <= 0.0:
+        if _is_bool(value) or not np.isfinite(value) or value <= 0.0:
             raise NonPositiveHyper(f"hyperparameter {name} must be finite and > 0, got {value}")
 
 
@@ -515,8 +526,9 @@ def _check_positive(v: np.ndarray, name: str, size=None) -> np.ndarray:
 
 
 def _check_ig(alpha, beta):
-    """Raise ValueError unless an IG shape and scale are finite and > 0."""
-    if not (0 < alpha < np.inf and 0 < beta < np.inf):
+    """Raise ValueError unless an IG shape and scale are finite and > 0,
+    and neither is a bool."""
+    if _is_bool(alpha) or _is_bool(beta) or not (0 < alpha < np.inf and 0 < beta < np.inf):
         raise ValueError(f"alpha and beta must be finite and strictly positive, "
                          f"got {alpha!r} and {beta!r}")
 
@@ -525,10 +537,10 @@ def _check_ig(alpha, beta):
 def _normal_system(problem: ForwardProblem, block: str, w, p, other=None) -> tuple:
     """The normal equations ``(K' diag(w) K + diag(p)) x = rhs`` of a Gaussian block.
 
-    Returns ``(op, w, p, rhs)``, in the argument order of the solvers in
-    ``_linalg``; ``op`` is the :class:`_Operator` of K, whose flags choose
-    the dense or banded path.  ``w`` and ``p`` are the block's
-    precisions, checked by the caller.  The f block has K = H and rhs =
+    Returns ``(op, w, p, rhs)``, in the argument order of
+    ``_linalg.gaussian_block``; ``op`` is the :class:`_Operator` of K,
+    whose flags that routine reads to choose the path.  ``w`` and ``p``
+    are the block's precisions, checked by the caller.  The f block has K = H and rhs =
     H'(w g), plus the coupling p * (D z) when ``other`` is z (indirect
     model); the z block has K = D and rhs = D'(w f) with ``other`` = f.
     JMAP and VBA differ only in the precisions they pass: 1/v or <v^-1>.

@@ -55,7 +55,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .model import _is_integer
+from .model import _is_bool, _is_integer
 from .rng import SplitMix64
 
 _HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
@@ -343,8 +343,8 @@ def reference_pdf(family: str, params: Mapping, x):
     lam, beta [0], mu [0]), nig(alpha, delta, beta [0], mu [0]),
     gen_gaussian(alpha, beta, mu [0]), sym_weibull(k, b),
     sym_rayleigh(sigma).  Each value goes through ``float()``; a missing,
-    unknown, non-numeric or non-finite parameter raises DomainError, an
-    unknown family ValueError.  The parameters without a default are
+    unknown, non-numeric (a bool too) or non-finite parameter raises
+    DomainError, an unknown family ValueError.  The parameters without a default are
     scales and shapes, and DomainError is raised unless they are
     positive.  All integrate to one; the symmetric Weibull/Rayleigh forms
     carry the 1/2 two-sided normalization.
@@ -356,6 +356,8 @@ def reference_pdf(family: str, params: Mapping, x):
     if not (keys.issuperset(required) and keys <= names):
         raise DomainError(f"{family} takes parameters {sorted(names)}, of which "
                           f"{sorted(required)} are required; got {list(params)}")
+    if any(map(_is_bool, params.values())):
+        raise DomainError(f"{family} parameters must be numbers, not bools, got {dict(params)}")
     try:
         values = {name: float(value) for name, value in params.items()}
     except (TypeError, ValueError):
@@ -531,8 +533,9 @@ _MAX_GRID_POINTS = 10 ** 6
 
 
 def _check_levels(levels):
-    """Raises ValueError unless levels are finite, positive, strictly decreasing."""
-    if (not all(0 < v < math.inf for v in levels)  # NaN fails too
+    """Raises ValueError unless levels are finite, positive, strictly
+    decreasing numbers, none a bool."""
+    if (any(map(_is_bool, levels)) or not all(0 < v < math.inf for v in levels)  # NaN fails too
             or any(a <= b for a, b in zip(levels, levels[1:]))):
         raise ValueError("levels must be strictly decreasing finite positive values")
 
@@ -549,7 +552,8 @@ def limit_deviation(limit_case: str, levels, grid, nu: float = 1.0, b: float = 1
     """
     if limit_case not in _LIMIT_CASES:
         raise ValueError(f"limit_case must be one of {_LIMIT_CASES}, got {limit_case!r}")
-    levels = [float(v) for v in levels]
+    # a bool is kept as it is, for the check to refuse
+    levels = [v if _is_bool(v) else float(v) for v in levels]
     _check_levels(levels)
     grid = np.asarray(grid, dtype=float)
 
@@ -575,7 +579,7 @@ class PriorsSettings:
     grid_hi, grid_step, nu and b are finite and positive, the grid has
     at most ``_MAX_GRID_POINTS`` points, mixture_draws is an integer >= 0
     (numpy integers too, bool not) and the levels are finite, positive and
-    strictly decreasing.
+    strictly decreasing.  No value is a bool.
     """
 
     levels: tuple = (1.0, 0.1, 0.01, 0.001)
@@ -587,6 +591,8 @@ class PriorsSettings:
     mixture_draws: int = 10
 
     def __post_init__(self):
+        if any(map(_is_bool, (self.grid_lo, self.grid_hi, self.grid_step, self.nu, self.b))):
+            raise ValueError("grid_lo, grid_hi, grid_step, nu and b must be numbers, not bools")
         # the comparisons are written so that NaN fails them
         if not -math.inf < self.grid_lo < self.grid_hi < math.inf:
             raise ValueError("grid_lo < grid_hi must hold, both finite")

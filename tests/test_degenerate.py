@@ -236,3 +236,26 @@ def test_only_the_failure_rule_raises_singular_system():
         elsewhere += [f"{path.name}:{node.lineno}" for node in singular_raises(tree) - helper]
     assert helper
     assert not elsewhere
+
+
+# the _Operator attributes that make or serve a dense/banded/dual choice
+OPERATOR_PATHS = {"banded_solve", "banded_pass", "dual", "KT", "layout"}
+
+
+def operator_path_reads(path):
+    """The ``.attr`` reads of ``OPERATOR_PATHS`` in the module at ``path``."""
+    return [f"{path.name}:{node.lineno} .{node.attr}"
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Attribute) and node.attr in OPERATOR_PATHS]
+
+
+def test_only_linalg_reads_the_operator_paths():
+    """Every dense/banded/dual choice is made in ``_linalg``: no module but
+    ``model``, which defines ``_Operator``, and ``_linalg`` reads the path
+    flags, the band layout or the contiguous K' of an operator."""
+    package = Path(bsi.__file__).parent
+    assert not [read for path in sorted(package.glob("*.py"))
+                if path.name not in ("model.py", "_linalg.py")
+                for read in operator_path_reads(path)]
+    made = {read.rsplit(".", 1)[1] for read in operator_path_reads(package / "_linalg.py")}
+    assert made == OPERATOR_PATHS               # the test reads the right names

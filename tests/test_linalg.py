@@ -18,7 +18,6 @@ from bsi import (
     vba_full_coordinate_update,
     vba_update_f,
 )
-import bsi.vba
 from bsi import _linalg
 from bsi._linalg import (
     _normal_band,
@@ -27,18 +26,19 @@ from bsi._linalg import (
     band_gauss_seidel,
     band_quad_diag,
     band_solve,
+    dense_gauss_seidel,
     dual_factor,
     dual_roots,
     dual_solve,
+    gaussian_block,
     normal_matrix,
     rel_change,
     selected_inverse,
-    solve_normal,
     spd_inverse,
     spd_solve,
 )
 from bsi.model import _Operator, bandwidths
-from bsi.vba import _Covariance, _dense_coordinates
+from bsi._linalg import _Covariance
 
 
 @pytest.mark.parametrize("m", [1, 2, 7, 40])
@@ -129,7 +129,7 @@ def within(x, oracle, rtol):
 
 @settings(max_examples=150, deadline=None)
 @given(normal_systems())
-def test_solve_normal_matches_dense_oracle(system):
+def test_gaussian_block_matches_dense_oracle(system):
     K, bands, w, p, rhs = system
     A, oracle = dense_oracle(K, w, p, rhs)
     # Any backward-stable solver is off by about eps times the condition
@@ -142,7 +142,7 @@ def test_solve_normal_matches_dense_oracle(system):
     m = K.shape[1]
     for b in (bands, detected, (bands[0] + 1, bands[1])):
         op = _Operator(K, b)
-        assert rel_err(solve_normal(op, w, p, rhs), oracle) <= 1e-12
+        assert rel_err(gaussian_block(op, w, p, rhs)[0], oracle) <= 1e-12
         u = b[0] + b[1]
         if u < m:                               # the band, whichever path runs
             assert rel_err(band_solve(band_factor(op, w, p), rhs), oracle) <= 1e-12
@@ -163,7 +163,7 @@ def test_band_kernels_match_dense_oracles(system):
     u = bands[0] + bands[1]
     assume(u < m)                               # band storage needs kl + ku < M
     A, _ = dense_oracle(K, w, p, rhs)
-    # As for solve_normal: errors scale with the condition number of the
+    # As for gaussian_block: errors scale with the condition number of the
     # diagonally scaled matrix, which p over 16 decades leaves unbounded.
     d = np.sqrt(np.diag(A))
     assume(np.linalg.cond(A / np.outer(d, d)) <= 1e3)
@@ -232,7 +232,7 @@ def test_dual_block_matches_dense_block_and_extended_oracle(system):
     """The dual path against the dense one and an extended-precision oracle.
 
     Errors scale with the condition number c of the diagonally scaled A
-    (the filter of the solve_normal property, here up to 1e6), so every
+    (the filter of the gaussian_block property, here up to 1e6), so every
     output is held to 50 eps c of the oracle: diag(Sigma) and diag(K
     Sigma K') entry by entry, relative to themselves, the mean and Sigma
     normwise.  Over 1200 draws the largest errors, in units of eps c,
@@ -250,7 +250,7 @@ def test_dual_block_matches_dense_block_and_extended_oracle(system):
     X, x, quad = extended_oracle(K, w, p, rhs)
     L, KP = dual_factor(op, w, p)
     mean = dual_solve(op, L, p, rhs)
-    np.testing.assert_array_equal(solve_normal(op, w, p, rhs), mean)   # JMAP's solve
+    np.testing.assert_array_equal(gaussian_block(op, w, p, rhs)[0], mean)   # JMAP's solve
     Sigma = _Covariance(prior=1.0 / p, roots=dual_roots(L, KP, w))
     diag = np.diagonal(X)
     assert within(mean, x, tol)
@@ -278,7 +278,7 @@ def test_dual_factor_follows_the_failure_rule(w_bad, p_bad):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(SingularSystem):
-            solve_normal(op, w, p, rng.randn(64))
+            gaussian_block(op, w, p, rng.randn(64))
 
 
 @st.composite
@@ -305,7 +305,7 @@ def test_blocked_pass_is_the_coordinate_loop(system):
     H, w, p, g, f0 = system
     n, m = H.shape
     problem = ForwardProblem(g=g, H=H)
-    f, denom = _dense_coordinates(problem, w, p, f0)
+    f, denom = dense_gauss_seidel(problem._operators["f"], w, p, g, f0)
     loop, var = f0.copy(), np.empty(m)
     for j in range(m):
         loop[j], var[j] = vba_full_coordinate_update(problem, HyperParams(), loop, w, p, j)
@@ -412,7 +412,7 @@ def test_selected_inverse_memory_does_not_grow_with_the_problem(u):
 
 
 @pytest.mark.parametrize("bands", [(0, 0), (1, 1), (2, 0)])
-def test_solve_normal_keeps_the_solveh_banded_bits(bands):
+def test_gaussian_block_keeps_the_solveh_banded_bits(bands):
     """For kl + ku != 1 the banded factor is what solveh_banded ran (pbsv)."""
     rng = np.random.RandomState(8)
     m = 64
@@ -420,7 +420,7 @@ def test_solve_normal_keeps_the_solveh_banded_bits(bands):
     w, p, rhs = rng.uniform(0.5, 2.0, m), rng.uniform(0.5, 2.0, m), rng.randn(m)
     op = _Operator(K, bands)
     expected = scipy.linalg.solveh_banded(_normal_band(op, w, p), rhs, check_finite=False)
-    np.testing.assert_array_equal(solve_normal(op, w, p, rhs), expected)
+    np.testing.assert_array_equal(gaussian_block(op, w, p, rhs)[0], expected)
 
 
 def test_bandwidths():
@@ -491,7 +491,7 @@ def test_rule_table_straddles_every_boundary(boundary):
 
 @pytest.mark.parametrize("bands", [(1, 1), (40, 40)], ids=["banded", "dense"])
 @pytest.mark.parametrize("w_bad", [np.nan, np.inf, 1e300], ids=["nan", "inf", "overflow"])
-def test_solve_normal_rejects_non_finite_weights(bands, w_bad):
+def test_gaussian_block_rejects_non_finite_weights(bands, w_bad):
     rng = np.random.RandomState(1)
     m = 64
     K = banded(rng, m, m, 1, 1) * 1e10
@@ -503,7 +503,7 @@ def test_solve_normal_rejects_non_finite_weights(bands, w_bad):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(SingularSystem):
-            solve_normal(op, w, np.ones(m), rng.randn(m))
+            gaussian_block(op, w, np.ones(m), rng.randn(m))
         if bands == (1, 1):                     # the factor VBA reads raises too
             with pytest.raises(SingularSystem):
                 band_factor(op, w, np.ones(m))
@@ -547,7 +547,9 @@ def test_banded_path_is_taken_by_structure(monkeypatch):
                          + [(128, 128, 6, 6), (112, 112, 8, 8), (64, 128, 63, 127)])
 def test_one_path_per_operator(monkeypatch, n, m, kl, ku):
     """JMAP's f solve and VBA's partial-scheme f block factor an operator
-    the same way: both call the banded factor, or neither does."""
+    the same way: both call the banded factor, or neither does.  Both are
+    ``_linalg.gaussian_block``, so this holds by construction; the test
+    keeps it so if the blocks part again."""
     calls = []
     real = _linalg.band_factor
 
@@ -556,7 +558,6 @@ def test_one_path_per_operator(monkeypatch, n, m, kl, ku):
         return real(*args)
 
     monkeypatch.setattr(_linalg, "band_factor", counted)
-    monkeypatch.setattr(bsi.vba, "band_factor", counted)
     rng = np.random.RandomState(m + kl)
     problem = ForwardProblem(g=rng.randn(n), H=banded(rng, n, m, kl, ku))
     v_eps, v_f = rng.uniform(0.5, 2.0, n), rng.uniform(0.5, 2.0, m)

@@ -6,13 +6,20 @@ from hypothesis import example, given, settings, strategies as st
 
 from bsi import (
     DimensionMismatch,
+    DomainError,
     ForwardProblem,
     HyperParams,
+    JmapConfig,
     NonFinite,
     NonPositiveHyper,
     NonPositiveVariance,
+    PriorsSettings,
     SolverState,
+    VbaConfig,
+    jmap_update_variance,
+    limit_deviation,
     neg_log_posterior,
+    reference_pdf,
     validate_problem,
 )
 from bsi.model import _Operator
@@ -254,3 +261,45 @@ def test_three_tap_products_turn_banded_from_m_256(m, banded):
     # the u = 2 crossover measured for the rule: dense won at M = 128 and
     # 192, the band from M = 256
     assert _Operator(banded_matrix(m, m, 1, 1, 0)).banded_product is banded
+
+
+BOOL_GRID = np.linspace(-1.0, 1.0, 5)
+# every library input that takes a number, with the error its check raises
+BOOL_INPUTS = {
+    "PriorsSettings.nu": (ValueError, lambda x: PriorsSettings(nu=x)),
+    "PriorsSettings.b": (ValueError, lambda x: PriorsSettings(b=x)),
+    "PriorsSettings.levels": (ValueError, lambda x: PriorsSettings(levels=(x,))),
+    "PriorsSettings.grid_lo": (ValueError, lambda x: PriorsSettings(grid_lo=x)),
+    "PriorsSettings.grid_hi": (ValueError, lambda x: PriorsSettings(grid_hi=x)),
+    "PriorsSettings.grid_step": (ValueError, lambda x: PriorsSettings(grid_step=x)),
+    "JmapConfig.tol_rel_f": (ValueError, lambda x: JmapConfig(tol_rel_f=x)),
+    "JmapConfig.tol_rel_L": (ValueError, lambda x: JmapConfig(tol_rel_L=x)),
+    "VbaConfig.tol_rel_f": (ValueError, lambda x: VbaConfig(tol_rel_f=x)),
+    "validate_problem.alpha_eps": (NonPositiveHyper, lambda x: validate_problem(
+        scalar_problem(), HyperParams(alpha_eps=x))),
+    "validate_problem.beta_z": (NonPositiveHyper, lambda x: validate_problem(
+        scalar_problem(), HyperParams(beta_z=x))),
+    "neg_log_posterior.alpha_xi": (ValueError, lambda x: neg_log_posterior(
+        scalar_state(), scalar_problem(), HyperParams(alpha_xi=x))),
+    "jmap_update_variance.beta": (ValueError, lambda x: jmap_update_variance(
+        "eps", 1.0, x, np.zeros(2))),
+    "limit_deviation.levels": (ValueError, lambda x: limit_deviation(
+        "student_t_alpha", (x,), BOOL_GRID)),
+    "limit_deviation.nu": (DomainError, lambda x: limit_deviation(
+        "student_t_alpha", (1.0,), BOOL_GRID, nu=x)),
+    "limit_deviation.b": (DomainError, lambda x: limit_deviation(
+        "laplace_delta", (1.0,), BOOL_GRID, b=x)),
+    "reference_pdf.b": (DomainError, lambda x: reference_pdf("laplace", {"b": x}, BOOL_GRID)),
+}
+
+
+@pytest.mark.parametrize("true", [True, np.True_], ids=["bool", "numpy-bool"])
+@pytest.mark.parametrize("case", BOOL_INPUTS)
+def test_a_bool_is_not_a_number(case, true):
+    """A bool where the library takes a number is refused with the error of
+    that input's check, as ``mixture_draws`` is, not read as 1.0; the same
+    call with 1.0 runs."""
+    error, call = BOOL_INPUTS[case]
+    call(1.0)
+    with pytest.raises(error):
+        call(true)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 import scipy.integrate
 
-import bsi.vba
+import bsi._linalg
 from bsi._linalg import band_factor, band_inverse, band_quad_diag, selected_inverse
 from bsi.model import _Operator
 
@@ -579,8 +579,8 @@ def test_banded_solve_matches_reference_iteration(model, separability, init, ora
 def test_dense_inverse_only_for_dense_operators(monkeypatch):
     """Convolution H and D = I never form a dense inverse; a dense H still does."""
     calls = []
-    real = bsi.vba.spd_inverse
-    monkeypatch.setattr(bsi.vba, "spd_inverse",
+    real = bsi._linalg.spd_inverse
+    monkeypatch.setattr(bsi._linalg, "spd_inverse",
                         lambda A: calls.append(A.shape) or real(A))
     hyper = HyperParams(3.0, 0.05, 1.0, 0.1, 1.0, 0.5, 1.0, 0.5)
     for model, separability in (("direct", "partial"), ("indirect", "partial"),
@@ -603,8 +603,8 @@ def test_solve_never_forms_the_banded_covariance(monkeypatch):
     """The returned state keeps the band and the factor: no whole Sigma is
     formed in a solve on a convolution H (and D = I)."""
     calls = []
-    real = bsi.vba.band_inverse
-    monkeypatch.setattr(bsi.vba, "band_inverse",
+    real = bsi._linalg.band_inverse
+    monkeypatch.setattr(bsi._linalg, "band_inverse",
                         lambda c: calls.append(c.shape) or real(c))
     hyper = HyperParams(3.0, 0.05, 1.0, 0.1, 1.0, 0.5, 1.0, 0.5)
     for model, separability in PATHS:

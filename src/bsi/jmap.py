@@ -24,12 +24,13 @@ sweep (one update of every block, state in, state out), records L and
 the iterate changes, and applies the stop test.  The variance families
 (kind, IG prior, residual) come from one table,
 ``model._variance_families``, which also defines L; the JMAP variance
-block is the mode of each family, and every family starts at its mode
-for a zero residual, whatever the init.  The residuals are formed once
-per JMAP sweep: the indirect sweep's variance step forms them at the
-new (f, z) and the loop's L reads them; the direct sweep's variance
-step comes first and reads those the loop formed for L after the sweep
-before.  A VBA sweep returns none, and the loop forms them for L.
+block is the mode of each family.  The start is that block at a zero
+residual, whatever the init: every family at its mode beta / (alpha +
+3/2).  Every sweep takes the families of its state and returns those of
+the new one, so the residuals are formed once per sweep and the loop's
+L reads them: the indirect sweep's variance step forms them at the new
+(f, z); the direct sweep's variance step comes first and reads those it
+is given, then forms them at its new f.  The loop forms the start's.
 """
 
 from __future__ import annotations
@@ -129,12 +130,11 @@ def alternate(problem, hyper, config, order, state, sweep, tol_rel_L=None):
 
     ``sweep(state, families)`` updates each block once, in the cycle
     ``order`` names.  ``families`` are the variance families of
-    ``state`` (``model._variance_families``), or None before the first
-    sweep; it returns the new state and its families, or None where no
-    step formed them, and the loop forms them once.  The trace records L
-    at every state (record 0 is ``state``, through the public
-    ``neg_log_posterior``; each sweep's from its families) with the
-    relative f and z changes.  The run stops at config.max_iter, or when
+    ``state`` (``model._variance_families``), which the loop forms for
+    the start; it returns the new state and the families at it.  The
+    trace records L at every state (record 0 is ``state``, through the
+    public ``neg_log_posterior``; each sweep's from its families) with
+    the relative f and z changes.  The run stops at config.max_iter, or when
     the f change falls below config.tol_rel_f and, if ``tol_rel_L`` is
     given, the relative decrease of L below it.  Every sweep runs with
     numpy's overflow warnings silenced (``model._silent_overflow``):
@@ -143,12 +143,11 @@ def alternate(problem, hyper, config, order, state, sweep, tol_rel_L=None):
     trace = RunTrace(update_order=order)
     L = neg_log_posterior(state, problem, hyper)
     trace.append(L)
-    families = None
+    families = _variance_families(problem, hyper, state.f_hat, state.z_hat)
     for _ in range(config.max_iter):
         tic = time.perf_counter()
         prev, L_prev = state, L
         state, families = sweep(prev, families)
-        families = families or _variance_families(problem, hyper, state.f_hat, state.z_hat)
         L = _criterion(state, families, _positive)
         df = rel_change(state.f_hat, prev.f_hat)
         dz = None if state.z_hat is None else rel_change(state.z_hat, prev.z_hat)
@@ -177,9 +176,10 @@ def _variance_modes(families):
             for kind, alpha, beta, residual in families}
 
 
-def _sweep_direct(problem, hyper, state, families):
-    v = _variance_modes(families or _variance_families(problem, hyper, state.f_hat, None))
-    return SolverState(f_hat=jmap_update_f(problem, v["v_eps"], v["v_f"]), **v), None
+def _sweep_direct(problem, hyper, _, families):
+    v = _variance_modes(families)
+    f = jmap_update_f(problem, v["v_eps"], v["v_f"])
+    return SolverState(f_hat=f, **v), _variance_families(problem, hyper, f, None)
 
 
 def _sweep_indirect(problem, hyper, state, _):
@@ -200,8 +200,9 @@ def solve_jmap(problem: ForwardProblem, hyper: HyperParams, config: Optional[Jma
     config = config or JmapConfig()
     validate_problem(problem, hyper)
     f, z = initial_iterates(problem, config)
-    seed = {"v_" + kind: np.full(residual.size, beta / (alpha + 1.5))
-            for kind, alpha, beta, residual in _variance_families(problem, hyper, f, z)}
+    # the start: every family's mode at a zero residual
+    seed = _variance_modes((kind, alpha, beta, np.zeros_like(r))
+                           for kind, alpha, beta, r in _variance_families(problem, hyper, f, z))
     if problem.is_direct:
         order, sweep = ("v_f", "v_eps", "f"), _sweep_direct
     else:

@@ -73,23 +73,35 @@ class QuadratureFailure(RuntimeError):
     """Adaptive quadrature could not reach the requested tolerance."""
 
 
+def _finite(*values) -> bool:
+    """Whether every value is a finite number, none a bool (True would read as 1)."""
+    return not any(map(_is_bool, values)) and all(map(math.isfinite, values))
+
+
 def _require_positive(value, name):
-    if not (value > 0 and math.isfinite(value)):
-        raise DomainError(f"{name} must be positive and finite, got {value}")
+    if not (_finite(value) and value > 0):
+        raise DomainError(f"{name} must be a positive finite number, not a bool, got {value!r}")
 
 
 def _gh_gamma(alpha, beta):
     """gamma = sqrt(alpha^2 - beta^2) of GH parameters, after checking that
-    alpha is positive and finite and |beta| < alpha (NaN fails the test)."""
+    alpha is positive and finite and |beta| < alpha (NaN fails the test),
+    neither a bool."""
     _require_positive(alpha, "alpha")
-    if not abs(beta) < alpha:
-        raise DomainError(f"|beta| must be < alpha, got beta={beta}, alpha={alpha}")
+    if _is_bool(beta) or not abs(beta) < alpha:
+        raise DomainError(f"beta must be a number with |beta| < alpha, "
+                          f"got beta={beta!r}, alpha={alpha!r}")
     return math.sqrt(alpha * alpha - beta * beta)
 
 
 @dataclass(frozen=True)
 class GhParams:
-    """(lambda, alpha, beta, delta, mu) of the Generalized Hyperbolic density."""
+    """(lambda, alpha, beta, delta, mu) of the Generalized Hyperbolic density.
+
+    :meth:`validate` (and :attr:`gamma` for alpha and beta) raises
+    DomainError unless alpha and delta are positive, |beta| < alpha and
+    every field is finite; no field may be a bool.
+    """
 
     lam: float
     alpha: float
@@ -106,21 +118,26 @@ class GhParams:
     def validate(self):
         _gh_gamma(self.alpha, self.beta)
         _require_positive(self.delta, "delta")
-        if not (math.isfinite(self.lam) and math.isfinite(self.mu)):
-            raise DomainError(f"lam and mu must be finite, got {self}")
+        if not _finite(self.lam, self.mu):
+            raise DomainError(f"lam and mu must be finite numbers, not bools, got {self}")
 
 
 @dataclass(frozen=True)
 class GigParams:
-    """(gamma^2, delta^2, lambda) of the generalized Inverse Gaussian density."""
+    """(gamma^2, delta^2, lambda) of the generalized Inverse Gaussian density.
+
+    :meth:`validate` raises DomainError unless every field is a finite
+    number, not a bool, gamma^2 and delta^2 are >= 0 and not both zero.
+    """
 
     gamma_sq: float
     delta_sq: float
     lam: float
 
     def validate(self):
-        if not all(map(math.isfinite, (self.gamma_sq, self.delta_sq, self.lam))):
-            raise DomainError(f"gamma_sq, delta_sq and lam must be finite, got {self}")
+        if not _finite(self.gamma_sq, self.delta_sq, self.lam):
+            raise DomainError(f"gamma_sq, delta_sq and lam must be finite numbers, "
+                              f"not bools, got {self}")
         if self.gamma_sq < 0 or self.delta_sq < 0:
             raise DomainError(f"gamma_sq and delta_sq must be nonnegative, got {self}")
         if self.gamma_sq == 0 and self.delta_sq == 0:
@@ -515,13 +532,12 @@ def gh_marginal_quadrature(x, mu, beta, gig, tol: float = 1e-9):
     shape of ``x`` (a float for a scalar), and each point has the bits of
     the same point in a one-row call.  Serves as the independent oracle
     for :func:`gh_pdf`.  DomainError unless x, mu and beta are finite,
-    every row has its parameters and 0 < tol < inf; then, row by row,
-    the GIG check (DomainError) and SingularDensity where the integral
-    diverges, all before any evaluation; QuadratureFailure if ``tol`` is
-    not met.
+    every row has its parameters and tol is a positive finite number, not
+    a bool; then, row by row, the GIG check (DomainError) and
+    SingularDensity where the integral diverges, all before any
+    evaluation; QuadratureFailure if ``tol`` is not met.
     """
-    if not 0 < tol < math.inf:
-        raise DomainError(f"tol must be positive and finite, got {tol}")
+    _require_positive(tol, "tol")
     x_arr = np.asarray(x, dtype=float)
     out = _exp_sinh(*_mixture_integrand(x_arr, mu, beta, gig), tol)
     return out.reshape(x_arr.shape) if x_arr.ndim else float(out[0])
@@ -549,9 +565,14 @@ def limit_deviation(limit_case: str, levels, grid, nu: float = 1.0, b: float = 1
     - student_t_alpha: GH(-nu/2, alpha=level, 0, sqrt(nu), 0) against the
       Student-t with nu degrees of freedom;
     - laplace_delta: GH(1, 1/b, 0, delta=level, 0) against Laplace(0, b).
+
+    DomainError unless nu and b are positive finite numbers, not bools,
+    in both cases, the one a case does not read too.
     """
     if limit_case not in _LIMIT_CASES:
         raise ValueError(f"limit_case must be one of {_LIMIT_CASES}, got {limit_case!r}")
+    _require_positive(nu, "nu")
+    _require_positive(b, "b")
     # a bool is kept as it is, for the check to refuse
     levels = [v if _is_bool(v) else float(v) for v in levels]
     _check_levels(levels)

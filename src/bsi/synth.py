@@ -11,11 +11,13 @@ in :mod:`bsi.rng`.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
 
+from .model import _is_bool, _is_integer
 from .rng import SplitMix64
 
 
@@ -23,9 +25,20 @@ class SpecError(ValueError):
     """Generator specification is internally inconsistent."""
 
 
+def _is_number(value) -> bool:
+    """Whether value is a real number (numpy scalars too), not a bool."""
+    return isinstance(value, numbers.Real) and not _is_bool(value)
+
+
 @dataclass(frozen=True)
 class SignalSpec:
-    """Sparse spike-train description: length, support size, amplitudes, seed."""
+    """Sparse spike-train description: length, support size, amplitudes, seed.
+
+    ``validate`` raises SpecError unless length and sparsity are integers
+    (numpy integers too, bool not) with 0 <= sparsity <= length, length
+    >= 1, and the amplitude range is two numbers, not bools, with 0 < low
+    <= high < inf.
+    """
 
     length: int
     sparsity: int
@@ -33,13 +46,18 @@ class SignalSpec:
     seed: int = 0
 
     def validate(self):
+        if not (_is_integer(self.length) and _is_integer(self.sparsity)):
+            raise SpecError(f"length and sparsity must be integers, "
+                            f"got {self.length!r} and {self.sparsity!r}")
         if self.length < 1:
             raise SpecError("length must be >= 1")
         if not 0 <= self.sparsity <= self.length:
             raise SpecError("sparsity must lie in 0..length")
         low, high = self.amplitude_range
-        if not (0 < low <= high < math.inf):  # NaN fails too
-            raise SpecError("amplitude_range must satisfy 0 < low <= high < inf")
+        if not (_is_number(low) and _is_number(high)
+                and 0 < low <= high < math.inf):  # NaN fails too
+            raise SpecError("amplitude_range must be numbers with 0 < low <= high < inf, "
+                            f"got {self.amplitude_range!r}")
 
 
 @dataclass(frozen=True)
@@ -48,7 +66,9 @@ class OperatorSpec:
 
     kind is "identity", "convolution" (odd kernel, zero-padded boundary)
     or "gaussian_random" (iid standard normal entries scaled by
-    1/sqrt(N)).
+    1/sqrt(N)).  ``validate`` raises SpecError unless n_rows and n_cols
+    are integers >= 1 (numpy integers too, bool not) and a convolution
+    kernel's weights are finite numbers, not bools.
     """
 
     kind: str
@@ -60,6 +80,9 @@ class OperatorSpec:
     def validate(self):
         if self.kind not in ("identity", "convolution", "gaussian_random"):
             raise SpecError(f"unknown operator kind {self.kind!r}")
+        if not (_is_integer(self.n_rows) and _is_integer(self.n_cols)):
+            raise SpecError(f"operator dimensions must be integers, "
+                            f"got {self.n_rows!r} and {self.n_cols!r}")
         if self.n_rows < 1 or self.n_cols < 1:
             raise SpecError("operator dimensions must be >= 1")
         if self.kind == "identity" and self.n_rows != self.n_cols:
@@ -67,13 +90,19 @@ class OperatorSpec:
         if self.kind == "convolution":
             if not self.kernel or len(self.kernel) % 2 == 0:
                 raise SpecError("convolution kernel length must be odd")
-            if not all(math.isfinite(w) for w in self.kernel):
-                raise SpecError("convolution kernel weights must be finite")
+            if not all(_is_number(w) and math.isfinite(w) for w in self.kernel):
+                raise SpecError(f"convolution kernel weights must be finite numbers, "
+                                f"got {self.kernel!r}")
 
 
 @dataclass(frozen=True)
 class NoiseSpec:
-    """Observation noise: none, stationary(sigma) or nonstationary(alpha, beta)."""
+    """Observation noise: none, stationary(sigma) or nonstationary(alpha, beta).
+
+    ``validate`` raises SpecError unless sigma, ig_alpha and ig_beta are
+    numbers, not bools, whatever the kind, and those of the kind are in
+    its range.
+    """
 
     kind: str = "none"
     sigma: float = 0.0
@@ -95,6 +124,9 @@ class NoiseSpec:
     def validate(self):
         if self.kind not in ("none", "stationary", "nonstationary"):
             raise SpecError(f"unknown noise kind {self.kind!r}")
+        if not all(map(_is_number, (self.sigma, self.ig_alpha, self.ig_beta))):
+            raise SpecError(f"sigma, ig_alpha and ig_beta must be numbers, not bools, "
+                            f"got {self.sigma!r}, {self.ig_alpha!r}, {self.ig_beta!r}")
         # the comparisons are written so that NaN fails them
         if self.kind == "stationary" and not 0 <= self.sigma < math.inf:
             raise SpecError("sigma must be finite and >= 0")
@@ -110,15 +142,17 @@ def generate_sparse_signal(spec: SignalSpec) -> np.ndarray:
     identical seeds give bitwise-identical vectors.
     """
     spec.validate()
+    # Python ints, which the stream's modulo needs (a numpy integer overflows it)
+    length, sparsity = int(spec.length), int(spec.sparsity)
     rng = SplitMix64(spec.seed)
-    signal = np.zeros(spec.length)
+    signal = np.zeros(length)
     # partial Fisher-Yates over the index list for distinct positions
-    indices = list(range(spec.length))
-    for k in range(spec.sparsity):
-        swap = k + rng.randint(spec.length - k)
+    indices = list(range(length))
+    for k in range(sparsity):
+        swap = k + rng.randint(length - k)
         indices[k], indices[swap] = indices[swap], indices[k]
     low, high = spec.amplitude_range
-    for k in range(spec.sparsity):
+    for k in range(sparsity):
         magnitude = low + (high - low) * rng.uniform()
         sign = 1.0 if rng.uniform() < 0.5 else -1.0
         signal[indices[k]] = sign * magnitude
@@ -128,9 +162,9 @@ def generate_sparse_signal(spec: SignalSpec) -> np.ndarray:
 def generate_operator(spec: OperatorSpec) -> np.ndarray:
     """Dense operator per spec: identity, banded Toeplitz, or random Gaussian."""
     spec.validate()
+    n, m = int(spec.n_rows), int(spec.n_cols)  # Python ints, as in generate_sparse_signal
     if spec.kind == "identity":
-        return np.eye(spec.n_rows)
-    n, m = spec.n_rows, spec.n_cols
+        return np.eye(n)
     if spec.kind == "convolution":
         half = (len(spec.kernel) - 1) // 2
         H = np.zeros((n, m))
@@ -200,8 +234,12 @@ def reconstruction_metrics(f_hat, f_true, support_threshold: float = 0.01) -> Re
     (default 1 percent of the peak).  Empty sets resolve to: precision 1
     when nothing is predicted and nothing is true, 0 when predictions
     are missing against a nonempty truth; recall 1 for an empty truth.
-    Vectors of unequal or zero length raise SpecError.
+    Vectors of unequal or zero length raise SpecError, as does a
+    support_threshold that is not a finite number >= 0 (a bool neither).
     """
+    if not (_is_number(support_threshold) and 0 <= support_threshold < math.inf):
+        raise SpecError(f"support_threshold must be a finite number >= 0, "
+                        f"got {support_threshold!r}")
     f_hat = np.asarray(f_hat, dtype=float).reshape(-1)
     f_true = np.asarray(f_true, dtype=float).reshape(-1)
     if f_hat.shape != f_true.shape:

@@ -62,8 +62,12 @@ gets the typed error alone too.
 
 Both schemes run in ``jmap.alternate``, the loop JMAP uses too, with
 their own sweep: one partial sweep for both models and the coordinate
-sweep for the full scheme.  The scales start from the init residuals of
-the variance-family table ``model._variance_families``.
+sweep for the full scheme.  Each sweep returns its state and the
+variance families at it (``model._variance_families``), whose residuals
+the loop's criterion reads.  The start is the IG step,
+:func:`vba_update_ig`, at the init with a zero covariance: a point-mass
+q(f), and q(z) in the indirect model, so each scale is beta + (init
+residual)^2 / 2.
 """
 
 from __future__ import annotations
@@ -230,26 +234,12 @@ def vba_full_coordinate_update(problem, hyper, f_hat, vtilde_eps, vtilde_f, j):
     return _solved(f"coordinate {j} update", f_j, denom), 1.0 / denom
 
 
-@_silent_overflow
-def _seed_families(problem, hyper, f0, z0):
-    """Initial IG factors: shapes alpha + 1/2, scales beta + (init residual)^2 / 2.
-
-    Returns them by kind, in the order of ``model._variance_families``:
-    eps and f for the direct model, eps, xi and z for the indirect one.
-    A residual whose square overflows raises SingularSystem.
-    """
-    return {kind: IgFamily.posterior(alpha, beta, residual * residual)
-            for kind, alpha, beta, residual in _variance_families(problem, hyper, f0, z0)}
-
-
-def _vba_state(problem, hyper, kinds, f, z, Sigma_f, Sigma_z, families=None):
-    """SolverState of the factors; v_<kind> is the point variance 1/<v^-1>.
-
-    Without ``families`` this is the IG step of a sweep: the families
-    ``kinds`` are updated, in that order, from the Normal factors.
-    """
-    families = families or {kind: vba_update_ig(kind, hyper, f, Sigma_f, z, Sigma_z,
-                                                problem=problem) for kind in kinds}
+def _vba_state(problem, hyper, kinds, f, z, Sigma_f, Sigma_z):
+    """The IG step of a sweep, or of the start, and the SolverState of the
+    factors: the families ``kinds`` are updated, in that order, from the
+    Normal factors; v_<kind> is the point variance 1/<v^-1>."""
+    families = {kind: vba_update_ig(kind, hyper, f, Sigma_f, z, Sigma_z, problem=problem)
+                for kind in kinds}
     return SolverState(f_hat=f, z_hat=z, Sigma_f=Sigma_f, Sigma_z=Sigma_z,
                        **{"v_" + kind: fam.point_variance() for kind, fam in families.items()},
                        **{"ig_" + kind: fam for kind, fam in families.items()})
@@ -257,7 +247,8 @@ def _vba_state(problem, hyper, kinds, f, z, Sigma_f, Sigma_z, families=None):
 
 def _partial_sweep(problem, hyper, kinds, state, _):
     """q(f), then q(z) (indirect model), then the IG families ``kinds``;
-    (state, None) in the sweep protocol of ``jmap.alternate``."""
+    (state, its variance families) in the sweep protocol of
+    ``jmap.alternate``."""
     prior = state.ig_f if problem.is_direct else state.ig_xi
     f, Sigma_f = vba_update_f(problem, state.ig_eps.inv_expectation(), prior.inv_expectation(),
                               state.z_hat)
@@ -265,12 +256,13 @@ def _partial_sweep(problem, hyper, kinds, state, _):
     if not problem.is_direct:
         z, Sigma_z = vba_update_z(problem, state.ig_xi.inv_expectation(),
                                   state.ig_z.inv_expectation(), f)
-    return _vba_state(problem, hyper, kinds, f, z, Sigma_f, Sigma_z), None
+    return (_vba_state(problem, hyper, kinds, f, z, Sigma_f, Sigma_z),
+            _variance_families(problem, hyper, f, z))
 
 
 def _full_sweep(problem, hyper, kinds, state, _):
     """One pass over the f coordinates, then the IG families ``kinds``;
-    (state, None) as :func:`_partial_sweep`.
+    (state, its variance families) as :func:`_partial_sweep`.
 
     The pass is ``_linalg.coordinate_pass`` on H's operator.  The
     precision diagonal and the new f pass the failure rule
@@ -280,8 +272,9 @@ def _full_sweep(problem, hyper, kinds, state, _):
     w, p = state.ig_eps.inv_expectation(), state.ig_f.inv_expectation()
     f, denom = coordinate_pass(problem._operators["f"], w, p, problem.g, state.f_hat)
     _solved("coordinate pass", denom, f)
-    return _vba_state(problem, hyper, kinds, f, None,
-                      _Covariance(band=(1.0 / denom)[None]), None), None
+    Sigma_f = _Covariance(band=(1.0 / denom)[None])
+    return (_vba_state(problem, hyper, kinds, f, None, Sigma_f, None),
+            _variance_families(problem, hyper, f, None))
 
 
 def solve_vba(problem: ForwardProblem, hyper: HyperParams, config: Optional[VbaConfig] = None):
@@ -307,6 +300,7 @@ def solve_vba(problem: ForwardProblem, hyper: HyperParams, config: Optional[VbaC
     # the IG families a sweep updates, in the order the trace records
     kinds = tuple(step[3:] for step in order if step.startswith("ig_"))
     sweep = partial(_full_sweep if full else _partial_sweep, problem, hyper, kinds)
-    return alternate(problem, hyper, config, order,
-                     _vba_state(problem, hyper, kinds, f, z, None, None,
-                                _seed_families(problem, hyper, f, z)), sweep)
+    # the start: the IG step at a point-mass q(f) (and q(z)), never returned
+    zero = np.zeros(problem.n_coef)
+    return alternate(problem, hyper, config, order, _vba_state(
+        problem, hyper, kinds, f, z, zero, None if problem.is_direct else zero), sweep)

@@ -180,37 +180,42 @@ def operator_problem(operator, model):
     return problem
 
 
-def zero_start(problem, hyper, method):
-    """The state every solver starts from at init "zeros": JMAP's variances
+def start_state(problem, hyper, method, f0, z0):
+    """The state every solver starts from at (f0, z0): JMAP's variances
     are each family's mode for a zero residual, VBA's come from the IG
-    factors of the start's residuals (g for eps, zero for the others)."""
-    m = problem.n_coef
-    residuals = {"eps": problem.g, "f": np.zeros(m)} if problem.is_direct else {
-        "eps": problem.g, "xi": np.zeros(m), "z": np.zeros(m)}
+    factors of the start's residuals (g - H f0 for eps, f0 for f, f0 - D z0
+    for xi, z0 for z), the products taken by the problem's operators."""
+    ops = problem._operators
+    residuals = {"eps": problem.g - ops["f"].matvec(f0)}
+    residuals.update({"f": f0} if problem.is_direct else {"xi": f0 - ops["z"].matvec(z0), "z": z0})
     fields = {}
     for kind, r in residuals.items():
         alpha, beta = getattr(hyper, "alpha_" + kind), getattr(hyper, "beta_" + kind)
         fields["v_" + kind] = (np.full(r.size, beta / (alpha + 1.5)) if method == "jmap"
                                else IgFamily.posterior(alpha, beta, r * r).point_variance())
-    return SolverState(f_hat=np.zeros(m), z_hat=None if problem.is_direct else np.zeros(m),
-                       **fields)
+    return SolverState(f_hat=f0, z_hat=z0, **fields)
 
 
+@pytest.mark.parametrize("init", ["zeros", "least-squares"])
 @pytest.mark.parametrize("operator,model,method", [
     (operator, model, method)
     for operator in ("banded", "dense", "dual")
     for model in ("direct", "indirect")
     for method in ("jmap", "partial", "full")
     if not (method == "full" and model == "indirect")])
-def test_trace_criterion_is_neg_log_posterior_of_the_state(operator, model, method):
+def test_trace_criterion_is_neg_log_posterior_of_the_state(operator, model, method, init,
+                                                           oracle_start):
     """Record 0 and the last record of 1-, 2- and 5-sweep solves: the loop
     takes each sweep's L from the variance-family residuals a step already
-    formed, and must give the public criterion's bits."""
+    formed, and must give the public criterion's bits.  The least-squares
+    start puts record 0 at a non-zero residual."""
     problem = operator_problem(operator, model)
     hyper = HyperParams(3.0, 0.05, 1.0, 0.1, 1.0, 0.5, 1.0, 0.5)
-    first = neg_log_posterior(zero_start(problem, hyper, method), problem, hyper)
+    _, f0, z0 = oracle_start(problem, init)
+    first = neg_log_posterior(start_state(problem, hyper, method, f0, z0), problem, hyper)
     for sweeps in (1, 2, 5):
-        state, trace = solve(problem, hyper, method, max_iter=sweeps, tol_rel_f=1e-300)
+        state, trace = solve(problem, hyper, method, max_iter=sweeps, tol_rel_f=1e-300,
+                             init=init)
         assert trace.iterations == sweeps
         assert trace.records[0].criterion == first
         assert trace.records[-1].criterion == neg_log_posterior(state, problem, hyper)

@@ -303,6 +303,28 @@ class TestGhPdf:
                 gh_pdf(0.5, params)
 
 
+@pytest.mark.parametrize("flag", [True, np.True_], ids=["bool", "numpy-bool"])
+def test_gh_and_gig_parameters_and_tol_refuse_bools(flag, no_rule):
+    """A bool used to read as 1: gh_pdf(0.5, GhParams(lam=True, alpha=True,
+    delta=True)) and GigParams(True, True, True) evaluated, and tol=True
+    integrated to tolerance 1.0."""
+    gh = dict(lam=1.0, alpha=2.0, beta=0.5, delta=1.0, mu=0.0)
+    for name in gh:
+        params = GhParams(**{**gh, name: flag})
+        for check in (params.validate, lambda: gh_pdf(0.5, params)):
+            with pytest.raises(DomainError, match=name):
+                check()
+    for name in ("alpha", "beta"):
+        with pytest.raises(DomainError, match=name):
+            GhParams(**{**gh, name: flag}).gamma
+    gig = dict(gamma_sq=1.0, delta_sq=1.0, lam=0.5)
+    for name in gig:
+        with pytest.raises(DomainError, match=name):
+            gh_marginal_quadrature(0.5, 0.0, 0.0, GigParams(**{**gig, name: flag}))
+    with pytest.raises(DomainError, match="tol"):
+        gh_marginal_quadrature(0.5, 0.0, 0.0, GigParams(**gig), tol=flag)
+
+
 class TestReferencePdf:
     def test_cauchy_mode(self):
         assert reference_pdf("cauchy", {}, 0.0) == pytest.approx(1.0 / math.pi)
@@ -777,6 +799,17 @@ class TestLimitDeviation:
             limit_deviation("student_t_alpha", (0.1, 1.0), np.linspace(-1, 1, 5))
         with pytest.raises(ValueError):
             limit_deviation("bogus", (1.0, 0.1), np.linspace(-1, 1, 5))
+
+    @pytest.mark.parametrize("value", [0.0, -1.0, math.nan, math.inf, True],
+                             ids=["zero", "negative", "nan", "inf", "bool"])
+    @pytest.mark.parametrize("param", ["nu", "b"])
+    @pytest.mark.parametrize("case", ["student_t_alpha", "laplace_delta"])
+    def test_nu_and_b_are_checked_in_both_cases(self, case, param, value):
+        """The parameter a case does not read used to pass unchecked:
+        laplace_delta at nu = 0 and student_t_alpha at b = -1 returned
+        deviations."""
+        with pytest.raises(DomainError, match=f"^{param} must be"):
+            limit_deviation(case, (1.0,), np.linspace(-1, 1, 5), **{param: value})
 
 
 class TestPriorsSettings:

@@ -88,6 +88,52 @@ def test_non_finite_spec_rejected(case):
         _invalid_specs()[case]()
 
 
+def _mistyped_specs():
+    """Each spec with one parameter of the wrong type, as a callable that
+    generates from it: sizes that are not integers (numpy integers are,
+    bool is not) and numbers that are bools or not numbers."""
+    conv = dict(kind="convolution", n_rows=4, n_cols=4)
+    f = np.ones(3)
+    return {
+        "length-4.5": lambda: generate_sparse_signal(SignalSpec(length=4.5, sparsity=1)),
+        "length-true": lambda: generate_sparse_signal(SignalSpec(length=True, sparsity=1)),
+        "sparsity-1.5": lambda: generate_sparse_signal(SignalSpec(length=4, sparsity=1.5)),
+        "n_rows-2.5": lambda: generate_operator(OperatorSpec("gaussian_random", 2.5, 3)),
+        "n_rows-true": lambda: generate_operator(OperatorSpec("gaussian_random", True, 3)),
+        "n_cols-3.0": lambda: generate_operator(OperatorSpec("identity", 3, np.float64(3.0))),
+        "kernel-true": lambda: generate_operator(OperatorSpec(kernel=(True,), **conv)),
+        "kernel-str": lambda: generate_operator(OperatorSpec(kernel=("a",), **conv)),
+        "amplitude-true": lambda: generate_sparse_signal(
+            SignalSpec(length=4, sparsity=1, amplitude_range=(True, True))),
+        "amplitude-str": lambda: generate_sparse_signal(
+            SignalSpec(length=4, sparsity=1, amplitude_range=("1", 2.0))),
+        "sigma-true": lambda: synthesize_observation(
+            np.eye(3), f, NoiseSpec(kind="stationary", sigma=True)),
+        "ig-true": lambda: synthesize_observation(
+            np.eye(3), f, NoiseSpec(kind="nonstationary", ig_alpha=True, ig_beta=True)),
+        "ig_beta-str": lambda: synthesize_observation(
+            np.eye(3), f, NoiseSpec(kind="nonstationary", ig_alpha=3.0, ig_beta="2")),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_mistyped_specs()))
+def test_mistyped_spec_is_spec_error(case):
+    """Non-integer sizes used to end in a bare numpy TypeError, a bool
+    weight, amplitude or noise parameter was read as 1.0 and a string
+    weight was a TypeError."""
+    with pytest.raises(SpecError):
+        _mistyped_specs()[case]()
+
+
+def test_numpy_integer_sizes_are_accepted():
+    """They used to overflow the splitmix64 stream's Python-int arithmetic."""
+    signal = generate_sparse_signal(SignalSpec(length=np.int64(4), sparsity=np.int32(1)))
+    assert bits(signal) == bits(generate_sparse_signal(SignalSpec(length=4, sparsity=1)))
+    for kind in ("identity", "gaussian_random"):
+        spec = OperatorSpec(kind, np.int64(3), np.int32(3))
+        assert bits(generate_operator(spec)) == bits(generate_operator(OperatorSpec(kind, 3, 3)))
+
+
 class TestOperator:
     def test_identity(self):
         H = generate_operator(OperatorSpec(kind="identity", n_rows=3, n_cols=3))
@@ -217,6 +263,18 @@ class TestMetrics:
     def test_empty_rejected(self):
         with pytest.raises(SpecError):
             reconstruction_metrics([], [])
+
+    @pytest.mark.parametrize("threshold", [math.nan, -1.0, True, math.inf],
+                             ids=["nan", "negative", "bool", "inf"])
+    def test_support_threshold_must_be_finite_and_nonnegative(self, threshold):
+        """Each of these used to report a perfect support precision and
+        recall where the default threshold gives 0.0 and 0.0."""
+        f_hat, f_true = [1.0, 0.0, 0.5, 0.0], [0.0, 3.0, 0.0, -2.0]
+        m = reconstruction_metrics(f_hat, f_true)
+        assert (m.support_precision, m.support_recall) == (0.0, 0.0)
+        assert reconstruction_metrics(f_hat, f_true, support_threshold=0.0).support_recall == 0.0
+        with pytest.raises(SpecError, match="support_threshold"):
+            reconstruction_metrics(f_hat, f_true, support_threshold=threshold)
 
 
 class TestRngMoments:

@@ -341,9 +341,10 @@ class TestSolveVba:
         n = m = 6
         p = ForwardProblem(g=rng.randn(n), H=rng.randn(n, m), D=rng.randn(m, m))
         hyper = HyperParams(*rng.uniform(0.5, 2.0, 8))
-        from bsi.vba import _seed_families
-        f, z = np.zeros(m), np.zeros(m)
-        ig_eps, ig_xi, ig_z = _seed_families(p, hyper, f, z).values()
+        # the solver's start: the IG step at a zero covariance
+        f, z, zero = np.zeros(m), np.zeros(m), np.zeros(m)
+        ig_eps, ig_xi, ig_z = (vba_update_ig(kind, hyper, f, zero, z, zero, problem=p)
+                               for kind in ("eps", "xi", "z"))
         for _ in range(15):
             f, Sigma_f = vba_update_f(p, ig_eps.inv_expectation(),
                                       ig_xi.inv_expectation(), z)
@@ -408,9 +409,10 @@ class TestSolveVba:
         p = ForwardProblem(g=rng.randn(n), H=rng.randn(n, m))
         hyper = HyperParams(*rng.uniform(0.5, 2.0, 8))
         state, _ = solve_vba(p, hyper, VbaConfig(max_iter=1, separability="full"))
-        from bsi.vba import _seed_families
-        ig_eps, ig_f = _seed_families(p, hyper, np.zeros(m), None).values()
+        # the solver's start: the IG step at f = 0 with a zero covariance
         f = np.zeros(m)
+        ig_eps, ig_f = (vba_update_ig(kind, hyper, f, np.zeros(m), problem=p)
+                        for kind in ("eps", "f"))
         var = np.zeros(m)
         for j in range(m):
             f[j], var[j] = vba_full_coordinate_update(

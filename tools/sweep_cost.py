@@ -75,10 +75,12 @@ def solve(solver, direct, indirect):
 
 def selinv_seconds(direct):
     """Median seconds of ``selected_inverse`` on the factor of the first
-    VBA-partial f block (the seeded scales of a zero start)."""
-    state = bsi.solve_vba(direct, HYPER, bsi.VbaConfig(max_iter=1))[0]
-    op = direct._operators["f"]
-    c = band_factor(op, 1.0 / state.v_eps, 1.0 / state.v_f)
+    VBA-partial f block: the precisions <v^-1> of the solver's zero start,
+    the public IG step at f = 0 with a zero covariance."""
+    f = np.zeros(direct.n_coef)
+    w, p = (bsi.vba_update_ig(kind, HYPER, f, np.zeros(f.size), problem=direct)
+            .inv_expectation() for kind in ("eps", "f"))
+    c = band_factor(direct._operators["f"], w, p)
     times = []
     for _ in range(CALLS):
         tic = time.perf_counter()
